@@ -191,7 +191,7 @@ def _cmd_analyze(args) -> int:
     freq = analysis.frequency_report(records, window)
     diags = [analysis.link_diagnostics(rec, window) for rec in records]
     summary = analysis.treatment_summary(records, treatment, window)
-    csv_path = Path(args.csv) if args.csv else Path(args.in_dir) / "summary.csv"
+    csv_path = Path(args.csv) if args.csv else Path(args.in_dir) / session_io.SUMMARY_CSV
     _write_summary_csv(summary, csv_path)
     _emit(
         _clean(
@@ -262,6 +262,12 @@ def _write_summary_csv(summary: analysis.TreatmentSummary, path: Path) -> None:
 
 
 def _cmd_thresholds(args) -> int:
+    if args.grid_points < 2:
+        print(
+            f"error: --grid-points must be at least 2, got {args.grid_points}",
+            file=sys.stderr,
+        )
+        return 2
     treatment = get_treatment(args.treatment)
     result = equilibria.cost_thresholds(
         treatment.params, grid_points=args.grid_points

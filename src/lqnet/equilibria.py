@@ -12,7 +12,7 @@ where the interior problem is unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -335,15 +335,7 @@ def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> fl
     from .model import best_response_effort, payoff
 
     def gain(kappa: float) -> float:
-        p = GameParams(
-            theta=params.theta,
-            beta=params.beta,
-            lam=params.lam,
-            kappa=kappa,
-            n=params.n,
-            effort_min=params.effort_min,
-            effort_max=params.effort_max,
-        )
+        p = _with_kappa(params, kappa)
         base = p.theta / p.beta
         stay = payoff(
             p,
@@ -376,15 +368,7 @@ def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> fl
 
 
 def _with_kappa(params: GameParams, kappa: float) -> GameParams:
-    return GameParams(
-        theta=params.theta,
-        beta=params.beta,
-        lam=params.lam,
-        kappa=kappa,
-        n=params.n,
-        effort_min=params.effort_min,
-        effort_max=params.effort_max,
-    )
+    return replace(params, kappa=kappa)
 
 
 def cost_thresholds(
@@ -400,19 +384,17 @@ def cost_thresholds(
     architecture becomes equilibrium-supportable; ``kappa2`` the cost at
     which the complete network stops being supportable.  The kappa field
     of ``params`` is ignored; each architecture's switch is located on a
-    grid and sharpened by bisection on the verifier's support predicate.
+    grid and sharpened by bisection on the verifier's support predicate,
+    asked of one `SupportSearch` per architecture.
     The empty and complete predicates are checked for monotonicity on the
     grid first; a violation raises rather than returning a silent value.
     """
     from .structure import classify
-    from .verifier import enumerate_candidates, ne_supportable
+    from .verifier import SupportSearch, enumerate_candidates
 
     if architectures is None:
         architectures = enumerate_candidates(params.n)
     kappas = np.linspace(bracket[0], bracket[1], grid_points)
-
-    def supportable(network: Network, kappa: float) -> bool:
-        return ne_supportable(_with_kappa(params, kappa), network).supportable
 
     notes: dict = {
         "bracket": bracket,
@@ -424,7 +406,8 @@ def cost_thresholds(
     kappa2 = math.inf
     for network in architectures:
         label = classify(network).label
-        pattern = [supportable(network, float(k)) for k in kappas]
+        supportable = SupportSearch(params, network).supportable
+        pattern = [supportable(float(k)) for k in kappas]
         entry: dict = {
             "label": label,
             "links": network.link_count(),
@@ -450,7 +433,7 @@ def cost_thresholds(
                 hi = kappas[idx]
                 while hi - lo > tol:
                     mid = 0.5 * (lo + hi)
-                    if supportable(network, mid):
+                    if supportable(mid):
                         lo = mid
                     else:
                         hi = mid
@@ -467,7 +450,7 @@ def cost_thresholds(
                     lo, hi = kappas[idx - 1], kappas[idx]
                     while hi - lo > tol:
                         mid = 0.5 * (lo + hi)
-                        if supportable(network, mid):
+                        if supportable(mid):
                             hi = mid
                         else:
                             lo = mid

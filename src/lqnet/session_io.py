@@ -36,6 +36,8 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
+#: the analysis summary ``lqnet analyze`` writes into a record directory
+SUMMARY_CSV = "summary.csv"
 
 CSV_COLUMNS = [
     "session_id",
@@ -468,9 +470,9 @@ def read_record(csv_path: str | Path) -> SessionRecord:
 
 
 def read_records(directory: str | Path) -> list[SessionRecord]:
-    """Read every session CSV in a directory, sorted by file name."""
+    """Read every session CSV in a directory, sorted by file name (not `SUMMARY_CSV`)."""
     directory = Path(directory)
-    paths = sorted(directory.glob("*.csv"))
+    paths = sorted(p for p in directory.glob("*.csv") if p.name != SUMMARY_CSV)
     if not paths:
         raise LqnetError(f"no session CSV files in {directory}")
     return [read_record(p) for p in paths]

@@ -9,19 +9,22 @@ deviation search exact.
 Support checks fix efforts at the network's equilibrium values and search
 sponsorship orientations (one sponsor per link): greedy warm starts
 first, then backtracking over per-edge sponsor assignments constrained to
-each agent's stable sponsor sets, under a hard node budget.
+each agent's stable sponsor sets, under a hard node budget.  Only the
+stable-set filter depends on the linking cost, so `SupportSearch` builds
+everything else once per network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .equilibria import nash_efforts
+from .equilibria import _with_kappa, balanced_sponsorship, nash_efforts
 from .errors import LqnetError, OrientationBudgetError
 from .model import (
     EffortProfile,
@@ -172,24 +175,31 @@ def _br_payoff_vec(params: GameParams, neighbor_sums: np.ndarray) -> np.ndarray:
     return params.theta * x - 0.5 * params.beta * x * x + params.lam * x * neighbor_sums
 
 
-def _stable_sponsor_sets(
-    params: GameParams, x: np.ndarray, network: Network
-) -> list[np.ndarray] | None:
-    """Per agent, every sponsored-neighbor set admitting no profitable deviation.
+class _SponsorTable(NamedTuple):
+    """One agent's κ-free payoffs, one row per candidate sponsored-neighbor set."""
+
+    prefix_payoff: np.ndarray  # BR payoff at each effort-sorted deviation prefix
+    prefix_counts: np.ndarray  # links that prefix sponsors
+    incoming_payoff: np.ndarray  # BR payoff after withdrawing every sponsorship
+    full_payoff: float  # BR payoff with every link kept
+    counts: np.ndarray  # links the set sponsors
+    masks: np.ndarray  # the set as an agent-id bitmask
+
+
+def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list[_SponsorTable]:
+    """Per agent, the payoff tables `_stable_sponsor_sets` filters at each κ.
 
     With efforts fixed, an agent facing incoming links can deviate to any
     target set within (sponsored ∪ non-neighbors); since the best-response
     payoff is nondecreasing in the neighbor-effort total, the best m-target
     deviation takes the m highest-effort candidates, so prefix sums over
-    the effort-sorted candidate pool are exact.  Returns one int64 array of
-    stable sets per agent (as agent-id bitmasks), or None as soon as some
-    agent has no stable set.
+    the effort-sorted candidate pool are exact.
     """
     from .kernels import _subset_table
 
     adj = network.adjacency
     n = network.n
-    families: list[np.ndarray] = []
+    tables: list[_SponsorTable] = []
     for i in range(n):
         nb = np.nonzero(adj[i])[0]
         others = np.array([j for j in range(n) if j != i], dtype=np.int64)
@@ -198,27 +208,44 @@ def _stable_sponsor_sets(
         d = len(nb)
         table = _subset_table(d)
         s_sums = table @ x[nb] if d else np.zeros(1)
-        counts = table.sum(axis=1)
         all_sum = float(x[nb].sum()) if d else 0.0
         inc = all_sum - s_sums
-        member = np.broadcast_to(
-            ~adj[i][order], (table.shape[0], len(order))
-        ).copy()
+        member = np.broadcast_to(~adj[i][order], (table.shape[0], len(order))).copy()
         nb_col = {int(v): t for t, v in enumerate(nb)}
         for k, node in enumerate(order):
             t = nb_col.get(int(node))
             if t is not None:
                 member[:, k] = table[:, t]
         prefix_sums = inc[:, None] + np.cumsum(np.where(member, x_ord, 0.0), axis=1)
-        prefix_counts = np.cumsum(member, axis=1)
-        dev = _br_payoff_vec(params, prefix_sums) - params.kappa * prefix_counts
-        best = np.maximum(_br_payoff_vec(params, inc), dev.max(axis=1))
-        current = float(_br_payoff_vec(params, np.array(all_sum))) - params.kappa * counts
+        weights = (np.int64(1) << nb.astype(np.int64)) if d else np.zeros(0, np.int64)
+        tables.append(
+            _SponsorTable(
+                prefix_payoff=_br_payoff_vec(params, prefix_sums),
+                prefix_counts=np.cumsum(member, axis=1),
+                incoming_payoff=_br_payoff_vec(params, inc),
+                full_payoff=float(_br_payoff_vec(params, np.array(all_sum))),
+                counts=table.sum(axis=1),
+                masks=(table.astype(np.int64) @ weights).astype(np.int64),
+            )
+        )
+    return tables
+
+
+def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.ndarray] | None:
+    """Per agent, every sponsored-neighbor set admitting no profitable deviation.
+
+    Returns one int64 array of stable sets per agent (as agent-id
+    bitmasks), or None as soon as some agent has no stable set.
+    """
+    families: list[np.ndarray] = []
+    for t in tables:
+        dev = t.prefix_payoff - kappa * t.prefix_counts
+        best = np.maximum(t.incoming_payoff, dev.max(axis=1))
+        current = t.full_payoff - kappa * t.counts
         stable = current + DEVIATION_TOL >= best
         if not stable.any():
             return None
-        weights = (np.int64(1) << nb.astype(np.int64)) if d else np.zeros(0, np.int64)
-        families.append((table[stable].astype(np.int64) @ weights).astype(np.int64))
+        families.append(t.masks[stable])
     return families
 
 
@@ -247,130 +274,169 @@ def _drop_all_prunes(params: GameParams, x: np.ndarray, intents: np.ndarray) -> 
     return bool(np.any(dropped - current > DEVIATION_TOL))
 
 
+class SupportSearch:
+    """One network's κ-free support state, queried at any linking cost.
+
+    Efforts are fixed at the network's equilibrium values, so they, the
+    two greedy warm starts (lower-degree endpoint sponsors; balanced
+    assignment) and the sponsor tables are built once.  `report` searches
+    the orientations at one κ; `supportable` memoizes verdicts by the
+    per-agent stable families at κ.  Equal families give an equal search
+    space, so a stored negative verdict is reused, while a stored witness
+    is re-confirmed at the new κ and the full search runs if it fails.
+    """
+
+    def __init__(self, params: GameParams, network: Network, backend: str | None = None) -> None:
+        self.params = params
+        self.network = network
+        self.backend = backend
+        self.x = nash_efforts(params, network, backend=backend).efforts.efforts
+        self.edges = edges = network.edges()
+        self.deg = deg = network.degrees
+        self.warm: list[tuple[int, ...]] = [()]
+        if edges:
+            balanced = balanced_sponsorship(network).matrix
+            self.warm = [
+                tuple(i if (deg[i], i) <= (deg[j], j) else j for i, j in edges),
+                tuple(i if balanced[i, j] else j for i, j in edges),
+            ]
+        self._verdicts: dict = {}
+
+    @cached_property
+    def tables(self) -> list[_SponsorTable]:
+        return _sponsor_tables(self.params, self.x, self.network)
+
+    def _check(self, params: GameParams, intents_m: np.ndarray) -> StrategyProfile | None:
+        if _drop_all_prunes(params, self.x, intents_m):
+            return None
+        profile = StrategyProfile(EffortProfile(self.x), IntentProfile(intents_m))
+        if verify_nash(params, profile, backend=self.backend).is_nash:
+            return profile
+        return None
+
+    def supportable(self, kappa: float) -> bool:
+        """Memoized support verdict; every positive one is confirmed at κ."""
+        families = _stable_sponsor_sets(self.tables, kappa)
+        key = None if families is None else tuple(f.tobytes() for f in families)
+        if key in self._verdicts:
+            witness = self._verdicts[key]
+            if witness is None:
+                return False
+            if self._check(_with_kappa(self.params, kappa), witness.intents.matrix) is not None:
+                return True
+        witness = self.report(kappa).witness
+        self._verdicts[key] = witness
+        return witness is not None
+
+    def report(self, kappa: float, budget: int = ORIENTATION_BUDGET) -> NESupportReport:
+        """Search for a sponsorship orientation making the network an equilibrium at κ.
+
+        Warm starts come first, pruned by no-drop feasibility before the full
+        deviation scan; then each link is assigned a sponsor under per-agent
+        stable-set constraints (exact, see `_sponsor_tables`), so negative
+        verdicts never need all 2**links orientations.  ``orientations_tried``
+        counts warm starts plus search-tree assignments; past ``budget`` the
+        search raises instead of guessing.
+        """
+        params = _with_kappa(self.params, kappa)
+        network, n, edges, deg = self.network, self.network.n, self.edges, self.deg
+
+        def check(sponsors) -> StrategyProfile | None:
+            return self._check(params, _orientation_intents(n, edges, sponsors))
+
+        tried = 0
+        seen: set[tuple[int, ...]] = set()
+        for sponsors in self.warm:
+            if sponsors in seen:
+                continue
+            seen.add(sponsors)
+            tried += 1
+            witness = check(sponsors)
+            if witness is not None:
+                return NESupportReport(network, True, witness, tried)
+
+        families = _stable_sponsor_sets(self.tables, kappa)
+        if families is None:
+            return NESupportReport(network, False, None, tried)
+        family_sizes = [np.bitwise_count(fam) for fam in families]
+
+        sponsored = [0] * n
+        refused = [0] * n
+
+        def feasible(agent: int) -> bool:
+            fam = families[agent]
+            sp = sponsored[agent]
+            return bool(np.any(((fam & sp) == sp) & ((fam & refused[agent]) == 0)))
+
+        def max_additional(agent: int) -> int:
+            """Most extra sponsorships this agent can still take on."""
+            fam = families[agent]
+            ok = ((fam & sponsored[agent]) == sponsored[agent]) & (
+                (fam & refused[agent]) == 0
+            )
+            if not ok.any():
+                return -1
+            return int(family_sizes[agent][ok].max()) - int(
+                bin(sponsored[agent]).count("1")
+            )
+
+        def capacity_ok(assigned: int) -> bool:
+            remaining = len(edges) - assigned
+            total = 0
+            for agent in range(n):
+                extra = max_additional(agent)
+                if extra < 0:
+                    return False
+                total += extra
+            return total >= remaining
+
+        nodes = 0
+
+        def assignments(k: int):
+            nonlocal nodes
+            if k == len(edges):
+                yield tuple(i if (sponsored[i] >> j) & 1 else j for i, j in edges)
+                return
+            i, j = edges[k]
+            for sponsor in sorted((i, j), key=lambda v: (deg[v], v)):
+                other = j if sponsor == i else i
+                nodes += 1
+                if nodes > budget:
+                    raise OrientationBudgetError(
+                        f"orientation search exceeded its budget of {budget} "
+                        f"assignments on a {len(edges)}-link network"
+                    )
+                sponsored[sponsor] |= 1 << other
+                refused[other] |= 1 << sponsor
+                if feasible(sponsor) and feasible(other) and capacity_ok(k + 1):
+                    yield from assignments(k + 1)
+                sponsored[sponsor] &= ~(1 << other)
+                refused[other] &= ~(1 << sponsor)
+
+        if not capacity_ok(0):
+            return NESupportReport(network, False, None, tried)
+
+        # every completed assignment gives each agent exactly one of its stable
+        # sets, so the confirming scan can only fail on a float knife edge; the
+        # generator then simply continues
+        for sponsors in assignments(0):
+            if sponsors in seen:
+                continue
+            seen.add(sponsors)
+            witness = check(sponsors)
+            if witness is not None:
+                return NESupportReport(network, True, witness, tried + nodes)
+        return NESupportReport(network, False, None, tried + nodes)
+
+
 def ne_supportable(
     params: GameParams,
     network: Network,
     backend: str | None = None,
     budget: int = ORIENTATION_BUDGET,
 ) -> NESupportReport:
-    """Search for a sponsorship orientation making the network an equilibrium.
-
-    Efforts are fixed at the network's equilibrium values.  Greedy warm
-    starts (lower-degree endpoint sponsors; balanced assignment) are
-    checked first, pruned by per-agent no-drop feasibility before the
-    full deviation scan.  The remaining orientation space is searched by
-    assigning each link a sponsor under per-agent stable-set constraints
-    (exact, see `_stable_sponsor_sets`), so negative verdicts never need
-    all 2**links orientations.  ``orientations_tried`` counts warm starts
-    plus search-tree assignments; past ``budget`` the search raises
-    instead of guessing.
-    """
-    from .equilibria import balanced_sponsorship
-
-    x = nash_efforts(params, network, backend=backend).efforts.efforts
-    n = network.n
-    edges = network.edges()
-    deg = network.degrees
-
-    def check(sponsors) -> StrategyProfile | None:
-        intents_m = _orientation_intents(n, edges, sponsors)
-        if _drop_all_prunes(params, x, intents_m):
-            return None
-        profile = StrategyProfile(EffortProfile(x), IntentProfile(intents_m))
-        if verify_nash(params, profile, backend=backend).is_nash:
-            return profile
-        return None
-
-    tried = 0
-    warm: list[tuple[int, ...]] = []
-    if edges:
-        warm.append(tuple(i if (deg[i], i) <= (deg[j], j) else j for i, j in edges))
-        balanced = balanced_sponsorship(network).matrix
-        warm.append(tuple(i if balanced[i, j] else j for i, j in edges))
-    else:
-        warm.append(())
-    seen: set[tuple[int, ...]] = set()
-    for sponsors in warm:
-        if sponsors in seen:
-            continue
-        seen.add(sponsors)
-        tried += 1
-        witness = check(sponsors)
-        if witness is not None:
-            return NESupportReport(network, True, witness, tried)
-
-    families = _stable_sponsor_sets(params, x, network)
-    if families is None:
-        return NESupportReport(network, False, None, tried)
-    family_sizes = [np.bitwise_count(fam) for fam in families]
-
-    sponsored = [0] * n
-    refused = [0] * n
-
-    def feasible(agent: int) -> bool:
-        fam = families[agent]
-        sp = sponsored[agent]
-        return bool(np.any(((fam & sp) == sp) & ((fam & refused[agent]) == 0)))
-
-    def max_additional(agent: int) -> int:
-        """Most extra sponsorships this agent can still take on."""
-        fam = families[agent]
-        ok = ((fam & sponsored[agent]) == sponsored[agent]) & (
-            (fam & refused[agent]) == 0
-        )
-        if not ok.any():
-            return -1
-        return int(family_sizes[agent][ok].max()) - int(
-            bin(sponsored[agent]).count("1")
-        )
-
-    def capacity_ok(assigned: int) -> bool:
-        remaining = len(edges) - assigned
-        total = 0
-        for agent in range(n):
-            extra = max_additional(agent)
-            if extra < 0:
-                return False
-            total += extra
-        return total >= remaining
-
-    nodes = 0
-
-    def assignments(k: int):
-        nonlocal nodes
-        if k == len(edges):
-            yield tuple(i if (sponsored[i] >> j) & 1 else j for i, j in edges)
-            return
-        i, j = edges[k]
-        for sponsor in sorted((i, j), key=lambda v: (deg[v], v)):
-            other = j if sponsor == i else i
-            nodes += 1
-            if nodes > budget:
-                raise OrientationBudgetError(
-                    f"orientation search exceeded its budget of {budget} "
-                    f"assignments on a {len(edges)}-link network"
-                )
-            sponsored[sponsor] |= 1 << other
-            refused[other] |= 1 << sponsor
-            if feasible(sponsor) and feasible(other) and capacity_ok(k + 1):
-                yield from assignments(k + 1)
-            sponsored[sponsor] &= ~(1 << other)
-            refused[other] &= ~(1 << sponsor)
-
-    if not capacity_ok(0):
-        return NESupportReport(network, False, None, tried)
-
-    # every completed assignment gives each agent exactly one of its stable
-    # sets, so the confirming scan can only fail on a float knife edge; the
-    # generator then simply continues
-    for sponsors in assignments(0):
-        if sponsors in seen:
-            continue
-        seen.add(sponsors)
-        witness = check(sponsors)
-        if witness is not None:
-            return NESupportReport(network, True, witness, tried + nodes)
-    return NESupportReport(network, False, None, tried + nodes)
+    """Support report of one network at ``params.kappa`` (see `SupportSearch`)."""
+    return SupportSearch(params, network, backend).report(params.kappa, budget)
 
 
 # --------------------------------------------------------------------------
@@ -380,22 +446,26 @@ def ne_supportable(
 MAX_CANONICAL_N = 7
 
 
-@lru_cache(maxsize=None)
-def _canonical_bits(n: int, bits: int) -> int:
-    pairs = list(combinations(range(n), 2))
-    adj = np.zeros((n, n), dtype=bool)
-    for idx, (i, j) in enumerate(pairs):
-        if (bits >> idx) & 1:
-            adj[i, j] = adj[j, i] = True
-    best = None
-    for perm in permutations(range(n)):
-        acc = 0
-        for idx, (i, j) in enumerate(pairs):
-            if adj[perm[i], perm[j]]:
-                acc |= 1 << idx
-        if best is None or acc < best:
-            best = acc
-    return best
+def _canonical_labels(n: int, bits: np.ndarray) -> np.ndarray:
+    """Minimum edge bitstring of each graph in ``bits`` over all n! relabelings.
+
+    ``moved[p, k]`` is the pair slot that pair slot ``k`` maps to under
+    permutation ``p``; the relabeled strings of every graph under every
+    permutation are ORed together one pair slot at a time.
+    """
+    i, j = np.triu_indices(n, 1)  # the pair slots, in `combinations` order
+    slot = np.zeros((n, n), dtype=np.int64)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    perms = np.array(list(permutations(range(n))))
+    moved = slot[perms[:, i], perms[:, j]]
+    acc = np.zeros((len(bits), len(moved)), dtype=np.int64)
+    bit = np.empty_like(acc)
+    for k in range(len(i)):
+        np.right_shift(bits[:, None], moved[:, k], out=bit)
+        bit &= 1
+        bit <<= k
+        acc |= bit
+    return acc.min(axis=1)
 
 
 def _network_bits(network: Network) -> int:
@@ -413,7 +483,7 @@ def canonical_form(network: Network) -> int:
             f"canonical forms use brute-force permutation, feasible for n <= "
             f"{MAX_CANONICAL_N}; got {network.n}"
         )
-    return _canonical_bits(network.n, _network_bits(network))
+    return int(_canonical_labels(network.n, np.array([_network_bits(network)]))[0])
 
 
 def graph_atlas(n: int) -> list[Network]:
@@ -421,13 +491,11 @@ def graph_atlas(n: int) -> list[Network]:
     if n > 5:
         raise LqnetError(f"full graph atlas supported for n <= 5, got {n}")
     pairs = list(combinations(range(n), 2))
-    reps: dict[int, Network] = {}
-    for bits in range(1 << len(pairs)):
-        canon = _canonical_bits(n, bits)
-        if canon not in reps:
-            edges = [pairs[idx] for idx in range(len(pairs)) if (canon >> idx) & 1]
-            reps[canon] = Network.from_edges(n, edges)
-    return [reps[k] for k in sorted(reps, key=lambda c: (bin(c).count("1"), c))]
+    labels = np.unique(_canonical_labels(n, np.arange(1 << len(pairs), dtype=np.int64)))
+    return [
+        Network.from_edges(n, [pairs[idx] for idx in range(len(pairs)) if (canon >> idx) & 1])
+        for canon in sorted(labels.tolist(), key=lambda c: (bin(c).count("1"), c))
+    ]
 
 
 def enumerate_candidates(n: int) -> list[Network]:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -156,6 +157,28 @@ class TestSimulateAnalyze:
             payload["summary"]["overall_means"]["link_fraction"]
         )
 
+    def test_analyze_twice_on_one_directory(self, capsys, tmp_path):
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(self.POLICY)
+        out_dir = tmp_path / "runs"
+        run_cli(
+            capsys, "simulate", "--treatment", "N9_LowCost1",
+            "--policy", str(policy_path), "--periods", "10", "--reps", "2",
+            "--seed", "3", "--out", str(out_dir),
+        )
+        analyze = ("analyze", "--in", str(out_dir), "--treatment", "N9_LowCost1")
+        first = run_cli(capsys, *analyze)
+        assert (out_dir / "summary.csv").exists()
+        second = run_cli(capsys, *analyze)
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
+
+        # a real session CSV without its sidecar is still an error
+        shutil.copy(out_dir / "s3.csv", out_dir / "s9.csv")
+        code, out, err = run_cli(capsys, *analyze)
+        assert code == 1
+        assert "missing sidecar" in err
+
     def test_simulate_deterministic_across_dirs(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.yaml"
         policy_path.write_text(self.POLICY)
@@ -180,6 +203,16 @@ class TestThresholds:
         payload = json.loads(out)
         assert payload["kappa1"] == pytest.approx(1.953125, abs=1e-4)
         assert payload["kappa2"] == pytest.approx(5.46875, abs=1e-4)
+
+
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_grid_points_below_two_is_usage_error(self, capsys, points):
+        code, out, err = run_cli(
+            capsys, "thresholds", "--treatment", "N5_HighCost", "--grid-points", points
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grid-points must be at least 2, got {points}\n"
 
 
 class TestUsageErrors:

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lqnet.equilibria import balanced_sponsorship, nash_efforts
+from lqnet.equilibria import _with_kappa, balanced_sponsorship, nash_efforts
 from lqnet.errors import LqnetError, OrientationBudgetError
 from lqnet.model import (
     EffortProfile,
@@ -13,6 +16,8 @@ from lqnet.model import (
 )
 from lqnet.structure import classify, is_nested_split
 from lqnet.verifier import (
+    DeviationReport,
+    SupportSearch,
     canonical_form,
     deviation_gain,
     enumerate_ne_networks,
@@ -138,17 +143,8 @@ class TestNeSupportable:
         p = get_treatment("N5_LowCost").params
         net = Network.star(5, center=0)
 
-        def permissive(params, x, network):
-            fams = []
-            for i in range(network.n):
-                nb = np.nonzero(network.adjacency[i])[0]
-                masks = []
-                for bits in range(1 << len(nb)):
-                    masks.append(
-                        sum(1 << int(nb[k]) for k in range(len(nb)) if (bits >> k) & 1)
-                    )
-                fams.append(np.array(masks, dtype=np.int64))
-            return fams
+        def permissive(tables, kappa):
+            return [t.masks for t in tables]
 
         monkeypatch.setattr(verifier_mod, "_stable_sponsor_sets", permissive)
         with pytest.raises(OrientationBudgetError):
@@ -174,6 +170,79 @@ class TestNeSupportable:
                     brute = True
                     break
             assert ne_supportable(p5, net).supportable == brute
+
+
+def parity_kappas(treatment):
+    """0, 20, every golden onset and offset +- 1e-7, and 20 seeded draws."""
+    golden = Path(__file__).parent / "golden" / f"thresholds_{treatment}.json"
+    entries = json.loads(golden.read_text())["method_notes"]["architectures"]
+    switches = {
+        e[key] for e in entries for key in ("onset", "offset") if e.get(key, "inf") != "inf"
+    }
+    kappas = [0.0, 20.0] + [s + d for s in sorted(switches) for d in (-1e-7, 1e-7)]
+    kappas += np.random.default_rng(2).uniform(0.0, 20.0, 20).tolist()
+    return [k for k in kappas if k >= 0.0]
+
+
+class TestSupportSearch:
+    @pytest.mark.parametrize(
+        "treatment,networks",
+        [
+            ("N5_HighCost", graph_atlas(5)),
+            ("N9_HighCost", [Network.empty(9), Network.star(9), Network.complete(9)]),
+        ],
+    )
+    def test_memoized_verdict_matches_fresh_search(self, treatment, networks):
+        p = get_treatment(treatment).params
+        kappas = parity_kappas(treatment)
+        assert len(kappas) >= 26
+        for net in networks:
+            search = SupportSearch(p, net)
+            for k in kappas:
+                fresh = ne_supportable(_with_kappa(p, k), net).supportable
+                assert search.supportable(k) == fresh, (net.edges(), k)
+
+    def _count_reports(self, monkeypatch):
+        searched = []
+        report = SupportSearch.report
+
+        def counted(search, kappa, *args):
+            searched.append(kappa)
+            return report(search, kappa, *args)
+
+        monkeypatch.setattr(SupportSearch, "report", counted)
+        return searched
+
+    def test_negative_verdict_reused(self, monkeypatch):
+        p = get_treatment("N5_HighCost").params
+        search = SupportSearch(p, Network.star(5))
+        searched = self._count_reports(monkeypatch)
+        assert not search.supportable(1.0)
+        assert not search.supportable(1.0)
+        assert searched == [1.0]
+
+    def test_rejected_witness_falls_back_to_full_search(self, monkeypatch):
+        import lqnet.verifier as verifier_mod
+
+        p = get_treatment("N5_HighCost").params
+        search = SupportSearch(p, Network.star(5))
+        searched = self._count_reports(monkeypatch)
+        assert search.supportable(3.9)
+        assert searched == [3.9]
+
+        real = verifier_mod.verify_nash
+        rejected = []
+
+        def reject_once(params, profile, backend=None):
+            if not rejected:
+                rejected.append(params.kappa)
+                return DeviationReport(False, None, 0)
+            return real(params, profile, backend=backend)
+
+        monkeypatch.setattr(verifier_mod, "verify_nash", reject_once)
+        assert search.supportable(3.9)
+        assert rejected == [3.9]
+        assert searched == [3.9, 3.9]
 
 
 class TestEnumerate:
