@@ -17,7 +17,7 @@ from .dynamics import SessionRecord
 from .equilibria import equilibrium_payoffs, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
 from .model import GameParams, Network, Treatment, best_response_effort
-from .structure import ARCHITECTURES, architecture_distance, stats
+from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
 
@@ -103,6 +103,13 @@ def resolve_window(window, T: int) -> Window:
     return (start, end)
 
 
+def _windows(records: list[SessionRecord], window) -> list[Window]:
+    """Each record's resolved window, in record order."""
+    if not records:
+        raise LqnetError("no records supplied")
+    return [resolve_window(window, rec.T) for rec in records]
+
+
 def _params_of(treatment: Treatment | GameParams) -> GameParams:
     return treatment.params if isinstance(treatment, Treatment) else treatment
 
@@ -124,23 +131,15 @@ def efficiency_report(
     """Realized average effort and payoff, and their ratio to the
     complete-network equilibrium payoff."""
     params = _params_of(treatment)
-    if not records:
-        raise LqnetError("no records supplied")
-    efforts = []
-    payoffs = []
-    resolved: Window | None = None
-    for rec in records:
-        start, end = resolve_window(window, rec.T)
-        resolved = (start, end)
-        efforts.append(rec.efforts[start - 1 : end].mean())
-        payoffs.append(rec.payoffs[start - 1 : end, :, 4].mean())
-    avg_effort = float(np.mean(efforts))
-    avg_payoff = float(np.mean(payoffs))
+    windows = _windows(records, window)
+    pairs = list(zip(records, windows))
+    avg_effort = float(np.mean([rec.efforts[s - 1 : e].mean() for rec, (s, e) in pairs]))
+    avg_payoff = float(np.mean([rec.payoffs[s - 1 : e, :, 4].mean() for rec, (s, e) in pairs]))
     return EfficiencyReport(
         avg_effort=avg_effort,
         avg_payoff=avg_payoff,
         relative_efficiency=avg_payoff / complete_equilibrium_average(params),
-        window=resolved,
+        window=windows[-1],
     )
 
 
@@ -151,29 +150,20 @@ def frequency_report(
 ) -> FrequencyReport:
     """Share of record-periods matching each architecture exactly and
     within two links."""
-    if not records:
-        raise LqnetError("no records supplied")
-    exact = {a: 0 for a in architectures}
-    near = {a: 0 for a in architectures}
-    periods = 0
-    resolved: Window | None = None
-    for rec in records:
-        start, end = resolve_window(window, rec.T)
-        resolved = (start, end)
-        for t in range(start, end + 1):
-            net = rec.network_at(t)
-            periods += 1
-            for a in architectures:
-                d = architecture_distance(net, a)
-                exact[a] += d == 0
-                near[a] += d <= 2
-    return FrequencyReport(
-        per_architecture={
-            a: ArchitectureFrequency(exact=exact[a] / periods, within_two=near[a] / periods)
-            for a in architectures
-        },
-        window=resolved,
-    )
+    windows = _windows(records, window)
+    distances: dict[str, list[np.ndarray]] = {a: [] for a in architectures}
+    for rec, (start, end) in zip(records, windows):
+        degrees = rec.networks[start - 1 : end].sum(axis=2)
+        for a in architectures:
+            distances[a].append(architecture_distances(degrees, a))
+    per_architecture = {}
+    for a in architectures:
+        d = np.concatenate(distances[a])
+        per_architecture[a] = ArchitectureFrequency(
+            exact=np.count_nonzero(d == 0) / d.size,
+            within_two=np.count_nonzero(d <= 2) / d.size,
+        )
+    return FrequencyReport(per_architecture=per_architecture, window=windows[-1])
 
 
 def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
@@ -188,40 +178,28 @@ def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
     params = record.params
     n = record.n
     start, end = resolve_window(window, record.T)
+    x = record.efforts[start - 1 : end]
+    adj = record.networks[start - 1 : end]
+    m = record.intents[start - 1 : end]
+    benefit = params.lam * (x[:, :, None] * x[:, None, :]) - params.kappa
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    prof_missing_counts = []
-    prof_missing_shares = []
-    unprof_existing_counts = []
-    unprof_existing_shares = []
-    reciprocated_shares = []
-    for t in range(start - 1, end):
-        x = record.efforts[t]
-        adj = record.networks[t]
-        m = record.intents[t]
-        benefit = params.lam * np.outer(x, x) - params.kappa
-        missing = upper & ~adj
-        existing = upper & adj
-        prof_missing = missing & (benefit > 0)
-        prof_missing_counts.append(2 * prof_missing.sum() / n)
-        if missing.sum() > 0:
-            prof_missing_shares.append(prof_missing.sum() / missing.sum())
-        unprof_sponsored = m & (benefit < 0)
-        unprof_existing_counts.append(unprof_sponsored.sum() / n)
-        if existing.sum() > 0:
-            unprof_existing_shares.append(
-                (existing & (benefit < 0)).sum() / existing.sum()
-            )
-            reciprocated_shares.append((m & m.T & upper).sum() / existing.sum())
+    missing = upper & ~adj
+    existing = upper & adj
 
-    def _mean(values) -> float:
-        return float(np.mean(values)) if values else 0.0
+    def count(mask: np.ndarray) -> np.ndarray:
+        return mask.sum(axis=(1, 2))
 
+    def share(part: np.ndarray, whole: np.ndarray) -> float:
+        keep = whole > 0
+        return float(np.mean(part[keep] / whole[keep])) if keep.any() else 0.0
+
+    prof_missing = count(missing & (benefit > 0))
     return LinkDiagnostics(
-        avg_profitable_missing=_mean(prof_missing_counts),
-        profitable_missing_share=_mean(prof_missing_shares),
-        avg_unprofitable_existing=_mean(unprof_existing_counts),
-        unprofitable_existing_share=_mean(unprof_existing_shares),
-        reciprocated_share=_mean(reciprocated_shares),
+        avg_profitable_missing=float(np.mean(2 * prof_missing / n)),
+        profitable_missing_share=share(prof_missing, count(missing)),
+        avg_unprofitable_existing=float(np.mean(count(m & (benefit < 0)) / n)),
+        unprofitable_existing_share=share(count(existing & (benefit < 0)), count(existing)),
+        reciprocated_share=share(count(m & m.transpose(0, 2, 1) & upper), count(existing)),
         window=(start, end),
     )
 
@@ -295,43 +273,39 @@ def treatment_summary(
     group, and across group means in the overall row.
     """
     params = _params_of(treatment)
-    if not records:
-        raise LqnetError("no records supplied")
+    windows = _windows(records, window)
     denominator = complete_equilibrium_average(params)
+    # realized networks repeat across periods and groups: one Nash solve each
+    index: dict[bytes, int] = {}
+    solved: list[np.ndarray] = []
+    for rec, (start, end) in zip(records, windows):
+        for adj in rec.networks[start - 1 : end]:
+            key = adj.tobytes()
+            if key not in index:
+                index[key] = len(solved)
+                solved.append(nash_efforts(params, Network(adj)).efforts.efforts)
+    nash_means = np.array(solved).mean(axis=1)
     groups = []
-    resolved: Window | None = None
-    for rec in records:
-        start, end = resolve_window(window, rec.T)
-        resolved = (start, end)
-        series: dict[str, list[float]] = {f: [] for f in SUMMARY_FIELDS}
-        for t in range(start, end + 1):
-            net = rec.network_at(t)
-            st = stats(net)
-            series["link_count"].append(st.link_count)
-            series["link_fraction"].append(st.link_fraction)
-            series["avg_degree"].append(st.avg_degree)
-            series["min_degree"].append(st.min_degree)
-            series["max_degree"].append(st.max_degree)
-            series["clustering"].append(st.clustering)
-            series["avg_effort"].append(float(rec.efforts[t - 1].mean()))
-            series["avg_payoff"].append(float(rec.payoffs[t - 1, :, 4].mean()))
-            series["relative_efficiency"].append(
-                float(rec.payoffs[t - 1, :, 4].mean()) / denominator
-            )
-            series["nash_effort_on_network"].append(
-                float(nash_efforts(params, net).efforts.efforts.mean())
-            )
+    for rec, (start, end) in zip(records, windows):
+        networks = rec.networks[start - 1 : end]
+        payoff = np.ascontiguousarray(rec.payoffs[start - 1 : end, :, 4]).mean(axis=1)
+        series = period_stats(networks)
+        series["avg_effort"] = rec.efforts[start - 1 : end].mean(axis=1)
+        series["avg_payoff"] = payoff
+        series["relative_efficiency"] = payoff / denominator
+        series["nash_effort_on_network"] = nash_means[[index[a.tobytes()] for a in networks]]
+        table = np.array([series[f] for f in SUMMARY_FIELDS], dtype=float)
         groups.append(
             GroupSummary(
                 session_id=rec.session_id,
-                means={f: float(np.mean(v)) for f, v in series.items()},
-                stds={f: float(np.std(v)) for f, v in series.items()},
+                means=dict(zip(SUMMARY_FIELDS, table.mean(axis=1).tolist())),
+                stds=dict(zip(SUMMARY_FIELDS, table.std(axis=1).tolist())),
             )
         )
     name = treatment.name if isinstance(treatment, Treatment) else "custom"
     return TreatmentSummary(
         treatment=name,
-        window=resolved,
+        window=windows[-1],
         per_group=groups,
         overall_means={
             f: float(np.mean([g.means[f] for g in groups])) for f in SUMMARY_FIELDS

@@ -9,6 +9,7 @@ invocations with the same inputs and seed are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,6 +32,11 @@ def _parse_window(text: str):
         a, b = text.split(":", 1)
         return (int(a), int(b))
     raise argparse.ArgumentTypeError(f"bad window {text!r}; {_WINDOW_HELP}")
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _emit(obj) -> None:
@@ -80,7 +86,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     treatment = get_treatment(args.treatment)
-    profile = session_io.profile_from_obj(json.loads(Path(args.profile).read_text()))
+    profile = session_io.profile_from_obj(session_io.read_json(args.profile, "profile"))
     report = verifier.verify_nash(treatment.params, profile)
     worst = None
     if report.worst_deviation is not None:
@@ -140,7 +146,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     network = session_io.load_network(args.network, n=args.n)
     label = structure.classify(network)
-    st = structure.stats(network)
     _emit(
         _clean(
             {
@@ -150,14 +155,7 @@ def _cmd_classify(args) -> int:
                 "periphery": sorted(v + 1 for v in label.periphery)
                 if label.periphery is not None
                 else None,
-                "stats": {
-                    "link_count": st.link_count,
-                    "link_fraction": st.link_fraction,
-                    "avg_degree": st.avg_degree,
-                    "min_degree": st.min_degree,
-                    "max_degree": st.max_degree,
-                    "clustering": st.clustering,
-                },
+                "stats": dataclasses.asdict(structure.stats(network)),
             }
         )
     )
@@ -165,6 +163,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in (("--periods", args.periods), ("--reps", args.reps)):
+        if value < 1:
+            return _usage_error(f"{flag} must be at least 1, got {value}")
     treatment = get_treatment(args.treatment)
     params = treatment.params
     policies = session_io.load_policies(args.policy, params.n)
@@ -208,21 +209,9 @@ def _cmd_analyze(args) -> int:
                     for name, f in freq.per_architecture.items()
                 },
                 "link_diagnostics": {
-                    "avg_profitable_missing": float(
-                        np.mean([d.avg_profitable_missing for d in diags])
-                    ),
-                    "profitable_missing_share": float(
-                        np.mean([d.profitable_missing_share for d in diags])
-                    ),
-                    "avg_unprofitable_existing": float(
-                        np.mean([d.avg_unprofitable_existing for d in diags])
-                    ),
-                    "unprofitable_existing_share": float(
-                        np.mean([d.unprofitable_existing_share for d in diags])
-                    ),
-                    "reciprocated_share": float(
-                        np.mean([d.reciprocated_share for d in diags])
-                    ),
+                    f.name: float(np.mean([getattr(d, f.name) for d in diags]))
+                    for f in dataclasses.fields(analysis.LinkDiagnostics)
+                    if f.name != "window"
                 },
                 "summary": {
                     "overall_means": summary.overall_means,
@@ -263,11 +252,7 @@ def _write_summary_csv(summary: analysis.TreatmentSummary, path: Path) -> None:
 
 def _cmd_thresholds(args) -> int:
     if args.grid_points < 2:
-        print(
-            f"error: --grid-points must be at least 2, got {args.grid_points}",
-            file=sys.stderr,
-        )
-        return 2
+        return _usage_error(f"--grid-points must be at least 2, got {args.grid_points}")
     treatment = get_treatment(args.treatment)
     result = equilibria.cost_thresholds(
         treatment.params, grid_points=args.grid_points

@@ -58,27 +58,9 @@ class CostThresholds:
     method_notes: dict = field(default_factory=dict)
 
 
-def spectral_radius(adjacency: np.ndarray, rel_tol: float = 1e-12, max_iter: int = 1000) -> float:
-    """Largest adjacency eigenvalue by power iteration from the all-ones vector.
-
-    Iterates on G + I so the dominant eigenvalue is strictly separated in
-    magnitude even for bipartite graphs, then shifts back.
-    """
-    a = adjacency.astype(float) + np.eye(adjacency.shape[0])
-    v = np.ones(a.shape[0])
-    est = 1.0
-    for _ in range(max_iter):
-        w = a @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_est = float(v @ (a @ v))
-        if abs(new_est - est) <= rel_tol * max(1.0, abs(est)):
-            est = new_est
-            break
-        est = new_est
-    return max(est - 1.0, 0.0)
+def spectral_radius(adjacency: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric adjacency matrix, floored at 0."""
+    return max(float(np.linalg.eigvalsh(adjacency.astype(float))[-1]), 0.0)
 
 
 def _check_network(params: GameParams, network: Network) -> None:

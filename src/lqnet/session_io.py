@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -83,14 +84,24 @@ def _ids_split(text: str, n: int, where: str) -> list[int]:
 # network / profile JSON
 # --------------------------------------------------------------------------
 
+def _id_pairs(obj: dict, key: str, n: int) -> list[tuple[int, int]]:
+    """The 1-based ``[i, j]`` pairs under ``obj[key]`` as 0-based tuples."""
+    pairs = []
+    for pair in obj.get(key, []):
+        i, j = int(pair[0]), int(pair[1])
+        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            raise LqnetError(f"{key}: bad pair {[i, j]} for n={n}")
+        pairs.append((i - 1, j - 1))
+    return pairs
+
+
 def network_to_obj(network: Network) -> dict:
     return {"n": network.n, "edges": [[i + 1, j + 1] for i, j in network.edges()]}
 
 
 def network_from_obj(obj: dict) -> Network:
     n = int(obj["n"])
-    edges = [(int(i) - 1, int(j) - 1) for i, j in obj.get("edges", [])]
-    return Network.from_edges(n, edges)
+    return Network.from_edges(n, _id_pairs(obj, "edges", n))
 
 
 def intents_to_obj(intents: IntentProfile) -> dict:
@@ -99,8 +110,7 @@ def intents_to_obj(intents: IntentProfile) -> dict:
 
 def intents_from_obj(obj: dict) -> IntentProfile:
     n = int(obj["n"])
-    pairs = [(int(i) - 1, int(j) - 1) for i, j in obj.get("intents", [])]
-    return IntentProfile.from_pairs(n, pairs)
+    return IntentProfile.from_pairs(n, _id_pairs(obj, "intents", n))
 
 
 def profile_to_obj(profile: StrategyProfile) -> dict:
@@ -116,8 +126,19 @@ def profile_from_obj(obj: dict) -> StrategyProfile:
     efforts = np.asarray(obj["efforts"], dtype=float)
     if efforts.shape != (n,):
         raise LqnetError(f"profile efforts must have length n={n}")
-    pairs = [(int(i) - 1, int(j) - 1) for i, j in obj.get("intents", [])]
-    return StrategyProfile(EffortProfile(efforts), IntentProfile.from_pairs(n, pairs))
+    intents = IntentProfile.from_pairs(n, _id_pairs(obj, "intents", n))
+    return StrategyProfile(EffortProfile(efforts), intents)
+
+
+def read_json(path: str, what: str):
+    """Parse the JSON file at ``path``; ``what`` names the file in errors."""
+    p = Path(path)
+    if not p.exists():
+        raise LqnetError(f"{what} file not found: {path}")
+    try:
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise LqnetError(f"{path}: malformed JSON: {exc}") from None
 
 
 def load_network(spec: str, n: int | None = None) -> Network:
@@ -127,10 +148,7 @@ def load_network(spec: str, n: int | None = None) -> Network:
         if n is None:
             raise LqnetError(f"named network {name!r} needs a group size")
         return getattr(Network, name)(n)
-    path = Path(spec)
-    if not path.exists():
-        raise LqnetError(f"network file not found: {spec}")
-    return network_from_obj(json.loads(path.read_text()))
+    return network_from_obj(read_json(spec, "network"))
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +418,18 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
     return csv_path
 
 
+def _id_mask(
+    t: np.ndarray, i: np.ndarray, id_lists: list[list[int]], T: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A (T, n, n) mask holding, for each row k, ``id_lists[k]`` at
+    ``[t[k], i[k]]``, and the length of each list."""
+    lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
+    ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64)
+    mask = np.zeros((T, n, n), dtype=bool)
+    mask[np.repeat(t, lengths), np.repeat(i, lengths), ids] = True
+    return mask, lengths
+
+
 def read_record(csv_path: str | Path) -> SessionRecord:
     """Read a session back; the inverse of `write_record`, bit-exact."""
     csv_path = Path(csv_path)
@@ -416,16 +446,15 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     params = _params_from_obj(meta["params"])
     T = int(meta["periods"])
     n = params.n
-    intents = np.zeros((T, n, n), dtype=bool)
-    efforts = np.zeros((T, n), dtype=float)
-    payoffs = np.zeros((T, n, 5), dtype=float)
-    neighbor_claims: dict[tuple[int, int], list[int]] = {}
+    seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
+    values: list[tuple[float, ...]] = []  # effort, then the payoff columns in array order
+    initiated: list[list[int]] = []
+    claimed: list[list[int]] = []
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_COLUMNS:
             raise LqnetError(f"{csv_path}: unexpected header {header}")
-        seen = set()
         for rownum, row in enumerate(reader, start=2):
             where = f"{csv_path.name} row {rownum}"
             if len(row) != len(CSV_COLUMNS):
@@ -434,29 +463,46 @@ def read_record(csv_path: str | Path) -> SessionRecord:
                 t = int(row[1]) - 1
                 i = int(row[2]) - 1
                 effort = float(row[3])
-                total, own, cost, spill, link = (float(v) for v in row[6:11])
+                total, own, cost, spill, link = map(float, row[6:11])
             except ValueError as exc:
                 raise LqnetError(f"{where}: {exc}") from None
             if not (0 <= t < T) or not (0 <= i < n):
                 raise LqnetError(f"{where}: period/agent out of range")
-            seen.add((t, i))
-            efforts[t, i] = effort
-            for j in _ids_split(row[4], n, where):
-                intents[t, i, j] = True
-            neighbor_claims[(t, i)] = _ids_split(row[5], n, where)
-            payoffs[t, i] = (own, cost, spill, link, total)
+            if (t, i) in seen:
+                raise LqnetError(f"{where}: period {t + 1} agent {i + 1} appears twice")
+            seen[t, i] = None
+            values.append((effort, own, cost, spill, link, total))
+            initiated.append(_ids_split(row[4], n, where))
+            claimed.append(_ids_split(row[5], n, where))
     if len(seen) != T * n:
         raise LqnetError(
             f"{csv_path}: expected {T * n} agent-period rows, found {len(seen)}"
         )
+    t, i = np.array(list(seen), dtype=np.int64).reshape(-1, 2).T
+    columns = np.array(values, dtype=float).reshape(-1, 6)
+    efforts = np.zeros((T, n), dtype=float)
+    efforts[t, i] = columns[:, 0]
+    payoffs = np.zeros((T, n, 5), dtype=float)
+    payoffs[t, i] = columns[:, 1:]
+    intents, _ = _id_mask(t, i, initiated, T, n)
+    self_links = intents[t, i, i]
+    if self_links.any():
+        k = int(np.argmax(self_links))
+        raise LqnetError(
+            f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: initiated_ids names the agent itself"
+        )
     networks = intents | intents.transpose(0, 2, 1)
-    for (t, i), claimed in neighbor_claims.items():
-        actual = np.nonzero(networks[t, i])[0].tolist()
-        if sorted(claimed) != actual:
-            raise LqnetError(
-                f"{csv_path}: period {t + 1} agent {i + 1}: neighbor_ids do not "
-                "match the realization of the stored intents"
-            )
+    claims, claim_counts = _id_mask(t, i, claimed, T, n)
+    # a repeated ID leaves the mask equal but the count too large
+    mismatch = (claims != networks).any(axis=2)[t, i] | (
+        claim_counts != networks.sum(axis=2)[t, i]
+    )
+    if mismatch.any():
+        k = int(np.argmax(mismatch))
+        raise LqnetError(
+            f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: neighbor_ids do not "
+            "match the realization of the stored intents"
+        )
     return SessionRecord(
         session_id=str(meta["session_id"]),
         params=params,

@@ -2,8 +2,9 @@
 
 Covers the nested-split-graph test (two independent implementations that
 must agree), architecture classification with an exact core-periphery
-search, per-network summary statistics, and the symmetric-difference link
-distance used for near-equilibrium matching.
+search, summary statistics, and the symmetric-difference link distance
+used for near-equilibrium matching, in closed form against the named
+architectures.  Statistics and architecture distances take stacks of networks.
 """
 
 from __future__ import annotations
@@ -148,32 +149,32 @@ def classify(network: Network) -> ClassificationLabel:
     return ClassificationLabel(label=label, core=partition[0], periphery=partition[1])
 
 
-def stats(network: Network) -> NetworkStats:
-    """Link counts, degree summary, and average local clustering.
+def period_stats(adjacency: np.ndarray) -> dict[str, np.ndarray]:
+    """`NetworkStats` fields by name, for each network in a ``(..., n, n)`` stack.
 
     A node's clustering is the fraction of linked pairs among its
-    neighbors; nodes of degree < 2 contribute 0 to the average.
+    neighbors (twice its triangle count, the diagonal of the cubed
+    adjacency, over deg (deg - 1)); nodes of degree < 2 contribute 0.
     """
-    adj = network.adjacency
-    n = network.n
-    deg = network.degrees
-    links = network.link_count()
-    possible = n * (n - 1) // 2
-    local = np.zeros(n)
-    for v in range(n):
-        if deg[v] < 2:
-            continue
-        nb = np.nonzero(adj[v])[0]
-        among = adj[np.ix_(nb, nb)].sum() / 2
-        local[v] = among / (deg[v] * (deg[v] - 1) / 2)
-    return NetworkStats(
-        link_count=links,
-        link_fraction=links / possible,
-        avg_degree=float(deg.mean()),
-        min_degree=int(deg.min()),
-        max_degree=int(deg.max()),
-        clustering=float(local.mean()),
-    )
+    n = adjacency.shape[-1]
+    deg = adjacency.sum(axis=-1)
+    links = deg.sum(axis=-1) // 2
+    a = adjacency.astype(np.int64)
+    closed = ((a @ a) * a).sum(axis=-1)
+    local = np.divide(closed, deg * (deg - 1), out=np.zeros(closed.shape), where=deg >= 2)
+    return {
+        "link_count": links,
+        "link_fraction": links / (n * (n - 1) // 2),
+        "avg_degree": deg.mean(axis=-1),
+        "min_degree": deg.min(axis=-1),
+        "max_degree": deg.max(axis=-1),
+        "clustering": local.mean(axis=-1),
+    }
+
+
+def stats(network: Network) -> NetworkStats:
+    """Link counts, degree summary, and average local clustering (see `period_stats`)."""
+    return NetworkStats(**{k: v.item() for k, v in period_stats(network.adjacency).items()})
 
 
 def link_distance(a: Network, b: Network) -> int:
@@ -183,13 +184,23 @@ def link_distance(a: Network, b: Network) -> int:
     return int(np.triu(a.adjacency ^ b.adjacency).sum())
 
 
+def architecture_distances(degrees: np.ndarray, architecture: str) -> np.ndarray:
+    """Link distance to a named architecture for each degree vector in a ``(..., n)`` stack.
+
+    With L links, Empty is L away, Complete C(n,2) - L, and the star
+    centered at c is L + n - 1 - 2 deg(c) away, least at a top-degree node.
+    """
+    n = degrees.shape[-1]
+    links = degrees.sum(axis=-1) // 2
+    if architecture == "Empty":
+        return links
+    if architecture == "Complete":
+        return n * (n - 1) // 2 - links
+    if architecture == "Star":
+        return links + n - 1 - 2 * degrees.max(axis=-1)
+    raise ValueError(f"unknown architecture {architecture!r}")
+
+
 def architecture_distance(network: Network, architecture: str) -> int:
     """Link distance to a named architecture; Star takes the best center."""
-    n = network.n
-    if architecture == "Empty":
-        return link_distance(network, Network.empty(n))
-    if architecture == "Complete":
-        return link_distance(network, Network.complete(n))
-    if architecture == "Star":
-        return min(link_distance(network, Network.star(n, center=c)) for c in range(n))
-    raise ValueError(f"unknown architecture {architecture!r}")
+    return int(architecture_distances(network.degrees, architecture))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqnet.model import EffortProfile, GameParams, IntentProfile, StrategyProfile
+from lqnet.model import GameParams
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -31,46 +31,3 @@ def warm_kernels():
         np.zeros((2, 2), dtype=bool), efforts, params.theta, params.beta,
         params.lam, params.effort_min, params.effort_max,
     )
-
-
-def make_profile(efforts, intent_pairs, n):
-    return StrategyProfile(
-        EffortProfile(np.asarray(efforts, dtype=float)),
-        IntentProfile.from_pairs(n, intent_pairs),
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed-form oracles, independent of the solver implementations
-# ---------------------------------------------------------------------------
-
-def oracle_complete_nash(theta, beta, lam, n):
-    """Symmetric fixed point of x = (theta + lam (n-1) x) / beta."""
-    return theta / (beta - lam * (n - 1))
-
-
-def oracle_star_nash(theta, beta, lam, n):
-    """(center, periphery) solving the two-type best-response system."""
-    center = theta * (beta + lam * (n - 1)) / (beta**2 - lam**2 * (n - 1))
-    periphery = (theta + lam * center) / beta
-    return center, periphery
-
-
-def oracle_complete_efficient(theta, beta, lam, n, cap=20.0):
-    denom = beta - 2.0 * lam * (n - 1)
-    if denom <= 0 or theta / denom > cap:
-        return cap
-    return theta / denom
-
-
-def oracle_star_efficient(theta, beta, lam, n):
-    """(center, periphery) stationary point of total gross welfare on a star."""
-    center = theta * (beta + 2.0 * lam * (n - 1)) / (
-        beta**2 - 4.0 * lam**2 * (n - 1)
-    )
-    periphery = (theta + 2.0 * lam * center) / beta
-    return center, periphery
-
-
-def oracle_gross_payoff(theta, beta, lam, x_own, neighbor_sum):
-    return theta * x_own - 0.5 * beta * x_own**2 + lam * x_own * neighbor_sum

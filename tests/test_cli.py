@@ -80,6 +80,15 @@ class TestVerifyAndEnumerate:
         assert payload["is_nash"] is False
         assert payload["worst_deviation"]["agent"] >= 1  # 1-based output
 
+    def test_missing_profile_file_exit_one(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--treatment", "N5_HighCost", "--profile", str(missing)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: profile file not found: {missing}\n"
+
     def test_enumerate_high_cost(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--treatment", "N5_HighCost")
         assert code == 0
@@ -114,6 +123,14 @@ class TestClassify:
         assert payload["nested_split"] is True
         assert payload["core"] == [1]
         assert payload["stats"]["link_count"] == 4
+
+    def test_self_loop_edge_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"n": 5, "edges": [[1, 2], [1, 1]]}))
+        code, out, err = run_cli(capsys, "classify", "--network", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: edges: bad pair [1, 1] for n=5\n"
 
 
 class TestSimulateAnalyze:
@@ -156,6 +173,21 @@ class TestSimulateAnalyze:
         assert float(rows[-1][fraction_col]) == pytest.approx(
             payload["summary"]["overall_means"]["link_fraction"]
         )
+
+    @pytest.mark.parametrize("flag", ["--periods", "--reps"])
+    def test_zero_periods_or_reps_is_usage_error(self, capsys, tmp_path, flag):
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(self.POLICY)
+        counts = {"--periods": "10", "--reps": "2", flag: "0"}
+        code, out, err = run_cli(
+            capsys, "simulate", "--treatment", "N9_LowCost1", "--policy", str(policy_path),
+            "--periods", counts["--periods"], "--reps", counts["--reps"],
+            "--out", str(tmp_path / "runs"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be at least 1, got 0\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_analyze_twice_on_one_directory(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.yaml"

@@ -20,7 +20,7 @@ from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import LqnetError
 from lqnet.model import Network, get_treatment
 
-from conftest import oracle_complete_nash
+from helpers import oracle_complete_nash
 
 P5 = get_treatment("N5_LowCost").params
 P9 = get_treatment("N9_LowCost1").params

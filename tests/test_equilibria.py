@@ -22,8 +22,9 @@ from lqnet.model import (
     realize_network,
 )
 
-from conftest import (
+from helpers import (
     oracle_complete_nash,
+    oracle_spectral_radius,
     oracle_star_efficient,
     oracle_star_nash,
 )
@@ -48,6 +49,14 @@ class TestSpectralRadius:
             net = random_network(rng, int(rng.integers(2, 10)))
             exact = float(np.max(np.linalg.eigvalsh(net.adjacency.astype(float))))
             assert spectral_radius(net.adjacency) == pytest.approx(exact, abs=1e-8)
+
+    def test_matches_power_iteration_on_random_graphs(self):
+        rng = np.random.default_rng(5)
+        nets = [Network.star(9), Network.empty(4)]
+        nets += [random_network(rng, int(rng.integers(2, 12))) for _ in range(100)]
+        for net in nets:
+            oracle = oracle_spectral_radius(net.adjacency)
+            assert spectral_radius(net.adjacency) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestNashEfforts:

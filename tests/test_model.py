@@ -19,7 +19,7 @@ from lqnet.model import (
     treatments,
 )
 
-from conftest import make_profile, oracle_complete_nash
+from helpers import make_profile, oracle_complete_nash
 
 P5 = GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=5)
 

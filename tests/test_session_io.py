@@ -100,6 +100,16 @@ class TestRecordRoundTrip:
         with pytest.raises(LqnetError, match="agent-period rows"):
             read_record(path)
 
+    def test_sidecar_periods_checked_before_allocation(self, tmp_path):
+        rec = noisy_records(reps=1)[0]
+        path = write_record(rec, tmp_path)
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta["periods"] = 10**12  # arrays of this size could not be allocated
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(LqnetError, match="agent-period rows"):
+            read_record(path)
+
     def test_schema_version_checked(self, tmp_path):
         rec = noisy_records(reps=1)[0]
         path = write_record(rec, tmp_path)
@@ -119,6 +129,80 @@ class TestRecordRoundTrip:
         lines[1] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LqnetError, match="neighbor_ids"):
+            read_record(path)
+
+
+def _write_edited(tmp_path, edit):
+    """Write one record, let ``edit`` change its list of CSV data rows
+    (each a list of fields), and return the CSV path and the record."""
+    rec = noisy_records(reps=1)[0]
+    path = write_record(rec, tmp_path)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    edit(rows)
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    return path, rec
+
+
+class TestNeighborIdCheck:
+    """`read_record` compares every row's neighbor_ids with the realized network."""
+
+    def test_repeated_id_detected(self, tmp_path):
+        def repeat_first(rows):
+            ids = rows[0][5].split(":")
+            rows[0][5] = ":".join([ids[0]] + ids)
+
+        path, _ = _write_edited(tmp_path, repeat_first)
+        with pytest.raises(LqnetError, match="period 1 agent 1: neighbor_ids"):
+            read_record(path)
+
+    @pytest.mark.parametrize(
+        "cell, message", [("9", "ID 9 out of range 1..5"), ("0", "ID 0 out of range"),
+                          ("2:x", "bad ID 'x'"), ("1.5", "bad ID '1.5'")]
+    )
+    def test_bad_ids_name_the_row(self, tmp_path, cell, message):
+        def put(rows):
+            rows[2][5] = cell
+
+        path, _ = _write_edited(tmp_path, put)
+        with pytest.raises(LqnetError, match=f"row 4: {message}"):
+            read_record(path)
+
+    def test_first_mismatch_in_file_order_is_named(self, tmp_path):
+        def tamper_two(rows):
+            rows[0][5] = ""  # period 1 agent 1
+            rows[-1][5] = ""  # period 12 agent 5, then moved to the top
+            rows.insert(0, rows.pop())
+
+        path, _ = _write_edited(tmp_path, tamper_two)
+        with pytest.raises(LqnetError, match="period 12 agent 5: neighbor_ids"):
+            read_record(path)
+
+    def test_unsorted_ids_accepted(self, tmp_path):
+        def reverse_all(rows):
+            for row in rows:
+                row[5] = ":".join(reversed(row[5].split(":")))
+
+        path, rec = _write_edited(tmp_path, reverse_all)
+        assert np.array_equal(read_record(path).networks, rec.networks)
+
+    def test_self_link_detected(self, tmp_path):
+        def link_to_self(rows):
+            # agent 4 initiates to and lists itself, consistently in both columns
+            for column in (4, 5):
+                ids = {int(v) for v in rows[3][column].split(":") if v} | {4}
+                rows[3][column] = ":".join(str(v) for v in sorted(ids))
+
+        path, _ = _write_edited(tmp_path, link_to_self)
+        with pytest.raises(LqnetError, match="agent 4: initiated_ids names the agent itself"):
+            read_record(path)
+
+    def test_repeated_agent_period_row_detected(self, tmp_path):
+        def duplicate(rows):
+            rows[1] = list(rows[0])
+
+        path, _ = _write_edited(tmp_path, duplicate)
+        with pytest.raises(LqnetError, match="row 3: period 1 agent 1 appears twice"):
             read_record(path)
 
 

@@ -26,7 +26,7 @@ from lqnet.verifier import (
     verify_nash,
 )
 
-from conftest import make_profile, oracle_complete_nash
+from helpers import make_profile, oracle_complete_nash
 
 
 def nash_profile(params, network, sponsorship=None):
