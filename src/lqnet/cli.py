@@ -112,10 +112,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     treatment = get_treatment(args.treatment)
-    params = treatment.params
-    if args.all_graphs and params.n > 5:
-        raise LqnetError(f"--all-graphs supports n <= 5, treatment has n={params.n}")
-    reports = verifier.enumerate_ne_networks(params)
+    reports = verifier.enumerate_ne_networks(treatment.params)
     entries = []
     for rep in reports:
         entry = {
@@ -290,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="equilibrium-supportable candidate networks")
     p.add_argument("--treatment", required=True)
-    p.add_argument("--all-graphs", action="store_true",
-                   help="force the full non-isomorphic atlas (n <= 5)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("classify", help="architecture label, nested-split verdict and stats")

@@ -24,6 +24,9 @@ from .model import (
     IntentProfile,
     Network,
     StrategyProfile,
+    best_response,
+    best_response_effort,
+    payoff,
     payoff_components,
     realize_network,
 )
@@ -77,15 +80,10 @@ def _at_bounds(params: GameParams, x: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def _br_residual(params: GameParams, adj: np.ndarray, x: np.ndarray) -> float:
-    target = np.clip(
-        (params.theta + params.lam * (adj @ x)) / params.beta,
-        params.effort_min,
-        params.effort_max,
-    )
-    return float(np.max(np.abs(x - target)))
+    return float(np.max(np.abs(x - best_response(params, adj @ x))))
 
 
-def nash_efforts(params: GameParams, network: Network, backend: str | None = None) -> EffortSolution:
+def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     """Nash equilibrium effort vector on a fixed network."""
     _check_network(params, network)
     adj = network.adjacency
@@ -105,18 +103,7 @@ def nash_efforts(params: GameParams, network: Network, backend: str | None = Non
                 capped=_at_bounds(params, x),
             )
     x0 = np.full(params.n, params.effort_min, dtype=float)
-    x, iters, change = kernels.br_iteration(
-        adj,
-        x0,
-        params.theta,
-        params.beta,
-        params.lam,
-        params.effort_min,
-        params.effort_max,
-        tol=SWEEP_TOL,
-        max_iter=MAX_ITER,
-        backend=backend,
-    )
+    x, iters, change = kernels.br_iteration(adj, x0, params, tol=SWEEP_TOL, max_iter=MAX_ITER)
     residual = _br_residual(params, adj, x)
     if change >= SWEEP_TOL and residual > SOLVER_TOL:
         raise NonContractionError(
@@ -314,8 +301,6 @@ def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> fl
     links at once stay profitable up to a higher cost (see
     `cost_thresholds` for the full-predicate switch).
     """
-    from .model import best_response_effort, payoff
-
     def gain(kappa: float) -> float:
         p = _with_kappa(params, kappa)
         base = p.theta / p.beta

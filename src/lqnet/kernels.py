@@ -1,4 +1,4 @@
-"""Hot numeric kernels with numba and pure-NumPy implementations.
+"""Hot numeric kernels, in NumPy.
 
 Two kernels dominate runtime once equilibrium enumeration or long batch
 analyses run:
@@ -10,9 +10,9 @@ analyses run:
 * `br_iteration` - clipped best-response fixed-point iteration used when
   the direct equilibrium solve does not apply.
 
-Both kernels are pure functions of their arguments; random numbers never
-enter them, so backend choice cannot affect simulation reproducibility.
-Backend selection is described in `_backend`.
+Both are pure functions of their arguments and state the game only
+through `model.best_response` and `model.br_payoff`.  Per-layer timings
+come from the benchmark harness, ``lqbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -21,91 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._backend import NUMBA_AVAILABLE, default_backend, njit
+from .model import GameParams, best_response, br_payoff
 
 __all__ = ["deviation_scan", "br_iteration", "backend_name"]
 
 
-def backend_name(backend: str | None = None) -> str:
-    """Resolve an explicit or environment-selected backend name."""
-    if backend is None:
-        return default_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {backend!r}")
-    if backend == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return backend
-
-
-# --------------------------------------------------------------------------
-# deviation scan
-# --------------------------------------------------------------------------
-
-@njit(cache=True)
-def _deviation_scan_numba(efforts, incoming, own, theta, beta, lam, kappa, emin, emax):
-    n = efforts.shape[0]
-    best_gain = np.empty(n, dtype=np.float64)
-    best_mask = np.empty(n, dtype=np.int64)
-    best_effort = np.empty(n, dtype=np.float64)
-    current = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        x_i = efforts[i]
-        realized = own[i] | incoming[i]
-        s_cur = 0.0
-        own_count = 0
-        for j in range(n):
-            if (realized >> j) & 1:
-                s_cur += efforts[j]
-            if (own[i] >> j) & 1:
-                own_count += 1
-        cur = (
-            theta * x_i
-            - 0.5 * beta * x_i * x_i
-            + lam * x_i * s_cur
-            - kappa * own_count
-        )
-        current[i] = cur
-
-        m = n - 1
-        n_subsets = 1 << m
-        g_best = -np.inf
-        mask_best = np.int64(0)
-        x_best = 0.0
-        for sub in range(n_subsets):
-            s = 0.0
-            count = 0
-            full = np.int64(0)
-            pos = 0
-            for j in range(n):
-                if j == i:
-                    continue
-                chosen = (sub >> pos) & 1
-                if chosen:
-                    count += 1
-                    full |= np.int64(1) << j
-                if chosen or ((incoming[i] >> j) & 1):
-                    s += efforts[j]
-                pos += 1
-            x_dev = (theta + lam * s) / beta
-            if x_dev < emin:
-                x_dev = emin
-            elif x_dev > emax:
-                x_dev = emax
-            p_dev = (
-                theta * x_dev
-                - 0.5 * beta * x_dev * x_dev
-                + lam * x_dev * s
-                - kappa * count
-            )
-            gain = p_dev - cur
-            if gain > g_best:
-                g_best = gain
-                mask_best = full
-                x_best = x_dev
-        best_gain[i] = g_best
-        best_mask[i] = mask_best
-        best_effort[i] = x_best
-    return best_gain, best_mask, best_effort, current
+def backend_name() -> str:
+    """Name of the array library the kernels run on."""
+    return "numpy"
 
 
 @lru_cache(maxsize=32)
@@ -115,7 +38,25 @@ def _subset_table(m: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(m)) & 1 == 1
 
 
-def _deviation_scan_numpy(efforts, incoming, own, theta, beta, lam, kappa, emin, emax):
+def deviation_scan(
+    efforts: np.ndarray,
+    incoming: np.ndarray,
+    own: np.ndarray,
+    params: GameParams,
+):
+    """Best unilateral deviation per agent over all intent subsets.
+
+    Parameters are the effort vector and per-agent bitmasks of incoming
+    intents (others pointing at the agent) and of the agent's own intents;
+    ``params`` gives the payoffs and the effort box.
+
+    Returns ``(best_gain, best_mask, best_effort, current)`` where
+    ``best_mask`` is the full-width intent bitmask of the best deviation
+    and ``current`` the agent's payoff at the given profile.
+    """
+    efforts = np.ascontiguousarray(efforts, dtype=np.float64)
+    incoming = np.ascontiguousarray(incoming, dtype=np.int64)
+    own = np.ascontiguousarray(own, dtype=np.int64)
     n = efforts.shape[0]
     best_gain = np.empty(n, dtype=np.float64)
     best_mask = np.empty(n, dtype=np.int64)
@@ -126,21 +67,15 @@ def _deviation_scan_numpy(efforts, incoming, own, theta, beta, lam, kappa, emin,
     bit_positions = np.arange(n)
     for i in range(n):
         others = np.concatenate([bit_positions[:i], bit_positions[i + 1 :]])
-        x_others = efforts[others]
         inc_bits = (incoming[i] >> others) & 1 == 1
         realized_cur = ((own[i] | incoming[i]) >> bit_positions) & 1 == 1
         s_cur = float(efforts[realized_cur].sum())
-        own_count = int(bin(int(own[i])).count("1"))
-        x_i = efforts[i]
-        cur = theta * x_i - 0.5 * beta * x_i * x_i + lam * x_i * s_cur - kappa * own_count
+        cur = br_payoff(params, efforts[i], s_cur) - params.kappa * int(own[i]).bit_count()
         current[i] = cur
 
-        union = members | inc_bits[None, :]
-        sums = union @ x_others
-        x_dev = np.clip((theta + lam * sums) / beta, emin, emax)
-        p_dev = theta * x_dev - 0.5 * beta * x_dev * x_dev + lam * x_dev * sums
-        p_dev -= kappa * counts
-        gains = p_dev - cur
+        sums = (members | inc_bits[None, :]) @ efforts[others]
+        x_dev = best_response(params, sums)
+        gains = br_payoff(params, x_dev, sums) - params.kappa * counts - cur
         k = int(np.argmax(gains))
         best_gain[i] = gains[k]
         best_mask[i] = int((np.int64(1) << others[members[k]]).sum())
@@ -148,109 +83,27 @@ def _deviation_scan_numpy(efforts, incoming, own, theta, beta, lam, kappa, emin,
     return best_gain, best_mask, best_effort, current
 
 
-def deviation_scan(
-    efforts: np.ndarray,
-    incoming: np.ndarray,
-    own: np.ndarray,
-    theta: float,
-    beta: float,
-    lam: float,
-    kappa: float,
-    emin: float,
-    emax: float,
-    backend: str | None = None,
-):
-    """Best unilateral deviation per agent over all intent subsets.
-
-    Parameters are the effort vector, per-agent bitmasks of incoming
-    intents (others pointing at the agent) and of the agent's own
-    intents, plus the payoff parameters and effort box.
-
-    Returns ``(best_gain, best_mask, best_effort, current)`` where
-    ``best_mask`` is the full-width intent bitmask of the best deviation
-    and ``current`` the agent's payoff at the given profile.
-    """
-    efforts = np.ascontiguousarray(efforts, dtype=np.float64)
-    incoming = np.ascontiguousarray(incoming, dtype=np.int64)
-    own = np.ascontiguousarray(own, dtype=np.int64)
-    args = (efforts, incoming, own, float(theta), float(beta), float(lam),
-            float(kappa), float(emin), float(emax))
-    if backend_name(backend) == "numba":
-        return _deviation_scan_numba(*args)
-    return _deviation_scan_numpy(*args)
-
-
-# --------------------------------------------------------------------------
-# clipped best-response iteration
-# --------------------------------------------------------------------------
-
-@njit(cache=True)
-def _br_iteration_numba(adj, x0, theta, beta, lam, emin, emax, tol, max_iter):
-    n = x0.shape[0]
-    x = x0.copy()
-    new = np.empty(n, dtype=np.float64)
-    change = np.inf
-    it = 0
-    while it < max_iter:
-        change = 0.0
-        for i in range(n):
-            s = 0.0
-            for j in range(n):
-                if adj[i, j]:
-                    s += x[j]
-            v = (theta + lam * s) / beta
-            if v < emin:
-                v = emin
-            elif v > emax:
-                v = emax
-            new[i] = v
-            d = abs(v - x[i])
-            if d > change:
-                change = d
-        for i in range(n):
-            x[i] = new[i]
-        it += 1
-        if change < tol:
-            break
-    return x, it, change
-
-
-def _br_iteration_numpy(adj, x0, theta, beta, lam, emin, emax, tol, max_iter):
-    x = x0.copy()
-    change = np.inf
-    it = 0
-    adj_f = adj.astype(np.float64)
-    while it < max_iter:
-        new = np.clip((theta + lam * (adj_f @ x)) / beta, emin, emax)
-        change = float(np.max(np.abs(new - x)))
-        x = new
-        it += 1
-        if change < tol:
-            break
-    return x, it, change
-
-
 def br_iteration(
     adjacency: np.ndarray,
     x0: np.ndarray,
-    theta: float,
-    beta: float,
-    lam: float,
-    emin: float,
-    emax: float,
+    params: GameParams,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    backend: str | None = None,
 ):
     """Iterate the clipped best-response map until the sweep change is below tol.
 
     Returns ``(x, iterations, last_change)``.  Monotone from the all-min
     start, so it converges to the least fixed point of the clipped map.
     """
-    adjacency = np.ascontiguousarray(adjacency, dtype=bool)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    args = (adjacency, x0, float(theta), float(beta), float(lam),
-            float(emin), float(emax), float(tol), int(max_iter))
-    if backend_name(backend) == "numba":
-        return _br_iteration_numba(*args)
-    return _br_iteration_numpy(*args)
+    adj_f = np.ascontiguousarray(adjacency, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
+    change = np.inf
+    it = 0
+    while it < max_iter:
+        new = best_response(params, adj_f @ x)
+        change = float(np.max(np.abs(new - x)))
+        x = new
+        it += 1
+        if change < tol:
+            break
+    return x, it, change

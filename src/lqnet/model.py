@@ -17,16 +17,30 @@ output use 1-based IDs (see `session_io`).
 from __future__ import annotations
 
 import importlib.resources
+import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import yaml
 
-from .errors import DimensionMismatchError, UnknownTreatmentError
+from .errors import ConfigError, DimensionMismatchError, UnknownTreatmentError
 
 #: Absolute tolerance for internal floating-point identities.
 FLOAT_TOL = 1e-9
+#: `GameParams` field behind each key of its mapping form; files spell lam "lambda"
+PARAM_FIELDS = {
+    "theta": "theta",
+    "beta": "beta",
+    "lambda": "lam",
+    "kappa": "kappa",
+    "n": "n",
+    "effort_min": "effort_min",
+    "effort_max": "effort_max",
+}
+PARAM_KEYS = tuple(PARAM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,43 @@ class GameParams:
 
     def clip_effort(self, x: float | np.ndarray) -> float | np.ndarray:
         return np.clip(x, self.effort_min, self.effort_max)
+
+    def to_mapping(self) -> dict:
+        """The parameters keyed by `PARAM_KEYS`, in that order."""
+        return {key: getattr(self, name) for key, name in PARAM_FIELDS.items()}
+
+    @classmethod
+    def from_mapping(cls, obj) -> "GameParams":
+        """Inverse of `to_mapping`; other keys are ignored.
+
+        The effort box may be omitted and then takes its defaults.  Raises
+        `ConfigError` whose message starts with the offending key.
+        """
+        if not isinstance(obj, Mapping):
+            raise ConfigError(f"expected a mapping, got {type(obj).__name__}")
+        values: dict = {}
+        for key, name in PARAM_FIELDS.items():
+            if key not in obj:
+                if name in ("effort_min", "effort_max"):
+                    continue
+                raise ConfigError(f"{key}: required")
+            raw = obj[key]
+            if name == "n":
+                try:
+                    values[name] = operator.index(raw)
+                except TypeError:
+                    raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+                continue
+            try:
+                values[name] = float(raw)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            if not math.isfinite(values[name]):
+                raise ConfigError(f"{key}: must be finite, got {raw!r}")
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _frozen_bool_matrix(m: np.ndarray) -> np.ndarray:
@@ -236,16 +287,9 @@ def treatments() -> dict[str, Treatment]:
     raw = yaml.safe_load(text)
     out: dict[str, Treatment] = {}
     for name, cfg in raw.items():
-        params = GameParams(
-            theta=float(cfg["theta"]),
-            beta=float(cfg["beta"]),
-            lam=float(cfg["lambda"]),
-            kappa=float(cfg["kappa"]),
-            n=int(cfg["n"]),
-        )
         out[name] = Treatment(
             name=name,
-            params=params,
+            params=GameParams.from_mapping(cfg),
             equilibrium_networks=tuple(cfg["equilibrium_networks"]),
         )
     return out
@@ -265,10 +309,24 @@ def realize_network(intents: IntentProfile) -> Network:
     return Network(m | m.T)
 
 
+def best_response(params: GameParams, s):
+    """Optimal own effort against neighbor-effort total(s) ``s``, clipped to the box.
+
+    Own payoff is strictly concave in own effort, so this maximizes
+    `br_payoff` over the box; it works elementwise on arrays.
+    """
+    return np.clip((params.theta + params.lam * s) / params.beta, params.effort_min, params.effort_max)
+
+
+def br_payoff(params: GameParams, x, s):
+    """Gross payoff ``theta x - beta/2 x^2 + lam x s`` of effort(s) ``x`` against
+    neighbor-effort total(s) ``s``, before link costs."""
+    return params.theta * x - 0.5 * params.beta * x * x + params.lam * x * s
+
+
 def best_response_effort(params: GameParams, neighbor_effort_sum: float) -> float:
-    """Optimal own effort against a given total of neighbor efforts (clipped to the box)."""
-    raw = (params.theta + params.lam * neighbor_effort_sum) / params.beta
-    return float(np.clip(raw, params.effort_min, params.effort_max))
+    """`best_response` to one neighbor-effort total, as a float."""
+    return float(best_response(params, neighbor_effort_sum))
 
 
 def link_benefit(params: GameParams, x_i: float, x_j: float) -> float:

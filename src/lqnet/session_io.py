@@ -28,6 +28,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, LqnetError, SchemaVersionError
 from .model import (
+    PARAM_KEYS,
     EffortProfile,
     GameParams,
     IntentProfile,
@@ -37,6 +38,8 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
+#: largest group size a network or profile may declare; bounds the n x n arrays
+MAX_FILE_N = 1000
 #: the analysis summary ``lqnet analyze`` writes into a record directory
 SUMMARY_CSV = "summary.csv"
 
@@ -53,9 +56,6 @@ CSV_COLUMNS = [
     "spillover",
     "link_cost",
 ]
-
-PARAM_KEYS = ("theta", "beta", "lambda", "kappa", "n", "effort_min", "effort_max")
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -84,15 +84,35 @@ def _ids_split(text: str, n: int, where: str) -> list[int]:
 # network / profile JSON
 # --------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _group_size(n, what: str) -> int:
+    if not _is_int(n) or not 2 <= n <= MAX_FILE_N:
+        raise LqnetError(f"{what}: group size must be an integer in 2..{MAX_FILE_N}, got {n!r}")
+    return n
+
+
 def _id_pairs(obj: dict, key: str, n: int) -> list[tuple[int, int]]:
     """The 1-based ``[i, j]`` pairs under ``obj[key]`` as 0-based tuples."""
+    raw = obj.get(key, [])
+    if not isinstance(raw, list):
+        raise LqnetError(f"{key}: expected a list of [i, j] pairs, got {type(raw).__name__}")
     pairs = []
-    for pair in obj.get(key, []):
-        i, j = int(pair[0]), int(pair[1])
+    for pair in raw:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise LqnetError(f"{key}: bad pair {pair!r}; expected two integer IDs")
+        i, j = pair
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise LqnetError(f"{key}: bad pair {[i, j]} for n={n}")
         pairs.append((i - 1, j - 1))
     return pairs
+
+
+def _object_size(obj, what: str) -> int:
+    """Group size ``n`` of a network, intent or profile object."""
+    return _group_size(_as_mapping(obj, what).get("n"), f"{what}.n")
 
 
 def network_to_obj(network: Network) -> dict:
@@ -100,7 +120,7 @@ def network_to_obj(network: Network) -> dict:
 
 
 def network_from_obj(obj: dict) -> Network:
-    n = int(obj["n"])
+    n = _object_size(obj, "network")
     return Network.from_edges(n, _id_pairs(obj, "edges", n))
 
 
@@ -109,7 +129,7 @@ def intents_to_obj(intents: IntentProfile) -> dict:
 
 
 def intents_from_obj(obj: dict) -> IntentProfile:
-    n = int(obj["n"])
+    n = _object_size(obj, "intents")
     return IntentProfile.from_pairs(n, _id_pairs(obj, "intents", n))
 
 
@@ -122,10 +142,13 @@ def profile_to_obj(profile: StrategyProfile) -> dict:
 
 
 def profile_from_obj(obj: dict) -> StrategyProfile:
-    n = int(obj["n"])
-    efforts = np.asarray(obj["efforts"], dtype=float)
-    if efforts.shape != (n,):
-        raise LqnetError(f"profile efforts must have length n={n}")
+    n = _object_size(obj, "profile")
+    try:
+        efforts = np.array(obj.get("efforts"), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        efforts = None
+    if efforts is None or efforts.shape != (n,) or not np.isfinite(efforts).all():
+        raise LqnetError(f"profile efforts must be a list of n={n} finite numbers")
     intents = IntentProfile.from_pairs(n, _id_pairs(obj, "intents", n))
     return StrategyProfile(EffortProfile(efforts), intents)
 
@@ -147,7 +170,7 @@ def load_network(spec: str, n: int | None = None) -> Network:
     if name in ("empty", "star", "complete"):
         if n is None:
             raise LqnetError(f"named network {name!r} needs a group size")
-        return getattr(Network, name)(n)
+        return getattr(Network, name)(_group_size(n, f"network {name!r}"))
     return network_from_obj(read_json(spec, "network"))
 
 
@@ -173,38 +196,16 @@ def _as_mapping(obj, path: str) -> dict:
 
 
 def _resolve_params(data: dict, treatment_name: str | None) -> GameParams:
+    """The named treatment's parameters with the file's ``params`` overriding them."""
     overrides = _as_mapping(data.get("params", {}) or {}, "params")
     for key in overrides:
         if key not in PARAM_KEYS:
             raise ConfigError(f"params.{key}: unknown field (expected one of {PARAM_KEYS})")
-    merged: dict = {}
-    if treatment_name is not None:
-        base = get_treatment(str(treatment_name)).params
-        merged = {
-            "theta": base.theta,
-            "beta": base.beta,
-            "lambda": base.lam,
-            "kappa": base.kappa,
-            "n": base.n,
-            "effort_min": base.effort_min,
-            "effort_max": base.effort_max,
-        }
-    merged.update(overrides)
-    for key in ("theta", "beta", "lambda", "kappa", "n"):
-        if key not in merged:
-            raise ConfigError(f"params.{key}: required when no treatment is named")
+    base = {} if treatment_name is None else get_treatment(str(treatment_name)).params.to_mapping()
     try:
-        return GameParams(
-            theta=float(merged["theta"]),
-            beta=float(merged["beta"]),
-            lam=float(merged["lambda"]),
-            kappa=float(merged["kappa"]),
-            n=int(merged["n"]),
-            effort_min=float(merged.get("effort_min", 0.0)),
-            effort_max=float(merged.get("effort_max", 20.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from None
+        return GameParams.from_mapping({**base, **overrides})
+    except ConfigError as exc:
+        raise ConfigError(f"params.{exc}") from None
 
 
 def _parse_effort_rule(obj, path: str) -> EffortRule:
@@ -350,30 +351,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # record persistence
 # --------------------------------------------------------------------------
 
-def _params_to_obj(params: GameParams) -> dict:
-    return {
-        "theta": params.theta,
-        "beta": params.beta,
-        "lambda": params.lam,
-        "kappa": params.kappa,
-        "n": params.n,
-        "effort_min": params.effort_min,
-        "effort_max": params.effort_max,
-    }
-
-
-def _params_from_obj(obj: dict) -> GameParams:
-    return GameParams(
-        theta=float(obj["theta"]),
-        beta=float(obj["beta"]),
-        lam=float(obj["lambda"]),
-        kappa=float(obj["kappa"]),
-        n=int(obj["n"]),
-        effort_min=float(obj["effort_min"]),
-        effort_max=float(obj["effort_max"]),
-    )
-
-
 def write_record(record: SessionRecord, directory: str | Path) -> Path:
     """Write one session as <id>.csv plus a <id>.json sidecar; returns the CSV path."""
     directory = Path(directory)
@@ -408,7 +385,7 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
                 "session_id": record.session_id,
                 "seed": record.seed,
                 "periods": record.T,
-                "params": _params_to_obj(record.params),
+                "params": record.params.to_mapping(),
             },
             indent=2,
             sort_keys=True,
@@ -430,21 +407,36 @@ def _id_mask(
     return mask, lengths
 
 
-def read_record(csv_path: str | Path) -> SessionRecord:
-    """Read a session back; the inverse of `write_record`, bit-exact."""
-    csv_path = Path(csv_path)
-    sidecar = csv_path.with_suffix(".json")
+def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:
+    """A record sidecar's fields, checked, and its parameters."""
     if not sidecar.exists():
         raise LqnetError(f"missing sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text())
+    meta = _as_mapping(read_json(str(sidecar), "sidecar"), str(sidecar))
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise SchemaVersionError(
             f"{sidecar}: format_version {version!r} not supported (this reader "
             f"handles {FORMAT_VERSION})"
         )
-    params = _params_from_obj(meta["params"])
-    T = int(meta["periods"])
+    raw = _as_mapping(meta.get("params"), f"{sidecar}: params")
+    missing = [k for k in ("session_id", "seed", "periods") if k not in meta]
+    missing += [f"params.{k}" for k in PARAM_KEYS if k not in raw]
+    if missing:
+        raise LqnetError(f"{sidecar}: {missing[0]}: required")
+    for key in ("seed", "periods"):
+        if not _is_int(meta[key]) or (key == "periods" and meta[key] < 1):
+            raise LqnetError(f"{sidecar}: {key}: bad value {meta[key]!r}")
+    try:
+        return meta, GameParams.from_mapping(raw)
+    except ConfigError as exc:
+        raise LqnetError(f"{sidecar}: params.{exc}") from None
+
+
+def read_record(csv_path: str | Path) -> SessionRecord:
+    """Read a session back; the inverse of `write_record`, bit-exact."""
+    csv_path = Path(csv_path)
+    meta, params = _read_sidecar(csv_path.with_suffix(".json"))
+    T = meta["periods"]
     n = params.n
     seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
     values: list[tuple[float, ...]] = []  # effort, then the payoff columns in array order
@@ -507,7 +499,7 @@ def read_record(csv_path: str | Path) -> SessionRecord:
         session_id=str(meta["session_id"]),
         params=params,
         T=T,
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
         intents=intents,
         networks=networks,
         efforts=efforts,

@@ -1,10 +1,11 @@
 """Exact Nash verification and enumeration of equilibrium-supportable networks.
 
 Verification enumerates, per agent, every subset of the other agents as a
-candidate intent set.  Effort deviations need no grid: own payoff is
-strictly concave in own effort, so the clipped best response dominates
-every other effort at any intent set, making the joint effort-plus-link
-deviation search exact.
+candidate intent set (`kernels.deviation_scan`).  Effort deviations need
+no grid: own payoff is strictly concave in own effort, so the clipped
+best response (`model.best_response`) dominates every other effort at
+any intent set, making the joint effort-plus-link deviation search exact.
+Every payoff here is `model.br_payoff` minus the link costs.
 
 Support checks fix efforts at the network's equilibrium values and search
 sponsorship orientations (one sponsor per link): greedy warm starts
@@ -32,7 +33,8 @@ from .model import (
     IntentProfile,
     Network,
     StrategyProfile,
-    best_response_effort,
+    best_response,
+    br_payoff,
 )
 
 #: payoff gains at or below this value count as non-improving
@@ -82,9 +84,7 @@ def _mask_to_targets(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def verify_nash(
-    params: GameParams, profile: StrategyProfile, backend: str | None = None
-) -> DeviationReport:
+def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport:
     """Exhaustive unilateral-deviation check of a full strategy profile."""
     if profile.n != params.n:
         raise LqnetError(f"profile has n={profile.n}, params expect n={params.n}")
@@ -94,16 +94,7 @@ def verify_nash(
     own = _row_masks(m)
     incoming = _row_masks(m.T)
     best_gain, best_mask, best_effort, _ = kernels.deviation_scan(
-        profile.efforts.efforts,
-        incoming,
-        own,
-        params.theta,
-        params.beta,
-        params.lam,
-        params.kappa,
-        params.effort_min,
-        params.effort_max,
-        backend=backend,
+        profile.efforts.efforts, incoming, own, params
     )
     agent = int(np.argmax(best_gain))
     gain = float(best_gain[agent])
@@ -135,22 +126,11 @@ def deviation_gain(
     incoming = set(np.nonzero(m[:, agent])[0].tolist())
     current_neighbors = incoming | set(np.nonzero(m[agent])[0].tolist())
     s_cur = float(x[sorted(current_neighbors)].sum()) if current_neighbors else 0.0
-    x_i = float(x[agent])
-    cur = (
-        params.theta * x_i
-        - 0.5 * params.beta * x_i**2
-        + params.lam * x_i * s_cur
-        - params.kappa * int(m[agent].sum())
-    )
+    cur = br_payoff(params, float(x[agent]), s_cur) - params.kappa * int(m[agent].sum())
     realized = incoming | target_set
     s_dev = float(x[sorted(realized)].sum()) if realized else 0.0
-    x_dev = best_response_effort(params, s_dev)
-    dev = (
-        params.theta * x_dev
-        - 0.5 * params.beta * x_dev**2
-        + params.lam * x_dev * s_dev
-        - params.kappa * len(target_set)
-    )
+    x_dev = float(best_response(params, s_dev))
+    dev = br_payoff(params, x_dev, s_dev) - params.kappa * len(target_set)
     return dev - cur, x_dev
 
 
@@ -166,13 +146,9 @@ def _orientation_intents(n: int, edges, sponsors) -> np.ndarray:
     return m
 
 
-def _br_payoff_vec(params: GameParams, neighbor_sums: np.ndarray) -> np.ndarray:
-    x = np.clip(
-        (params.theta + params.lam * neighbor_sums) / params.beta,
-        params.effort_min,
-        params.effort_max,
-    )
-    return params.theta * x - 0.5 * params.beta * x * x + params.lam * x * neighbor_sums
+def _br_value(params: GameParams, neighbor_sums: np.ndarray) -> np.ndarray:
+    """Gross payoff of the best response to each neighbor-effort total."""
+    return br_payoff(params, best_response(params, neighbor_sums), neighbor_sums)
 
 
 class _SponsorTable(NamedTuple):
@@ -220,10 +196,10 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
         weights = (np.int64(1) << nb.astype(np.int64)) if d else np.zeros(0, np.int64)
         tables.append(
             _SponsorTable(
-                prefix_payoff=_br_payoff_vec(params, prefix_sums),
+                prefix_payoff=_br_value(params, prefix_sums),
                 prefix_counts=np.cumsum(member, axis=1),
-                incoming_payoff=_br_payoff_vec(params, inc),
-                full_payoff=float(_br_payoff_vec(params, np.array(all_sum))),
+                incoming_payoff=_br_value(params, inc),
+                full_payoff=float(_br_value(params, np.array(all_sum))),
                 counts=table.sum(axis=1),
                 masks=(table.astype(np.int64) @ weights).astype(np.int64),
             )
@@ -251,26 +227,8 @@ def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.n
 
 def _drop_all_prunes(params: GameParams, x: np.ndarray, intents: np.ndarray) -> bool:
     """True if some agent profits from withdrawing all its sponsorships."""
-    adj = intents | intents.T
-    s_all = adj @ x
-    own_counts = intents.sum(axis=1)
-    current = (
-        params.theta * x
-        - 0.5 * params.beta * x**2
-        + params.lam * x * s_all
-        - params.kappa * own_counts
-    )
-    s_keep = intents.T @ x  # incoming-only neighbor effort sums
-    x_drop = np.clip(
-        (params.theta + params.lam * s_keep) / params.beta,
-        params.effort_min,
-        params.effort_max,
-    )
-    dropped = (
-        params.theta * x_drop
-        - 0.5 * params.beta * x_drop**2
-        + params.lam * x_drop * s_keep
-    )
+    current = br_payoff(params, x, (intents | intents.T) @ x) - params.kappa * intents.sum(axis=1)
+    dropped = _br_value(params, intents.T @ x)  # incoming-only neighbor effort sums
     return bool(np.any(dropped - current > DEVIATION_TOL))
 
 
@@ -286,11 +244,10 @@ class SupportSearch:
     is re-confirmed at the new κ and the full search runs if it fails.
     """
 
-    def __init__(self, params: GameParams, network: Network, backend: str | None = None) -> None:
+    def __init__(self, params: GameParams, network: Network) -> None:
         self.params = params
         self.network = network
-        self.backend = backend
-        self.x = nash_efforts(params, network, backend=backend).efforts.efforts
+        self.x = nash_efforts(params, network).efforts.efforts
         self.edges = edges = network.edges()
         self.deg = deg = network.degrees
         self.warm: list[tuple[int, ...]] = [()]
@@ -310,7 +267,7 @@ class SupportSearch:
         if _drop_all_prunes(params, self.x, intents_m):
             return None
         profile = StrategyProfile(EffortProfile(self.x), IntentProfile(intents_m))
-        if verify_nash(params, profile, backend=self.backend).is_nash:
+        if verify_nash(params, profile).is_nash:
             return profile
         return None
 
@@ -430,13 +387,10 @@ class SupportSearch:
 
 
 def ne_supportable(
-    params: GameParams,
-    network: Network,
-    backend: str | None = None,
-    budget: int = ORIENTATION_BUDGET,
+    params: GameParams, network: Network, budget: int = ORIENTATION_BUDGET
 ) -> NESupportReport:
     """Support report of one network at ``params.kappa`` (see `SupportSearch`)."""
-    return SupportSearch(params, network, backend).report(params.kappa, budget)
+    return SupportSearch(params, network).report(params.kappa, budget)
 
 
 # --------------------------------------------------------------------------
@@ -507,9 +461,7 @@ def enumerate_candidates(n: int) -> list[Network]:
 
 
 def enumerate_ne_networks(
-    params: GameParams,
-    candidates: list[Network] | None = None,
-    backend: str | None = None,
+    params: GameParams, candidates: list[Network] | None = None
 ) -> list[NESupportReport]:
     """Support report per candidate network, deduplicated up to isomorphism.
 
@@ -530,4 +482,4 @@ def enumerate_ne_networks(
             continue
         seen_keys.add(key)
         unique.append(net)
-    return [ne_supportable(params, net, backend=backend) for net in unique]
+    return [ne_supportable(params, net) for net in unique]

@@ -1,10 +1,19 @@
+import io
 import json
 import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqnet.cli import main
+from lqnet.model import PARAM_KEYS
+
+GOLDEN_RECORD = Path(__file__).parent / "golden" / "sessions_n5" / "records" / "s7.csv"
 
 
 def run_cli(capsys, *argv):
@@ -103,11 +112,11 @@ class TestVerifyAndEnumerate:
         assert len(payload["candidates"]) == 3
 
     def test_all_graphs_rejected_for_n9(self, capsys):
-        code, _, err = run_cli(
-            capsys, "enumerate", "--treatment", "N9_HighCost", "--all-graphs"
-        )
-        assert code == 1
-        assert "n <= 5" in err
+        # the flag is gone: it never changed the candidate set
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--treatment", "N9_HighCost", "--all-graphs"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --all-graphs" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -257,3 +266,161 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--nope"])
         assert exc.value.code == 2
+
+
+def _network_argv(path):
+    return ["classify", "--network", str(path)]
+
+
+def _solve_argv(path):
+    return ["solve", "--treatment", "N5_HighCost", "--network", str(path)]
+
+
+def _profile_argv(path):
+    return ["verify", "--treatment", "N5_HighCost", "--profile", str(path)]
+
+
+DELETE = object()
+
+
+def _sidecar_meta(**changes):
+    """The golden record's sidecar with ``changes`` applied; `DELETE` removes a key."""
+    meta = json.loads(GOLDEN_RECORD.with_suffix(".json").read_text())
+    for key, value in changes.items():
+        obj = meta["params"] if key.startswith("params.") else meta
+        name = key.removeprefix("params.")
+        if value is DELETE:
+            del obj[name]
+        else:
+            obj[name] = value
+    return meta
+
+
+def _record_dir(root, sidecar_text):
+    """A record directory holding the golden CSV and the given sidecar text."""
+    rec = Path(root) / "rec"
+    rec.mkdir()
+    shutil.copy(GOLDEN_RECORD, rec / GOLDEN_RECORD.name)
+    (rec / GOLDEN_RECORD.with_suffix(".json").name).write_text(sidecar_text)
+    return rec
+
+
+def _analyze_argv(rec):
+    return ["analyze", "--in", str(rec), "--treatment", "N5_HighCost",
+            "--csv", str(rec.parent / "summary.csv")]
+
+
+def _run_quiet(argv):
+    """Exit code and stderr of one CLI call; a traceback propagates."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "argv,content,fragment",
+        [
+            (_profile_argv, [], "profile: expected a mapping, got list"),
+            (_profile_argv, {"n": 5, "intents": []}, "profile efforts must be a list"),
+            (_profile_argv, {"n": 5, "efforts": [1, 2, "x", 4, 5]}, "profile efforts"),
+            (_profile_argv, {"n": 5, "efforts": [1, 2, None, 4, 5]}, "profile efforts"),
+            (_profile_argv, {"n": 5, "efforts": [1] * 5, "intents": [[1]]}, "intents: bad pair [1]"),
+            (_network_argv, {"n": 5, "edges": [[1]]}, "edges: bad pair [1]"),
+            (_solve_argv, {"n": 5, "edges": [[1]]}, "edges: bad pair [1]"),
+            (_network_argv, {"n": 1, "edges": []}, "network.n: group size"),
+            (_network_argv, {"n": "x", "edges": []}, "network.n: group size"),
+            (_network_argv, {"n": 10**9, "edges": []}, "network.n: group size"),
+        ],
+    )
+    def test_bad_object_is_one_error_line(self, capsys, tmp_path, argv, content, fragment):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *argv(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "sidecar,fragment",
+        [
+            ('{"format_version": 1,', "s7.json: malformed JSON"),
+            (json.dumps(_sidecar_meta(**{"params.effort_min": DELETE})), "s7.json: params.effort_min: required"),
+            (json.dumps(_sidecar_meta(**{"params.beta": 0})), "s7.json: params.beta must be positive"),
+            (json.dumps(_sidecar_meta(periods="12")), "s7.json: periods: bad value"),
+            (json.dumps([]), "s7.json: expected a mapping"),
+        ],
+        ids=["malformed", "no-effort-min", "beta-zero", "periods-text", "list"],
+    )
+    def test_bad_sidecar_is_one_error_line(self, capsys, tmp_path, sidecar, fragment):
+        code, out, err = run_cli(capsys, *_analyze_argv(_record_dir(tmp_path, sidecar)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
+    def test_zero_period_record_is_one_error_line(self, capsys, tmp_path):
+        rec = _record_dir(tmp_path, json.dumps(_sidecar_meta(periods=0)))
+        csv_path = rec / GOLDEN_RECORD.name
+        csv_path.write_text(csv_path.read_text().splitlines(keepends=True)[0])  # header only
+        code, out, err = run_cli(capsys, *_analyze_argv(rec))
+        assert code == 1
+        assert err == f"error: {csv_path.with_suffix('.json')}: periods: bad value 0\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+PAIRS = st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6)
+#: network and profile objects: known keys with near-valid or arbitrary values
+#: (n = 5 matches the treatment the solve and verify calls name)
+INPUT_OBJECTS = JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.just(5) | st.integers(-1, 11) | JSON_VALUES,
+        "edges": PAIRS | JSON_VALUES,
+        "intents": PAIRS | JSON_VALUES,
+        "efforts": st.lists(st.floats(-1.0, 25.0), min_size=5, max_size=5)
+        | st.lists(st.floats(), max_size=6)
+        | JSON_VALUES,
+    },
+)
+SIDECAR_KEYS = ["format_version", "session_id", "seed", "periods", "params"] + [
+    f"params.{k}" for k in PARAM_KEYS
+]
+#: sidecars: arbitrary JSON, or the golden sidecar with one field replaced or deleted
+SIDECARS = JSON_VALUES.map(json.dumps) | st.builds(
+    lambda key, value: json.dumps(_sidecar_meta(**{key: value})),
+    st.sampled_from(SIDECAR_KEYS),
+    st.just(DELETE) | JSON_VALUES | st.integers(-2, 13),
+)
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code != 0:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(obj=INPUT_OBJECTS, argv=st.sampled_from([_network_argv, _solve_argv, _profile_argv]))
+def test_random_network_and_profile_files_never_traceback(obj, argv):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "in.json"
+        path.write_text(json.dumps(obj))
+        _assert_clean_exit(*_run_quiet(argv(path)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sidecar=SIDECARS)
+def test_random_record_sidecars_never_traceback(sidecar):
+    with tempfile.TemporaryDirectory() as root:
+        _assert_clean_exit(*_run_quiet(_analyze_argv(_record_dir(root, sidecar))))

@@ -233,11 +233,11 @@ class TestSupportSearch:
         real = verifier_mod.verify_nash
         rejected = []
 
-        def reject_once(params, profile, backend=None):
+        def reject_once(params, profile):
             if not rejected:
                 rejected.append(params.kappa)
                 return DeviationReport(False, None, 0)
-            return real(params, profile, backend=backend)
+            return real(params, profile)
 
         monkeypatch.setattr(verifier_mod, "verify_nash", reject_once)
         assert search.supportable(3.9)
