@@ -14,7 +14,7 @@ from .model import (
     PayoffBreakdown,
     StrategyProfile,
     Treatment,
-    best_response_effort,
+    best_response,
     get_treatment,
     link_benefit,
     payoff,
@@ -33,7 +33,7 @@ __all__ = [
     "PayoffBreakdown",
     "StrategyProfile",
     "Treatment",
-    "best_response_effort",
+    "best_response",
     "get_treatment",
     "link_benefit",
     "payoff",

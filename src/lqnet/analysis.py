@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import SessionRecord
 from .equilibria import equilibrium_payoffs, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
-from .model import GameParams, Network, Treatment, best_response_effort
+from .model import GameParams, Network, Treatment, best_response
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -205,24 +205,15 @@ def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
 
 
 def _fit_rows(record: SessionRecord) -> tuple[np.ndarray, np.ndarray]:
-    params = record.params
+    """The effort rule's regressors and target for every agent-period after the first."""
     rows = []
-    targets = []
-    for t in range(1, record.T):
-        prev_adj = record.networks[t - 1]
-        prev_x = record.efforts[t - 1]
+    for prev_adj, prev_x in zip(record.networks[:-1], record.efforts[:-1]):
         neighbor_sums = prev_adj @ prev_x
         non_neighbor_sums = prev_x.sum() - prev_x - neighbor_sums
-        for i in range(record.n):
-            rows.append(
-                [
-                    prev_x[i],
-                    best_response_effort(params, float(neighbor_sums[i])),
-                    non_neighbor_sums[i],
-                ]
-            )
-            targets.append(record.efforts[t, i])
-    return np.array(rows, dtype=float), np.array(targets, dtype=float)
+        rows.append(np.column_stack(
+            [prev_x, best_response(record.params, neighbor_sums), non_neighbor_sums]
+        ))
+    return np.vstack(rows), record.efforts[1:].ravel()
 
 
 def fit_effort_model(records: list[SessionRecord]) -> FitResult:

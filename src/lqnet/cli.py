@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -40,7 +41,12 @@ def _usage_error(message: str) -> int:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    try:  # flush here, so that a reader who closed the pipe fails here, not at exit
+        print(json.dumps(obj, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the flush at exit would fail again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _clean(value):

@@ -11,23 +11,19 @@ clipped to the effort box.  Linking rules range from net-benefit
 thresholds to rank-based targeting and a logistic discrete-choice rule.
 Sessions are deterministic given their seed: a counter-based generator is
 created per session and consumed in a fixed order (efforts by agent
-index, then intent rows by agent index).
+index, then intent rows by agent index).  Each period steps every agent at
+once, and its batched draws consume the stream as one draw per agent would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LqnetError
-from .model import (
-    GameParams,
-    Network,
-    best_response_effort,
-    payoff_components,
-)
+from .model import GameParams, Network, best_response, payoff_components
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
 #: estimated per treatment from the experimental sessions
@@ -215,31 +211,71 @@ class SessionRecord:
         return Network(self.networks[period - 1])
 
 
+def _logistic(z: float) -> float:
+    """1 / (1 + e^-z), and 0 where e^-z overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
+
+
+class GroupRules:
+    """The group's effort and linking rules as per-agent arrays, built once per session.
+
+    Agents are grouped by link-rule kind, each group in agent order, so one
+    batched draw over a group consumes the generator exactly as one draw per
+    agent in agent order would.
+    """
+
+    def __init__(self, policies: list[AgentPolicy]) -> None:
+        n = len(policies)
+        effort = [p.effort_rule for p in policies]
+        self.b0, self.b1, self.b2, self.noise_sd = np.array(
+            [(r.b0, r.b1, r.b2, r.noise_sd) for r in effort], dtype=float).T
+        self.noisy = np.flatnonzero(self.noise_sd > 0)
+        links = [p.link_rule for p in policies]
+        kinds = np.array([r.kind for r in links])
+        self.threshold = np.flatnonzero((kinds == "benefit_threshold") | (kinds == "best_response"))
+        self.rank = np.flatnonzero(kinds == "rank_top")
+        self.rank_k = np.array([min(links[i].k, n) for i in self.rank], dtype=np.intp)[:, None]
+        self.logistic = np.flatnonzero(kinds == "logistic")
+        coefs = [links[i].coefficients for i in self.logistic]
+        #: the five `LogisticCoefficients` fields, each as a (logistic agents, 1) column
+        self.logit = np.array([astuple(c) for c in coefs], dtype=float).reshape(-1, 5).T[:, :, None]
+        #: period-1 intercept-only probabilities, one per logistic agent
+        self.cold_p = np.array([_logistic(c.intercept) for c in coefs]).reshape(-1, 1)
+        self.fixed = np.zeros((n, n), dtype=bool)
+        for i in np.flatnonzero(kinds == "fixed_targets"):
+            self.fixed[i, list(links[i].targets[i])] = True
+
+
 def step_effort(
-    rule: EffortRule,
-    own_lag: float,
-    neighbor_lag_sum: float,
-    non_neighbor_lag_sum: float,
+    rules: GroupRules,
+    own_lag: np.ndarray,
+    neighbor_lag_sum: np.ndarray,
+    non_neighbor_lag_sum: np.ndarray,
     params: GameParams,
     rng: np.random.Generator | None = None,
-) -> float:
-    """One effort update from the previous period's state, clipped to the box."""
+) -> np.ndarray:
+    """Every agent's effort update from the previous period's state, clipped to the box.
+
+    The noisy agents' shocks come from one draw, in agent order.
+    """
     value = (
-        rule.b0 * own_lag
-        + rule.b1 * best_response_effort(params, neighbor_lag_sum)
-        + rule.b2 * non_neighbor_lag_sum
+        rules.b0 * own_lag
+        + rules.b1 * best_response(params, neighbor_lag_sum)
+        + rules.b2 * non_neighbor_lag_sum
     )
-    if rule.noise_sd > 0:
+    if rules.noisy.size:
         if rng is None:
             raise ValueError("noise_sd > 0 requires a random generator")
-        value += rng.normal(0.0, rule.noise_sd)
-    return float(np.clip(value, params.effort_min, params.effort_max))
+        # the draws and sums of rng.normal(0.0, sd), without its broadcasting cost
+        value[rules.noisy] += 0.0 + rules.noise_sd[rules.noisy] * rng.standard_normal(rules.noisy.size)
+    return np.clip(value, params.effort_min, params.effort_max)
 
 
 def _rank_band(n: int) -> tuple[int, int]:
     """(highest above-band rank, lowest below-band rank) around the middle band."""
-    if n == 5:
-        return 2, 4
     if n == 9:
         return 3, 7
     if n % 2 == 1:
@@ -255,72 +291,54 @@ def _effort_ranks(lagged_efforts: np.ndarray) -> np.ndarray:
 
 
 def step_links(
-    rule: LinkRule,
-    agent: int,
+    rules: GroupRules,
     lagged_efforts: np.ndarray,
-    lagged_intent_row: np.ndarray,
+    lagged_intents: np.ndarray | None,
     params: GameParams,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """One agent's intent row computed from the previous period's state."""
+    """Every agent's intent row computed from the previous period's state.
+
+    ``lagged_intents`` None is the period-1 cold start: threshold, rank and
+    fixed rules read the initial efforts, and the logistic rule falls back
+    to intercept-only probabilities.  The logistic agents' rows come from
+    one uniform draw, in agent order.
+    """
     n = params.n
-    row = np.zeros(n, dtype=bool)
     x = np.asarray(lagged_efforts, dtype=float)
-    if rule.kind in ("benefit_threshold", "best_response"):
-        benefits = params.lam * x[agent] * x - params.kappa
-        row = benefits > 0
-        row[agent] = False
-        return row
-    if rule.kind == "rank_top":
-        others = [j for j in range(n) if j != agent]
-        others.sort(key=lambda j: (-x[j], j))
-        for j in others[: rule.k]:
-            row[j] = True
-        return row
-    if rule.kind == "logistic":
+    out = np.zeros((n, n), dtype=bool)
+    if rules.threshold.size:
+        out[rules.threshold] = np.multiply.outer(params.lam * x[rules.threshold], x) - params.kappa > 0
+    if rules.rank.size:
+        # position of each agent in the order (-effort, index); agent i targets
+        # the first k others in that order, skipping its own position
+        pos = np.empty(n, dtype=np.intp)
+        pos[np.lexsort((np.arange(n), -x))] = np.arange(n)
+        own = pos[rules.rank][:, None]
+        out[rules.rank] = pos - (own < pos) < rules.rank_k
+    if rules.logistic.size:
         if rng is None:
             raise ValueError("logistic link rule requires a random generator")
-        c = rule.coefficients
-        ranks = _effort_ranks(x)
-        above_max, below_min = _rank_band(n)
-        logits = (
-            c.intercept
-            + c.lagged_link * lagged_intent_row.astype(float)
-            + c.partner_effort * x
-            + c.above_median * (ranks <= above_max)
-            + c.below_median * (ranks >= below_min)
-        )
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        draws = rng.random(n)
-        row = draws < probs
-        row[agent] = False
-        return row
-    if rule.kind == "fixed_targets":
-        for j in rule.targets[agent]:
-            row[j] = True
-        row[agent] = False
-        return row
-    raise AssertionError(f"unreachable link rule kind {rule.kind!r}")
-
-
-def _cold_start_links(
-    rule: LinkRule,
-    agent: int,
-    initial_efforts: np.ndarray,
-    params: GameParams,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Period-1 intents: threshold and rank rules read the initial efforts;
-    the logistic rule falls back to intercept-only probabilities."""
-    n = params.n
-    if rule.kind == "logistic":
-        if rng is None:
-            raise ValueError("logistic link rule requires a random generator")
-        p = 1.0 / (1.0 + math.exp(-rule.coefficients.intercept))
-        row = rng.random(n) < p
-        row[agent] = False
-        return row
-    return step_links(rule, agent, initial_efforts, np.zeros(n, dtype=bool), params, rng)
+        if lagged_intents is None:
+            probs = rules.cold_p
+        else:
+            c = rules.logit
+            ranks = _effort_ranks(x)
+            above_max, below_min = _rank_band(n)
+            # huge coefficients overflow to a saturated probability; a NaN logit never links
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = (
+                    c[0]
+                    + c[1] * lagged_intents[rules.logistic].astype(float)
+                    + c[2] * x
+                    + c[3] * (ranks <= above_max)
+                    + c[4] * (ranks >= below_min)
+                )
+                probs = 1.0 / (1.0 + np.exp(-logits))
+        out[rules.logistic] = rng.random((rules.logistic.size, n)) < probs
+    out |= rules.fixed
+    np.fill_diagonal(out, False)
+    return out
 
 
 def _initial_effort(rule: EffortRule, params: GameParams, rng: np.random.Generator) -> float:
@@ -360,52 +378,33 @@ def run_session(
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
     policy_list = _normalize_policies(params, policies)
+    rules = GroupRules(policy_list)
     n = params.n
     rng = np.random.Generator(np.random.Philox(seed))
 
     intents = np.zeros((T, n, n), dtype=bool)
     efforts = np.zeros((T, n), dtype=float)
 
-    efforts[0] = [
-        _initial_effort(policy_list[i].effort_rule, params, rng) for i in range(n)
-    ]
-    for i in range(n):
-        intents[0, i] = _cold_start_links(
-            policy_list[i].link_rule, i, efforts[0], params, rng
-        )
+    efforts[0] = [_initial_effort(p.effort_rule, params, rng) for p in policy_list]
+    intents[0] = step_links(rules, efforts[0], None, params, rng)
 
     for t in range(1, T):
         prev_adj = intents[t - 1] | intents[t - 1].T
         prev_x = efforts[t - 1]
         neighbor_sums = prev_adj @ prev_x
         non_neighbor_sums = prev_x.sum() - prev_x - neighbor_sums
-        for i in range(n):
-            efforts[t, i] = step_effort(
-                policy_list[i].effort_rule,
-                float(prev_x[i]),
-                float(neighbor_sums[i]),
-                float(non_neighbor_sums[i]),
-                params,
-                rng,
-            )
-        for i in range(n):
-            intents[t, i] = step_links(
-                policy_list[i].link_rule, i, prev_x, intents[t - 1, i], params, rng
-            )
+        efforts[t] = step_effort(rules, prev_x, neighbor_sums, non_neighbor_sums, params, rng)
+        intents[t] = step_links(rules, prev_x, intents[t - 1], params, rng)
 
-    networks = intents | intents.transpose(0, 2, 1)
-    payoffs = np.stack(
-        [payoff_components(params, efforts[t], intents[t]) for t in range(T)]
-    )
     return SessionRecord(
         session_id=session_id if session_id is not None else f"s{seed}",
         params=params,
         T=T,
         seed=seed,
         intents=intents,
-        networks=networks,
+        networks=intents | intents.transpose(0, 2, 1),
         efforts=efforts,
-        payoffs=payoffs,
+        payoffs=payoff_components(params, efforts, intents),
     )
 
 
@@ -427,9 +426,4 @@ def batch_run(
 
 def replay_payoffs(record: SessionRecord) -> np.ndarray:
     """Recompute every period's payoff components from the stored decisions."""
-    return np.stack(
-        [
-            payoff_components(record.params, record.efforts[t], record.intents[t])
-            for t in range(record.T)
-        ]
-    )
+    return payoff_components(record.params, record.efforts, record.intents)

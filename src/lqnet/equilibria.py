@@ -25,7 +25,6 @@ from .model import (
     Network,
     StrategyProfile,
     best_response,
-    best_response_effort,
     payoff,
     payoff_components,
     realize_network,
@@ -310,7 +309,7 @@ def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> fl
             0,
         ).total
         efforts = np.full(p.n, base)
-        efforts[0] = best_response_effort(p, base)
+        efforts[0] = best_response(p, base)
         dev = payoff(
             p,
             StrategyProfile(

@@ -103,16 +103,22 @@ class GameParams:
                 except TypeError:
                     raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
                 continue
-            try:
-                values[name] = float(raw)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-            if not math.isfinite(values[name]):
-                raise ConfigError(f"{key}: must be finite, got {raw!r}")
+            values[name] = finite_float(key, raw)
         try:
             return cls(**values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+
+def finite_float(key: str, raw) -> float:
+    """``raw`` as a finite float; `ConfigError` starting with ``key`` otherwise."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _frozen_bool_matrix(m: np.ndarray) -> np.ndarray:
@@ -324,11 +330,6 @@ def br_payoff(params: GameParams, x, s):
     return params.theta * x - 0.5 * params.beta * x * x + params.lam * x * s
 
 
-def best_response_effort(params: GameParams, neighbor_effort_sum: float) -> float:
-    """`best_response` to one neighbor-effort total, as a float."""
-    return float(best_response(params, neighbor_effort_sum))
-
-
 def link_benefit(params: GameParams, x_i: float, x_j: float) -> float:
     """Net gain of one endpoint from adding link {i, j} at the given efforts, to its payer."""
     return params.lam * x_i * x_j - params.kappa
@@ -345,17 +346,19 @@ def payoff_components(
     """Vectorized per-agent payoff terms.
 
     Returns an (N, 5) array with columns
-    (own_benefit, effort_cost, spillover, link_cost, total).
+    (own_benefit, effort_cost, spillover, link_cost, total).  Stacked
+    (..., N) efforts and (..., N, N) intents give (..., N, 5), each period
+    with the same bits as its own call.
     """
-    adjacency = intents_matrix | intents_matrix.T
+    adjacency = intents_matrix | np.swapaxes(intents_matrix, -1, -2)
     x = np.asarray(efforts, dtype=float)
-    neighbor_sums = adjacency @ x
+    neighbor_sums = (adjacency @ x[..., None])[..., 0]
     own = params.theta * x
     cost = 0.5 * params.beta * x**2
     spill = params.lam * x * neighbor_sums
-    links = params.kappa * intents_matrix.sum(axis=1).astype(float)
+    links = params.kappa * intents_matrix.sum(axis=-1).astype(float)
     total = own - cost + spill - links
-    return np.column_stack([own, cost, spill, links, total])
+    return np.stack([own, cost, spill, links, total], axis=-1)
 
 
 def payoff(params: GameParams, profile: StrategyProfile, i: int) -> PayoffBreakdown:

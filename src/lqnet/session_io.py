@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .dynamics import (
+    LINK_RULE_KINDS,
     LOGIT_PRESETS,
     AgentPolicy,
     EffortRule,
@@ -34,6 +35,7 @@ from .model import (
     IntentProfile,
     Network,
     StrategyProfile,
+    finite_float,
     get_treatment,
 )
 
@@ -57,12 +59,10 @@ CSV_COLUMNS = [
     "link_cost",
 ]
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _ids_join(indices) -> str:
-    return ":".join(str(int(j) + 1) for j in sorted(indices))
+def _id_cells(mask: np.ndarray) -> list[str]:
+    """The 1-based ID-list cell of each row of a (rows, n) mask, e.g. "2:5"."""
+    labels = [str(j + 1) for j in range(mask.shape[1])]
+    return [":".join(compress(labels, row)) for row in mask.tolist()]
 
 
 def _ids_split(text: str, n: int, where: str) -> list[int]:
@@ -210,20 +210,19 @@ def _resolve_params(data: dict, treatment_name: str | None) -> GameParams:
 
 def _parse_effort_rule(obj, path: str) -> EffortRule:
     obj = _as_mapping(obj, path)
-    noise_sd = float(obj.get("noise_sd", 0.0))
+    noise_sd = finite_float(f"{path}.noise_sd", obj.get("noise_sd", 0.0))
     initial = obj.get("initial", None)
+    if initial is not None and not isinstance(initial, str):
+        initial = finite_float(f"{path}.initial", initial)
     try:
         if "preset" in obj:
             return EffortRule.from_preset(
                 str(obj["preset"]), noise_sd=noise_sd, initial_effort=initial
             )
-        return EffortRule(
-            b0=float(obj["b0"]),
-            b1=float(obj["b1"]),
-            b2=float(obj["b2"]),
-            noise_sd=noise_sd,
-            initial_effort=initial,
-        )
+        b0, b1, b2 = (finite_float(f"{path}.{key}", obj[key]) for key in ("b0", "b1", "b2"))
+        return EffortRule(b0=b0, b1=b1, b2=b2, noise_sd=noise_sd, initial_effort=initial)
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: required") from None
     except (ValueError, LqnetError) as exc:
@@ -246,10 +245,14 @@ def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
     for key in raw:
         if key not in fields:
             raise ConfigError(f"{path}.{source}.{key}: unknown field")
-    values = {k: float(raw.get(k, 1.0 if source == "odds_ratios" else 0.0)) for k in fields}
     if "intercept" not in raw:
         raise ConfigError(f"{path}.{source}.intercept: required")
+    default = 1.0 if source == "odds_ratios" else 0.0
+    values = {k: finite_float(f"{path}.{source}.{k}", raw.get(k, default)) for k in fields}
     if source == "odds_ratios":
+        for k, v in values.items():
+            if not v > 0:
+                raise ConfigError(f"{path}.{source}.{k}: must be positive, got {raw[k]!r}")
         values = {k: float(np.log(v)) for k, v in values.items()}
     return LogisticCoefficients(**values)
 
@@ -261,27 +264,23 @@ def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
         if kind in ("benefit_threshold", "best_response"):
             return LinkRule(kind=kind)
         if kind == "rank_top":
-            if "k" not in obj:
-                raise ConfigError(f"{path}.k: required for rank_top")
-            return LinkRule.rank_top(int(obj["k"]))
+            if not _is_int(obj.get("k")):
+                raise ConfigError(f"{path}.k: rank_top needs an integer, got {obj.get('k')!r}")
+            return LinkRule.rank_top(obj["k"])
         if kind == "logistic":
             return LinkRule.logistic(_parse_logistic(obj, path))
         if kind == "fixed_targets":
             raw = obj.get("targets")
-            if raw is None:
-                raise ConfigError(f"{path}.targets: required for fixed_targets")
-            if len(raw) != n:
-                raise ConfigError(f"{path}.targets: expected {n} rows, got {len(raw)}")
-            targets = tuple(
-                tuple(int(j) - 1 for j in row) for row in raw
-            )
+            if not (isinstance(raw, list) and len(raw) == n):
+                raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
+            for k, row in enumerate(raw):
+                if not (isinstance(row, list) and all(_is_int(j) and 1 <= j <= n for j in row)):
+                    raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
+            targets = tuple(tuple(j - 1 for j in row) for row in raw)
             return LinkRule(kind="fixed_targets", targets=targets)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: unknown link rule {kind!r} (known: {LINK_RULE_KINDS_MSG})")
-
-
-LINK_RULE_KINDS_MSG = "benefit_threshold, best_response, rank_top, logistic, fixed_targets"
+    raise ConfigError(f"{path}.kind: unknown link rule {kind!r} (known: {', '.join(LINK_RULE_KINDS)})")
 
 
 def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
@@ -357,27 +356,25 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{record.session_id}.csv"
     sidecar = directory / f"{record.session_id}.json"
+    T, n = record.T, record.n
+    payoffs = record.payoffs.reshape(T * n, 5).T
+    floats = [
+        map(repr, column.tolist())
+        for column in (record.efforts.ravel(), *payoffs[[4, 0, 1, 2, 3]])
+    ]
+    rows = zip(
+        repeat(record.session_id),
+        np.repeat(np.arange(1, T + 1), n).tolist(),
+        np.tile(np.arange(1, n + 1), T).tolist(),
+        floats[0],
+        _id_cells(record.intents.reshape(T * n, n)),
+        _id_cells(record.networks.reshape(T * n, n)),
+        *floats[1:],
+    )
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for t in range(record.T):
-            for i in range(record.n):
-                own, cost, spill, link, total = record.payoffs[t, i]
-                writer.writerow(
-                    [
-                        record.session_id,
-                        t + 1,
-                        i + 1,
-                        _fmt(record.efforts[t, i]),
-                        _ids_join(np.nonzero(record.intents[t, i])[0]),
-                        _ids_join(np.nonzero(record.networks[t, i])[0]),
-                        _fmt(total),
-                        _fmt(own),
-                        _fmt(cost),
-                        _fmt(spill),
-                        _fmt(link),
-                    ]
-                )
+        writer.writerows(rows)
     sidecar.write_text(
         json.dumps(
             {
@@ -439,43 +436,45 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     T = meta["periods"]
     n = params.n
     seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
-    values: list[tuple[float, ...]] = []  # effort, then the payoff columns in array order
-    initiated: list[list[int]] = []
-    claimed: list[list[int]] = []
+    values: list[tuple[float, ...]] = []  # effort, then the payoff columns in file order
+    cells: list[list[str]] = []  # initiated_ids and neighbor_ids text of each row
+    parsed: dict[str, list[int]] = {}  # each distinct ID-cell text, parsed at its first row
+    name = csv_path.name
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_COLUMNS:
             raise LqnetError(f"{csv_path}: unexpected header {header}")
         for rownum, row in enumerate(reader, start=2):
-            where = f"{csv_path.name} row {rownum}"
+            where = f"{name} row {rownum}"
             if len(row) != len(CSV_COLUMNS):
                 raise LqnetError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
             try:
                 t = int(row[1]) - 1
                 i = int(row[2]) - 1
-                effort = float(row[3])
-                total, own, cost, spill, link = map(float, row[6:11])
+                values.append((float(row[3]), *map(float, row[6:11])))
             except ValueError as exc:
                 raise LqnetError(f"{where}: {exc}") from None
-            if not (0 <= t < T) or not (0 <= i < n):
+            if not (0 <= t < T and 0 <= i < n):
                 raise LqnetError(f"{where}: period/agent out of range")
             if (t, i) in seen:
                 raise LqnetError(f"{where}: period {t + 1} agent {i + 1} appears twice")
             seen[t, i] = None
-            values.append((effort, own, cost, spill, link, total))
-            initiated.append(_ids_split(row[4], n, where))
-            claimed.append(_ids_split(row[5], n, where))
+            for text in row[4:6]:
+                if text not in parsed:
+                    parsed[text] = _ids_split(text, n, where)
+            cells.append(row[4:6])
     if len(seen) != T * n:
         raise LqnetError(
             f"{csv_path}: expected {T * n} agent-period rows, found {len(seen)}"
         )
-    t, i = np.array(list(seen), dtype=np.int64).reshape(-1, 2).T
-    columns = np.array(values, dtype=float).reshape(-1, 6)
+    t, i = np.fromiter(chain.from_iterable(seen), np.int64, count=2 * len(seen)).reshape(-1, 2).T
+    columns = np.fromiter(chain.from_iterable(values), float, count=6 * len(values)).reshape(-1, 6)
     efforts = np.zeros((T, n), dtype=float)
     efforts[t, i] = columns[:, 0]
     payoffs = np.zeros((T, n, 5), dtype=float)
-    payoffs[t, i] = columns[:, 1:]
+    payoffs[t, i] = columns[:, [2, 3, 4, 5, 1]]
+    initiated, claimed = ([parsed[text] for text in column] for column in zip(*cells))
     intents, _ = _id_mask(t, i, initiated, T, n)
     self_links = intents[t, i, i]
     if self_links.any():

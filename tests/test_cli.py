@@ -1,6 +1,11 @@
+import copy
+import fcntl
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqnet
 from lqnet.cli import main
 from lqnet.model import PARAM_KEYS
 
@@ -235,6 +241,73 @@ class TestSimulateAnalyze:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize(
+        "policy,message",
+        [
+            ("effort: {b0: [1], b1: 1, b2: 0}\nlinks: {kind: best_response}",
+             "policy.effort.b0: expected a number, got [1]"),
+            ("effort: {preset: N5_LowCost}\nlinks: {kind: rank_top, k: [1]}",
+             "policy.links.k: rank_top needs an integer, got [1]"),
+            ("effort: {preset: N5_LowCost}\n"
+             "links: {kind: fixed_targets, targets: [[2], [9], [], [], []]}",
+             "policy.links.targets[1]: expected IDs in 1..5, got [9]"),
+        ],
+        ids=["effort-list", "rank-k-list", "target-out-of-range"],
+    )
+    def test_bad_policy_field_is_one_error_line(self, capsys, tmp_path, policy, message):
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(policy + "\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--treatment", "N5_LowCost", "--policy", str(policy_path),
+            "--periods", "3", "--out", str(tmp_path / "runs"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_logistic_runs_without_warnings(self, capsys, tmp_path):
+        # partner_effort * effort overflows to inf; the link probability saturates
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(
+            "effort: {preset: N5_LowCost}\n"
+            "links: {kind: logistic, coefficients: {intercept: 0, lagged_link: -1.0e+308,"
+            " partner_effort: 1.0e+308, above_median: 0, below_median: 0}}\n"
+        )
+        code, _, err = run_cli(
+            capsys, "simulate", "--treatment", "N5_LowCost", "--policy", str(policy_path),
+            "--periods", "3", "--out", str(tmp_path / "runs"),
+        )
+        assert code == 0
+        assert err == ""
+
+    @pytest.mark.skipif(
+        not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe resizing is Linux-only"
+    )
+    def test_closed_pipe_exits_one_without_traceback(self):
+        # a one-page pipe holds only part of the ~14 kB listing, so the program
+        # is still writing when the reader closes its end after the first line
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        env = {**os.environ, "PYTHONPATH": str(Path(lqnet.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lqnet.cli", "enumerate", "--treatment", "N5_LowCost"],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env,
+        )
+        os.close(write_fd)
+        first = b""
+        with os.fdopen(read_fd, "rb", buffering=0) as reader:
+            while not first.endswith(b"\n"):
+                byte = reader.read(1)
+                if not byte:
+                    break
+                first += byte
+        _, err = proc.communicate(timeout=120)
+        assert first == b"{\n"
+        assert proc.returncode == 1
+        assert err == b""
+
+
 class TestThresholds:
     def test_reports_cutoffs(self, capsys):
         code, out, _ = run_cli(
@@ -424,3 +497,64 @@ def test_random_network_and_profile_files_never_traceback(obj, argv):
 def test_random_record_sidecars_never_traceback(sidecar):
     with tempfile.TemporaryDirectory() as root:
         _assert_clean_exit(*_run_quiet(_analyze_argv(_record_dir(root, sidecar))))
+
+
+#: five agents covering every link-rule kind, both explicit logistic forms, and
+#: preset and explicit effort rules with and without noise
+BASE_POLICY = {"policies": [
+    {"effort": {"preset": "N5_HighCost", "noise_sd": 0.5, "initial": "uniform"},
+     "links": {"kind": "fixed_targets", "targets": [[2, 3], [], [1], [], [4]]}},
+    {"effort": {"b0": 0.1, "b1": 0.4, "b2": 0.01, "initial": 5.0},
+     "links": {"kind": "rank_top", "k": 2}},
+    {"effort": {"b0": 0.2, "b1": 0.5, "b2": 0.0, "noise_sd": 0.5},
+     "links": {"kind": "logistic", "coefficients": {
+         "intercept": -0.5, "lagged_link": 1.0, "partner_effort": 0.05,
+         "above_median": 0.2, "below_median": -0.1}}},
+    {"effort": {"preset": "N5_LowCost"},
+     "links": {"kind": "logistic", "odds_ratios": {
+         "intercept": 0.7, "lagged_link": 2.8, "partner_effort": 1.05}}},
+    {"effort": {"preset": "N5_LowCost", "noise_sd": 1.0},
+     "links": {"kind": "benefit_threshold"}},
+]}
+
+
+def _field_paths(obj, prefix=()):
+    """The key or index path of every value inside a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    paths = []
+    for key, value in items:
+        paths += [prefix + (key,)] + _field_paths(value, prefix + (key,))
+    return paths
+
+
+def _policy_with(path, value):
+    """`BASE_POLICY` with the field at ``path`` replaced by ``value``, or deleted."""
+    doc = copy.deepcopy(BASE_POLICY)
+    *parents, last = path
+    obj = doc
+    for key in parents:
+        obj = obj[key]
+    if value is DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+    return doc
+
+
+#: policy files: arbitrary JSON, or `BASE_POLICY` with one field replaced or deleted
+POLICIES = JSON_VALUES | st.builds(
+    _policy_with,
+    st.sampled_from(_field_paths(BASE_POLICY)),
+    st.just(DELETE) | JSON_VALUES | st.integers(-2, 7),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=POLICIES)
+def test_random_policy_files_never_traceback(doc):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "policy.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--treatment", "N5_HighCost", "--policy", str(path),
+                "--periods", "3", "--reps", "2", "--out", str(Path(root) / "out")]
+        _assert_clean_exit(*_run_quiet(argv))

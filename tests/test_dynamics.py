@@ -3,10 +3,13 @@ import pytest
 
 from lqnet.dynamics import (
     EFFORT_PRESETS,
+    LINK_RULE_KINDS,
     LOGIT_PRESETS,
     AgentPolicy,
     EffortRule,
+    GroupRules,
     LinkRule,
+    LogisticCoefficients,
     SessionRecord,
     batch_run,
     replay_payoffs,
@@ -18,9 +21,9 @@ from lqnet.dynamics import (
 )
 from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import LqnetError
-from lqnet.model import Network, get_treatment
+from lqnet.model import GameParams, Network, get_treatment
 
-from helpers import oracle_complete_nash
+from helpers import oracle_complete_nash, oracle_run_session
 
 P5 = get_treatment("N5_LowCost").params
 P9 = get_treatment("N9_LowCost1").params
@@ -30,43 +33,61 @@ def rng_of(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def group(effort=None, links=None, n=1):
+    """`GroupRules` for ``n`` agents sharing one effort and one link rule."""
+    policy = AgentPolicy(
+        effort or EffortRule.myopic_best_response(), links or LinkRule.best_response()
+    )
+    return GroupRules([policy] * n)
+
+
+def col(*values):
+    return np.array(values, dtype=float)
+
+
 class TestStepEffort:
     def test_pure_best_response_one_step(self):
-        rule = EffortRule.myopic_best_response()
-        out = step_effort(rule, own_lag=10.0, neighbor_lag_sum=40.0,
-                          non_neighbor_lag_sum=0.0, params=P5)
-        assert out == pytest.approx(6.5)
+        out = step_effort(group(EffortRule.myopic_best_response()), own_lag=col(10.0),
+                          neighbor_lag_sum=col(40.0), non_neighbor_lag_sum=col(0.0), params=P5)
+        assert out[0] == pytest.approx(6.5)
 
     def test_pure_inertia(self):
-        rule = EffortRule(b0=1.0, b1=0.0, b2=0.0)
-        assert step_effort(rule, 7.0, 12.0, 3.0, P5) == 7.0
+        rules = group(EffortRule(b0=1.0, b1=0.0, b2=0.0))
+        assert step_effort(rules, col(7.0), col(12.0), col(3.0), P5)[0] == 7.0
 
     def test_preset_pushes_above_equilibrium_on_complete(self):
-        rule = EffortRule.from_preset("N5_LowCost")
         x = oracle_complete_nash(10.0, 4.0, 0.4, 5)
-        out = step_effort(rule, x, 4 * x, 0.0, P5)
+        lag = np.full(5, x)
+        out = step_effort(group(EffortRule.from_preset("N5_LowCost"), n=5), lag, 4 * lag,
+                          np.zeros(5), P5)
         expected = (0.090 + 0.966) * x
-        assert out == pytest.approx(expected, abs=1e-12)
-        assert out == pytest.approx(4.400, abs=1e-3)
-        assert out > x
+        assert out == pytest.approx(np.full(5, expected), abs=1e-12)
+        assert out == pytest.approx(np.full(5, 4.400), abs=1e-3)
+        assert np.all(out > x)
 
     def test_clipping_to_box(self):
-        rule = EffortRule(b0=0.0, b1=0.0, b2=1.0)
-        assert step_effort(rule, 0.0, 0.0, 500.0, P5) == P5.effort_max
+        rules = group(EffortRule(b0=0.0, b1=0.0, b2=1.0))
+        assert step_effort(rules, col(0.0), col(0.0), col(500.0), P5)[0] == P5.effort_max
 
     def test_noise_requires_rng(self):
-        rule = EffortRule(b0=1.0, b1=0.0, b2=0.0, noise_sd=1.0)
+        rules = group(EffortRule(b0=1.0, b1=0.0, b2=0.0, noise_sd=1.0))
         with pytest.raises(ValueError):
-            step_effort(rule, 5.0, 0.0, 0.0, P5)
+            step_effort(rules, col(5.0), col(0.0), col(0.0), P5)
 
     def test_conformity_term_dominates_pointwise(self):
         # with non-negative lags, adding b2 > 0 never lowers the update
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            own, nsum, nnsum = rng.uniform(0.0, 20.0, 3)
-            lo = step_effort(EffortRule(b0=0.1, b1=0.9, b2=0.0), own, nsum, nnsum, P5)
-            hi = step_effort(EffortRule(b0=0.1, b1=0.9, b2=0.05), own, nsum, nnsum, P5)
-            assert hi >= lo
+        own, nsum, nnsum = np.random.default_rng(2).uniform(0.0, 20.0, (3, 100))
+        lo = step_effort(group(EffortRule(b0=0.1, b1=0.9, b2=0.0), n=100), own, nsum, nnsum, P5)
+        hi = step_effort(group(EffortRule(b0=0.1, b1=0.9, b2=0.05), n=100), own, nsum, nnsum, P5)
+        assert np.all(hi >= lo)
+
+    def test_each_agent_uses_its_own_rule(self):
+        rules = GroupRules([
+            AgentPolicy(EffortRule.myopic_best_response(), LinkRule.best_response()),
+            AgentPolicy(EffortRule(b0=1.0, b1=0.0, b2=0.0), LinkRule.best_response()),
+        ])
+        out = step_effort(rules, col(10.0, 7.0), col(40.0, 12.0), col(0.0, 3.0), P5)
+        assert list(out) == [pytest.approx(6.5), 7.0]
 
     def test_presets_match_estimates(self):
         assert EFFORT_PRESETS["N5_LowCost"] == (0.090, 0.966, 0.085)
@@ -79,23 +100,24 @@ class TestStepLinks:
     def test_benefit_threshold_initiates_all_positive(self):
         p = get_treatment("N9_LowCost1").params
         lagged = np.array([6.1, 10.6, 2.1] + [0.0] * 6)
-        row = step_links(
-            LinkRule.benefit_threshold(), 0, lagged, np.zeros(9, bool), p
-        )
+        out = step_links(group(links=LinkRule.benefit_threshold(), n=9), lagged,
+                         np.zeros((9, 9), bool), p)
         # benefits 15.16 and 2.20 are both positive: initiate to both partners
+        row = out[0]
         assert row[1] and row[2]
         assert not row[3:].any() and not row[0]
 
     def test_benefit_threshold_all_zero_efforts(self):
-        row = step_links(
-            LinkRule.benefit_threshold(), 1, np.zeros(5), np.zeros(5, bool), P5
-        )
-        assert not row.any()
+        out = step_links(group(links=LinkRule.benefit_threshold(), n=5), np.zeros(5),
+                         np.zeros((5, 5), bool), P5)
+        assert not out.any()
 
     def test_rank_top_tie_breaks_to_lower_index(self):
         lagged = np.array([2.0, 5.0, 3.0, 3.0, 1.0])
-        row = step_links(LinkRule.rank_top(2), 0, lagged, np.zeros(5, bool), P5)
-        assert list(np.nonzero(row)[0]) == [1, 2]
+        out = step_links(group(links=LinkRule.rank_top(2), n=5), lagged, np.zeros((5, 5), bool), P5)
+        assert list(np.nonzero(out[0])[0]) == [1, 2]
+        # agent 2 skips itself and takes the other 3.0 after the 5.0
+        assert list(np.nonzero(out[2])[0]) == [1, 3]
 
     def test_rank_top_everyone_gives_complete(self):
         pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(4))
@@ -103,21 +125,21 @@ class TestStepLinks:
         assert np.all(rec.networks.sum(axis=(1, 2)) == 5 * 4)
 
     def test_logistic_deterministic_given_seed(self):
-        rule = LinkRule.logistic(LOGIT_PRESETS["rank"])
+        rules = group(links=LinkRule.logistic(LOGIT_PRESETS["rank"]), n=9)
         lagged = np.arange(9, dtype=float)
-        a = step_links(rule, 0, lagged, np.zeros(9, bool), P9, rng_of(5))
-        b = step_links(rule, 0, lagged, np.zeros(9, bool), P9, rng_of(5))
+        a = step_links(rules, lagged, np.zeros((9, 9), bool), P9, rng_of(5))
+        b = step_links(rules, lagged, np.zeros((9, 9), bool), P9, rng_of(5))
         assert np.array_equal(a, b)
-        assert not a[0]
+        assert not a.diagonal().any()
 
     def test_logistic_favors_above_median_partners(self):
-        rule = LinkRule.logistic(LOGIT_PRESETS["rank"])
+        rules = group(links=LinkRule.logistic(LOGIT_PRESETS["rank"]), n=9)
         lagged = np.arange(9, dtype=float)
         rng = rng_of(11)
         hits_top = hits_bottom = 0
         trials = 4000
         for _ in range(trials):
-            row = step_links(rule, 4, lagged, np.zeros(9, bool), P9, rng)
+            row = step_links(rules, lagged, np.zeros((9, 9), bool), P9, rng)[4]
             hits_top += row[8]
             hits_bottom += row[0]
         # logit gap: rank dummies ln(1.281) - ln(0.926) plus 8 * ln(1.047)
@@ -282,3 +304,72 @@ class TestSessionRecord:
                 intents=rec.intents.copy(), networks=bad,
                 efforts=rec.efforts.copy(), payoffs=rec.payoffs.copy(),
             )
+
+
+#: (n, T) of each seeded mix: every pairing of n in {2, 3, 5, 9, 12} and T in {1, 2, 7}
+MIXES = [((2, 3, 5, 9, 12)[k % 5], (1, 2, 7)[k % 3], k) for k in range(36)]
+
+
+def policy_mix(n, seed):
+    """Per-agent policies: link kinds cycled from a seeded offset, noise on or off
+    per agent, and uniform, constant or default starts.  Every fourth mix starts
+    all agents at one constant effort without noise, so rank_top sees ties."""
+    rng = np.random.default_rng(seed)
+    tied = seed % 4 == 0
+    offset = int(rng.integers(5))
+    policies = []
+    for i in range(n):
+        kind = LINK_RULE_KINDS[(offset + i) % 5]
+        if kind == "rank_top":
+            links = LinkRule.rank_top(int(rng.integers(0, n + 1)))
+        elif kind == "logistic":
+            preset = LOGIT_PRESETS[("benefit", "rank")[int(rng.integers(2))]]
+            links = LinkRule.logistic(preset if rng.random() < 0.5 else LogisticCoefficients(
+                *rng.normal(0.0, 0.5, 5).tolist()))
+        elif kind == "fixed_targets":
+            links = LinkRule(kind=kind, targets=tuple(
+                tuple(int(j) for j in np.flatnonzero(rng.random(n) < 0.4)) for _ in range(n)))
+        else:
+            links = LinkRule(kind=kind)
+        if tied:
+            effort = EffortRule(b0=0.2, b1=0.8, b2=0.02, initial_effort=4.0)
+        else:
+            effort = EffortRule(
+                b0=float(rng.uniform(0.0, 0.4)), b1=float(rng.uniform(0.3, 1.0)),
+                b2=float(rng.uniform(0.0, 0.1)),
+                noise_sd=0.0 if rng.random() < 0.4 else float(rng.uniform(0.1, 2.0)),
+                initial_effort=(None, "uniform", float(rng.uniform(-2.0, 25.0)))[int(rng.integers(3))],
+            )
+        policies.append(AgentPolicy(effort, links))
+    return policies
+
+
+def mix_params(n):
+    base = get_treatment("N9_HighCost" if n >= 9 else "N5_HighCost").params
+    return GameParams.from_mapping({**base.to_mapping(), "n": n})
+
+
+class TestBatchedMatchesPerAgent:
+    @pytest.mark.parametrize("n,T,seed", MIXES)
+    def test_bit_equal_to_per_agent_loop(self, n, T, seed):
+        params, policies = mix_params(n), policy_mix(n, seed)
+        rec = run_session(params, policies, T, seed)
+        efforts, intents, payoffs = oracle_run_session(params, policies, T, seed)
+        assert np.array_equal(rec.efforts, efforts)
+        assert np.array_equal(rec.intents, intents)
+        assert np.array_equal(rec.payoffs, payoffs)
+
+    def test_mixes_cover_every_case(self):
+        kinds, starts, noise, ties = set(), set(), set(), 0
+        for n, T, seed in MIXES:
+            policies = policy_mix(n, seed)
+            kinds |= {p.link_rule.kind for p in policies}
+            starts |= {type(p.effort_rule.initial_effort) for p in policies}
+            noise |= {p.effort_rule.noise_sd > 0 for p in policies}
+            x0 = {p.effort_rule.initial_effort for p in policies}
+            ties += x0 == {4.0} and any(p.link_rule.kind == "rank_top" for p in policies)
+        assert kinds == set(LINK_RULE_KINDS)
+        assert starts == {type(None), str, float}
+        assert noise == {True, False}
+        assert ties >= 5
+        assert {(n, T) for n, T, _ in MIXES} == {(n, T) for n in (2, 3, 5, 9, 12) for T in (1, 2, 7)}

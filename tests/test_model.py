@@ -10,7 +10,7 @@ from lqnet.model import (
     IntentProfile,
     Network,
     StrategyProfile,
-    best_response_effort,
+    best_response,
     get_treatment,
     link_benefit,
     payoff,
@@ -196,15 +196,15 @@ class TestTotalWelfare:
 
 class TestBestResponse:
     def test_isolated_agent(self):
-        assert best_response_effort(P5, 0.0) == pytest.approx(2.5)
+        assert best_response(P5, 0.0) == pytest.approx(2.5)
 
     def test_complete_fixed_point(self):
         x = oracle_complete_nash(10.0, 4.0, 0.4, 5)
-        assert best_response_effort(P5, 4 * x) == pytest.approx(x, abs=1e-12)
+        assert best_response(P5, 4 * x) == pytest.approx(x, abs=1e-12)
         assert x == pytest.approx(4.17, abs=0.01)
 
     def test_cap_binds(self):
-        assert best_response_effort(P5, 200.0) == 20.0
+        assert best_response(P5, 200.0) == 20.0
 
     @given(
         st.floats(min_value=0.0, max_value=500.0),
@@ -213,12 +213,12 @@ class TestBestResponse:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_neighbor_sum(self, s1, s2):
         lo, hi = sorted((s1, s2))
-        assert best_response_effort(P5, lo) <= best_response_effort(P5, hi)
+        assert best_response(P5, lo) <= best_response(P5, hi)
 
     def test_unclipped_slope_is_lam_over_beta(self):
         big = GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=5, effort_max=1e9)
         s = np.array([0.0, 10.0, 20.0])
-        vals = np.array([best_response_effort(big, v) for v in s])
+        vals = np.array([best_response(big, v) for v in s])
         slopes = np.diff(vals) / np.diff(s)
         assert np.allclose(slopes, big.lam / big.beta)
 
@@ -232,7 +232,7 @@ class TestBestResponse:
         lo, hi = sorted((lam1, lam2))
         p_lo = GameParams(theta=10.0, beta=4.0, lam=lo, kappa=1.0, n=5)
         p_hi = GameParams(theta=10.0, beta=4.0, lam=hi, kappa=1.0, n=5)
-        assert best_response_effort(p_lo, s) <= best_response_effort(p_hi, s)
+        assert best_response(p_lo, s) <= best_response(p_hi, s)
 
 
 class TestLinkBenefit:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from lqnet.dynamics import AgentPolicy, EffortRule, LinkRule, batch_run
+from lqnet.dynamics import LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, batch_run, run_session
 from lqnet.errors import ConfigError, LqnetError, SchemaVersionError, UnknownTreatmentError
-from lqnet.model import IntentProfile, Network, get_treatment
+from lqnet.model import GameParams, IntentProfile, Network, get_treatment
 from lqnet.session_io import (
     intents_from_obj,
     intents_to_obj,
@@ -19,6 +19,8 @@ from lqnet.session_io import (
     read_records,
     write_record,
 )
+
+from helpers import oracle_write_csv
 
 P5 = get_treatment("N5_LowCost").params
 
@@ -75,6 +77,20 @@ class TestRecordRoundTrip:
             assert np.array_equal(back.intents, rec.intents)
             assert np.array_equal(back.networks, rec.networks)
             assert np.array_equal(back.payoffs, rec.payoffs)
+
+    @pytest.mark.parametrize("n,T,session_id", [(5, 12, "s31"), (2, 1, "a,b"), (12, 7, 'q"x')])
+    def test_csv_bytes_match_row_by_row_writer(self, tmp_path, n, T, session_id):
+        params = GameParams.from_mapping({**P5.to_mapping(), "n": n})
+        policies = [
+            AgentPolicy(EffortRule.from_preset("N5_LowCost", noise_sd=2.0, initial_effort="uniform"),
+                        (LinkRule.rank_top(i % n), LinkRule.logistic(LOGIT_PRESETS["rank"]))[i % 2])
+            for i in range(n)
+        ]
+        rec = run_session(params, policies, T, seed=n, session_id=session_id)
+        path = write_record(rec, tmp_path)
+        oracle_write_csv(rec, tmp_path / "oracle.csv")
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert np.array_equal(read_record(path).payoffs, rec.payoffs)
 
     def test_read_records_sorted(self, tmp_path):
         recs = noisy_records(reps=3)
