@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import SessionRecord
 from .equilibria import equilibrium_payoffs, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
-from .model import GameParams, Network, Treatment, best_response
+from .model import GameParams, Network, Treatment, best_response, link_benefit
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -143,21 +143,17 @@ def efficiency_report(
     )
 
 
-def frequency_report(
-    records: list[SessionRecord],
-    window="full",
-    architectures=ARCHITECTURES,
-) -> FrequencyReport:
+def frequency_report(records: list[SessionRecord], window="full") -> FrequencyReport:
     """Share of record-periods matching each architecture exactly and
     within two links."""
     windows = _windows(records, window)
-    distances: dict[str, list[np.ndarray]] = {a: [] for a in architectures}
+    distances: dict[str, list[np.ndarray]] = {a: [] for a in ARCHITECTURES}
     for rec, (start, end) in zip(records, windows):
         degrees = rec.networks[start - 1 : end].sum(axis=2)
-        for a in architectures:
+        for a in ARCHITECTURES:
             distances[a].append(architecture_distances(degrees, a))
     per_architecture = {}
-    for a in architectures:
+    for a in ARCHITECTURES:
         d = np.concatenate(distances[a])
         per_architecture[a] = ArchitectureFrequency(
             exact=np.count_nonzero(d == 0) / d.size,
@@ -181,7 +177,7 @@ def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
     x = record.efforts[start - 1 : end]
     adj = record.networks[start - 1 : end]
     m = record.intents[start - 1 : end]
-    benefit = params.lam * (x[:, :, None] * x[:, None, :]) - params.kappa
+    benefit = link_benefit(params, x[:, :, None], x[:, None, :])
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     missing = upper & ~adj
     existing = upper & adj

@@ -169,6 +169,8 @@ def _cmd_simulate(args) -> int:
     for flag, value in (("--periods", args.periods), ("--reps", args.reps)):
         if value < 1:
             return _usage_error(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        return _usage_error(f"--seed must be non-negative, got {args.seed}")
     treatment = get_treatment(args.treatment)
     params = treatment.params
     policies = session_io.load_policies(args.policy, params.n)

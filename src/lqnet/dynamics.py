@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, LqnetError
-from .model import GameParams, Network, best_response, payoff_components
+from .model import GameParams, Network, best_response, link_benefit, payoff_components
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
 #: estimated per treatment from the experimental sessions
@@ -308,7 +308,7 @@ def step_links(
     x = np.asarray(lagged_efforts, dtype=float)
     out = np.zeros((n, n), dtype=bool)
     if rules.threshold.size:
-        out[rules.threshold] = np.multiply.outer(params.lam * x[rules.threshold], x) - params.kappa > 0
+        out[rules.threshold] = link_benefit(params, x[rules.threshold, None], x) > 0
     if rules.rank.size:
         # position of each agent in the order (-effort, index); agent i targets
         # the first k others in that order, skipping its own position
@@ -423,7 +423,3 @@ def batch_run(
         for r in range(replications)
     ]
 
-
-def replay_payoffs(record: SessionRecord) -> np.ndarray:
-    """Recompute every period's payoff components from the stored decisions."""
-    return payoff_components(record.params, record.efforts, record.intents)

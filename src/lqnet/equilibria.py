@@ -118,53 +118,30 @@ def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     )
 
 
-def gross_welfare(params: GameParams, efforts: np.ndarray, network: Network) -> float:
-    """Total welfare excluding link costs (which are fixed once the network is)."""
-    x = np.asarray(efforts, dtype=float)
-    adj = network.adjacency.astype(float)
-    return float(
-        params.theta * x.sum()
-        - 0.5 * params.beta * (x**2).sum()
-        + params.lam * x @ (adj @ x)
-    )
-
-
 def efficient_efforts(params: GameParams, network: Network) -> EffortSolution:
     """Effort vector maximizing total gross welfare over the effort box.
 
-    Cyclic coordinate ascent with the per-coordinate closed-form update
-    ``x_i <- clip((theta + 2 lam * neighbor_sum) / beta)``.  When the
+    Cyclic coordinate ascent.  Each agent's effort also raises its
+    neighbors' spillovers, so the per-coordinate update is the best reply
+    with the spillover doubled, ``best_response`` at ``2 lam``.  When the
     interior problem is well-posed this matches the linear-system solution;
     when it is unbounded the ascent escalates to the upper bound.
     """
     _check_network(params, network)
+    planner = replace(params, lam=2.0 * params.lam)
     adj = network.adjacency
-    n = params.n
-    x = np.full(n, params.effort_min, dtype=float)
+    x = np.full(params.n, params.effort_min, dtype=float)
     sweeps = 0
-    change = math.inf
     while sweeps < MAX_ITER:
         change = 0.0
-        for i in range(n):
-            s = float(x[adj[i]].sum())
-            new = float(
-                np.clip(
-                    (params.theta + 2.0 * params.lam * s) / params.beta,
-                    params.effort_min,
-                    params.effort_max,
-                )
-            )
+        for i in range(params.n):
+            new = float(best_response(planner, float(x[adj[i]].sum())))
             change = max(change, abs(new - x[i]))
             x[i] = new
         sweeps += 1
         if change < 1e-10:
             break
-    target = np.clip(
-        (params.theta + 2.0 * params.lam * (adj @ x)) / params.beta,
-        params.effort_min,
-        params.effort_max,
-    )
-    residual = float(np.max(np.abs(x - target)))
+    residual = float(np.max(np.abs(x - best_response(planner, adj @ x))))
     return EffortSolution(
         efforts=EffortProfile(x),
         converged=residual <= SOLVER_TOL,
@@ -301,7 +278,7 @@ def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> fl
     `cost_thresholds` for the full-predicate switch).
     """
     def gain(kappa: float) -> float:
-        p = _with_kappa(params, kappa)
+        p = replace(params, kappa=kappa)
         base = p.theta / p.beta
         stay = payoff(
             p,
@@ -331,10 +308,6 @@ def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _with_kappa(params: GameParams, kappa: float) -> GameParams:
-    return replace(params, kappa=kappa)
 
 
 def cost_thresholds(

@@ -30,4 +30,4 @@ class UnknownTreatmentError(LqnetError):
 
 
 class ConfigError(LqnetError):
-    """Scenario/config file is malformed; message carries the field path."""
+    """Policy file or parameter mapping is malformed; message carries the field path."""

@@ -28,8 +28,6 @@ import yaml
 
 from .errors import ConfigError, DimensionMismatchError, UnknownTreatmentError
 
-#: Absolute tolerance for internal floating-point identities.
-FLOAT_TOL = 1e-9
 #: `GameParams` field behind each key of its mapping form; files spell lam "lambda"
 PARAM_FIELDS = {
     "theta": "theta",
@@ -73,9 +71,6 @@ class GameParams:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not self.effort_min < self.effort_max:
             raise ValueError("effort_min must be strictly below effort_max")
-
-    def clip_effort(self, x: float | np.ndarray) -> float | np.ndarray:
-        return np.clip(x, self.effort_min, self.effort_max)
 
     def to_mapping(self) -> dict:
         """The parameters keyed by `PARAM_KEYS`, in that order."""
@@ -330,8 +325,9 @@ def br_payoff(params: GameParams, x, s):
     return params.theta * x - 0.5 * params.beta * x * x + params.lam * x * s
 
 
-def link_benefit(params: GameParams, x_i: float, x_j: float) -> float:
-    """Net gain of one endpoint from adding link {i, j} at the given efforts, to its payer."""
+def link_benefit(params: GameParams, x_i, x_j):
+    """Net gain ``lam x_i x_j - kappa`` of link {i, j} at the given efforts, to its
+    payer; works elementwise on arrays."""
     return params.lam * x_i * x_j - params.kappa
 
 

@@ -1,4 +1,4 @@
-"""File formats, scenario configuration, and record persistence.
+"""File formats, policy files, and record persistence.
 
 All on-disk formats use 1-based agent IDs (matching the feedback screens
 of the original interface); everything in memory is 0-based.  Session
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from .model import (
     Network,
     StrategyProfile,
     finite_float,
-    get_treatment,
 )
 
 FORMAT_VERSION = 1
@@ -175,37 +173,13 @@ def load_network(spec: str, n: int | None = None) -> Network:
 
 
 # --------------------------------------------------------------------------
-# scenario configuration
+# policy files
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    params: GameParams
-    policies: list[AgentPolicy]
-    periods: int
-    replications: int
-    seed: int
-    treatment_name: str | None = None
-    out_dir: str | None = None
-
 
 def _as_mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
     return obj
-
-
-def _resolve_params(data: dict, treatment_name: str | None) -> GameParams:
-    """The named treatment's parameters with the file's ``params`` overriding them."""
-    overrides = _as_mapping(data.get("params", {}) or {}, "params")
-    for key in overrides:
-        if key not in PARAM_KEYS:
-            raise ConfigError(f"params.{key}: unknown field (expected one of {PARAM_KEYS})")
-    base = {} if treatment_name is None else get_treatment(str(treatment_name)).params.to_mapping()
-    try:
-        return GameParams.from_mapping({**base, **overrides})
-    except ConfigError as exc:
-        raise ConfigError(f"params.{exc}") from None
 
 
 def _parse_effort_rule(obj, path: str) -> EffortRule:
@@ -293,57 +267,26 @@ def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
     )
 
 
-def parse_policies(data: dict, n: int, path: str = "policy") -> list[AgentPolicy]:
-    """Parse either a shared `policy` section or a per-agent `policies` list."""
-    if "policies" in data:
-        raw = data["policies"]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ConfigError(f"policies: expected a list of {n} entries")
-        return [_parse_policy(p, f"policies[{k}]", n) for k, p in enumerate(raw)]
-    if "policy" in data:
-        return [_parse_policy(data["policy"], path, n)] * n
-    if "effort" in data and "links" in data:
-        return [_parse_policy(data, path, n)] * n
-    raise ConfigError("policy: missing (give 'policy' or per-agent 'policies')")
-
-
 def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
-    data = _load_structured(path)
-    return parse_policies(data, n)
-
-
-def _load_structured(path: str | Path) -> dict:
+    """Agent policies for a group of ``n`` from a policy file (YAML, or JSON as a
+    YAML subset): a shared `policy` section or a per-agent `policies` list."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"file not found: {p}")
     try:
-        data = yaml.safe_load(p.read_text())
+        data = _as_mapping(yaml.safe_load(p.read_text()), str(p))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: malformed file: {exc}") from None
-    return _as_mapping(data, str(p))
-
-
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load a full scenario file (YAML, or JSON as a YAML subset)."""
-    data = _load_structured(path)
-    treatment_name = data.get("treatment")
-    params = _resolve_params(data, treatment_name)
-    policies = parse_policies(data, params.n)
-    periods = int(data.get("periods", 30))
-    replications = int(data.get("replications", 1))
-    if periods < 1:
-        raise ConfigError("periods: must be at least 1")
-    if replications < 1:
-        raise ConfigError("replications: must be at least 1")
-    return ScenarioConfig(
-        params=params,
-        policies=policies,
-        periods=periods,
-        replications=replications,
-        seed=int(data.get("seed", 0)),
-        treatment_name=str(treatment_name) if treatment_name is not None else None,
-        out_dir=str(data["out"]) if "out" in data else None,
-    )
+    if "policies" in data:
+        raw = data["policies"]
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ConfigError(f"policies: expected a list of {n} entries")
+        return [_parse_policy(entry, f"policies[{k}]", n) for k, entry in enumerate(raw)]
+    if "policy" in data:
+        return [_parse_policy(data["policy"], "policy", n)] * n
+    if "effort" in data and "links" in data:
+        return [_parse_policy(data, "policy", n)] * n
+    raise ConfigError("policy: missing (give 'policy' or per-agent 'policies')")
 
 
 # --------------------------------------------------------------------------

@@ -1,20 +1,17 @@
 """Graph-structure predicates and statistics.
 
-Covers the nested-split-graph test (two independent implementations that
-must agree), architecture classification with an exact core-periphery
-search, summary statistics, and the symmetric-difference link distance
-used for near-equilibrium matching, in closed form against the named
-architectures.  Statistics and architecture distances take stacks of networks.
+Covers the nested-split-graph test, architecture classification with the
+core-periphery partition in closed form, and summary statistics and
+link distances to the named architectures, in closed form over stacks of
+networks (used for near-equilibrium matching).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .model import Network
 
 ARCHITECTURES = ("Empty", "Star", "Complete")
@@ -45,91 +42,42 @@ class ClassificationLabel:
     periphery: frozenset[int] | None = None
 
 
-def _nsg_quantifier(adj: np.ndarray) -> bool:
-    """Literal triple-quantifier reading of the nested-split condition.
-
-    For all i, l, k with k != i and k != l: a link i-l together with
-    deg(k) >= deg(l) forces the link i-k.
-    """
-    n = adj.shape[0]
-    deg = adj.sum(axis=1)
-    for i in range(n):
-        for l in range(n):
-            if not adj[i, l]:
-                continue
-            for k in range(n):
-                if k == i or k == l:
-                    continue
-                if deg[k] >= deg[l] and not adj[i, k]:
-                    return False
-    return True
-
-
-def _nsg_nesting(adj: np.ndarray) -> bool:
-    """Degree-ordered neighborhood-nesting check.
-
-    Equivalent formulation: whenever deg(k) >= deg(l), the neighborhood
-    of l (apart from k itself) must be contained in the neighborhood of k.
-    """
-    n = adj.shape[0]
-    deg = adj.sum(axis=1)
-    order = np.argsort(-deg, kind="stable")
-    for a in range(n):
-        k = order[a]
-        for b in range(n):
-            l = order[b]
-            if l == k or deg[k] < deg[l]:
-                continue
-            extra = adj[l] & ~adj[k]
-            extra[k] = False
-            if extra.any():
-                return False
-    return True
-
-
 def is_nested_split(network: Network) -> bool:
     """True iff the network is a nested-split graph.
 
-    Runs both the quantifier check and the neighborhood-nesting check and
-    insists they agree.
+    That is, whenever deg(k) >= deg(l), the neighborhood of l (apart from
+    k itself) is contained in the neighborhood of k.
     """
     adj = network.adjacency
-    a = _nsg_quantifier(adj)
-    b = _nsg_nesting(adj)
-    if a != b:  # pragma: no cover - would indicate an implementation bug
-        raise AssertionError(f"nested-split implementations disagree: {a} vs {b}")
-    return a
+    deg = adj.sum(axis=1)
+    for k in range(network.n):
+        lower = deg <= deg[k]
+        lower[k] = False
+        outside = ~adj[k]
+        outside[k] = False
+        if (adj[lower] & outside).any():
+            return False
+    return True
 
 
 def _core_periphery(adj: np.ndarray) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Exact search for a core-periphery bipartition, preferring the largest core.
+    """The core-periphery bipartition with the largest core, or None.
 
     Valid partition: core pairwise linked, periphery pairwise unlinked,
-    and every core node linked to every periphery node.
+    and every core node linked to every periphery node.  A core node is
+    then linked to every other node, so no core is larger than the set of
+    degree-(n-1) nodes, and a periphery containing such a node is that
+    node alone, which the all-core partition beats.  So the only
+    candidate is that set, and it is valid iff the rest is independent.
     """
-    n = adj.shape[0]
-    nodes = list(range(n))
-    best: tuple[frozenset[int], frozenset[int]] | None = None
-    for size in range(n, -1, -1):
-        for core in combinations(nodes, size):
-            core_set = set(core)
-            peri = [v for v in nodes if v not in core_set]
-            ok = all(adj[u, v] for u, v in combinations(core, 2))
-            if ok:
-                ok = not any(adj[u, v] for u, v in combinations(peri, 2))
-            if ok:
-                ok = all(adj[u, v] for u in core for v in peri)
-            if ok:
-                best = (frozenset(core_set), frozenset(peri))
-                break
-        if best is not None:
-            break
-    return best
+    core = adj.sum(axis=1) == adj.shape[0] - 1
+    if adj[np.ix_(~core, ~core)].any():
+        return None
+    return frozenset(np.flatnonzero(core).tolist()), frozenset(np.flatnonzero(~core).tolist())
 
 
 def classify(network: Network) -> ClassificationLabel:
     """Label a network as Empty, Complete, Star, OtherNestedSplit or NonNestedSplit."""
-    adj = network.adjacency
     n = network.n
     deg = network.degrees
     links = network.link_count()
@@ -143,7 +91,7 @@ def classify(network: Network) -> ClassificationLabel:
         label = "OtherNestedSplit"
     else:
         label = "NonNestedSplit"
-    partition = _core_periphery(adj) if n <= 9 else None
+    partition = _core_periphery(network.adjacency)
     if partition is None:
         return ClassificationLabel(label=label)
     return ClassificationLabel(label=label, core=partition[0], periphery=partition[1])
@@ -175,13 +123,6 @@ def period_stats(adjacency: np.ndarray) -> dict[str, np.ndarray]:
 def stats(network: Network) -> NetworkStats:
     """Link counts, degree summary, and average local clustering (see `period_stats`)."""
     return NetworkStats(**{k: v.item() for k, v in period_stats(network.adjacency).items()})
-
-
-def link_distance(a: Network, b: Network) -> int:
-    """Number of unordered pairs whose link status differs."""
-    if a.n != b.n:
-        raise DimensionMismatchError(f"networks have n={a.n} and n={b.n}")
-    return int(np.triu(a.adjacency ^ b.adjacency).sum())
 
 
 def architecture_distances(degrees: np.ndarray, architecture: str) -> np.ndarray:

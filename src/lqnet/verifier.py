@@ -17,7 +17,7 @@ everything else once per network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .equilibria import _with_kappa, balanced_sponsorship, nash_efforts
+from .equilibria import balanced_sponsorship, nash_efforts
 from .errors import LqnetError, OrientationBudgetError
 from .model import (
     EffortProfile,
@@ -108,30 +108,6 @@ def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport
         gain=gain,
     )
     return DeviationReport(is_nash=False, worst_deviation=dev, checked_deviations=checked)
-
-
-def deviation_gain(
-    params: GameParams, profile: StrategyProfile, agent: int, targets
-) -> tuple[float, float]:
-    """Gain and best-response effort for one specific intent-set deviation.
-
-    The deviating agent switches its intents to ``targets`` and plays the
-    best response to the resulting realized neighborhood (others fixed).
-    """
-    x = profile.efforts.efforts
-    m = profile.intents.matrix
-    target_set = set(int(t) for t in targets)
-    if agent in target_set or not target_set <= set(range(params.n)) - {agent}:
-        raise ValueError(f"invalid deviation targets {targets} for agent {agent}")
-    incoming = set(np.nonzero(m[:, agent])[0].tolist())
-    current_neighbors = incoming | set(np.nonzero(m[agent])[0].tolist())
-    s_cur = float(x[sorted(current_neighbors)].sum()) if current_neighbors else 0.0
-    cur = br_payoff(params, float(x[agent]), s_cur) - params.kappa * int(m[agent].sum())
-    realized = incoming | target_set
-    s_dev = float(x[sorted(realized)].sum()) if realized else 0.0
-    x_dev = float(best_response(params, s_dev))
-    dev = br_payoff(params, x_dev, s_dev) - params.kappa * len(target_set)
-    return dev - cur, x_dev
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +255,7 @@ class SupportSearch:
             witness = self._verdicts[key]
             if witness is None:
                 return False
-            if self._check(_with_kappa(self.params, kappa), witness.intents.matrix) is not None:
+            if self._check(replace(self.params, kappa=kappa), witness.intents.matrix) is not None:
                 return True
         witness = self.report(kappa).witness
         self._verdicts[key] = witness
@@ -295,7 +271,7 @@ class SupportSearch:
         counts warm starts plus search-tree assignments; past ``budget`` the
         search raises instead of guessing.
         """
-        params = _with_kappa(self.params, kappa)
+        params = replace(self.params, kappa=kappa)
         network, n, edges, deg = self.network, self.network.n, self.edges, self.deg
 
         def check(sponsors) -> StrategyProfile | None:
@@ -460,26 +436,10 @@ def enumerate_candidates(n: int) -> list[Network]:
     return [Network.empty(n), Network.star(n), Network.complete(n)]
 
 
-def enumerate_ne_networks(
-    params: GameParams, candidates: list[Network] | None = None
-) -> list[NESupportReport]:
-    """Support report per candidate network, deduplicated up to isomorphism.
+def enumerate_ne_networks(params: GameParams) -> list[NESupportReport]:
+    """Support report of each candidate network (see `enumerate_candidates`).
 
-    For n <= 5 the default candidate set is the complete non-isomorphic
-    atlas; for larger groups it is empty/star/complete plus any supplied
-    candidates.
+    The candidates are pairwise non-isomorphic: for n <= 5 the full
+    atlas, otherwise the empty, star and complete networks.
     """
-    base = enumerate_candidates(params.n)
-    if candidates:
-        base = base + list(candidates)
-    unique: list[Network] = []
-    seen_keys: set = set()
-    for net in base:
-        if net.n != params.n:
-            raise LqnetError(f"candidate has n={net.n}, params expect n={params.n}")
-        key = canonical_form(net) if params.n <= MAX_CANONICAL_N else _network_bits(net)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        unique.append(net)
-    return [ne_supportable(params, net) for net in unique]
+    return [ne_supportable(params, net) for net in enumerate_candidates(params.n)]

@@ -62,6 +62,64 @@ def oracle_gross_payoff(theta, beta, lam, x_own, neighbor_sum):
     return theta * x_own - 0.5 * beta * x_own**2 + lam * x_own * neighbor_sum
 
 
+def oracle_gross_welfare(params, efforts, network):
+    """Total payoff before link costs, which are fixed once the network is."""
+    x = np.asarray(efforts, dtype=float)
+    sums = network.adjacency.astype(float) @ x
+    return float(sum(
+        oracle_gross_payoff(params.theta, params.beta, params.lam, x[i], sums[i])
+        for i in range(params.n)
+    ))
+
+
+def oracle_deviation_gain(params, profile, agent, targets):
+    """Gain and best-reply effort of ``agent`` switching its intents to ``targets``.
+
+    The others' efforts and intents stay fixed; the deviator plays the
+    clipped best reply to its new realized neighborhood.
+    """
+    x = profile.efforts.efforts
+    m = profile.intents.matrix
+
+    def payoff(effort, neighbors, sponsored):
+        s = float(x[sorted(neighbors)].sum())
+        gross = oracle_gross_payoff(params.theta, params.beta, params.lam, effort, s)
+        return gross - params.kappa * sponsored
+
+    incoming = set(np.flatnonzero(m[:, agent]).tolist())
+    current = payoff(x[agent], incoming | set(np.flatnonzero(m[agent]).tolist()), m[agent].sum())
+    realized = incoming | {int(t) for t in targets}
+    s = float(x[sorted(realized)].sum())
+    effort = min(max((params.theta + params.lam * s) / params.beta, params.effort_min),
+                 params.effort_max)
+    return payoff(effort, realized, len(targets)) - current, effort
+
+
+def oracle_nested_split(adj):
+    """Literal triple-quantifier reading of the nested-split condition.
+
+    For all i, l, k with k != i and k != l: a link i-l together with
+    deg(k) >= deg(l) forces the link i-k.
+    """
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    for i in range(n):
+        for l in range(n):
+            if not adj[i, l]:
+                continue
+            for k in range(n):
+                if k == i or k == l:
+                    continue
+                if deg[k] >= deg[l] and not adj[i, k]:
+                    return False
+    return True
+
+
+def oracle_link_distance(a, b):
+    """Number of unordered pairs whose link status differs between two networks."""
+    return int(np.triu(a.adjacency ^ b.adjacency).sum())
+
+
 def oracle_spectral_radius(adjacency, rel_tol=1e-12, max_iter=1000):
     """Largest adjacency eigenvalue by power iteration from the all-ones vector.
 
@@ -169,11 +227,11 @@ def oracle_run_session(params, policies, T, seed):
             )
         for i in range(n):
             intents[t, i] = _agent_links(policy_list[i].link_rule, i, prev_x, intents[t - 1, i], params, rng)
-    payoffs = np.stack([_period_payoffs(params, efforts[t], intents[t]) for t in range(T)])
+    payoffs = np.stack([oracle_period_payoffs(params, efforts[t], intents[t]) for t in range(T)])
     return efforts, intents, payoffs
 
 
-def _period_payoffs(params, x, intents):
+def oracle_period_payoffs(params, x, intents):
     """(own_benefit, effort_cost, spillover, link_cost, total) of each agent in one period."""
     neighbor_sums = (intents | intents.T) @ x
     own = params.theta * x
@@ -181,6 +239,14 @@ def _period_payoffs(params, x, intents):
     spill = params.lam * x * neighbor_sums
     links = params.kappa * intents.sum(axis=1).astype(float)
     return np.column_stack([own, cost, spill, links, own - cost + spill - links])
+
+
+def oracle_replay_payoffs(record):
+    """Every period's payoff components of ``record``, recomputed from its stored decisions."""
+    return np.stack(
+        [oracle_period_payoffs(record.params, record.efforts[t], record.intents[t])
+         for t in range(record.T)]
+    )
 
 
 def _ids_join(indices):

@@ -19,7 +19,6 @@ from lqnet.dynamics import (
     EffortRule,
     LinkRule,
     batch_run,
-    replay_payoffs,
     run_session,
 )
 from lqnet.equilibria import (
@@ -37,8 +36,10 @@ from lqnet.model import (
     link_benefit,
     realize_network,
 )
-from lqnet.structure import _nsg_nesting, _nsg_quantifier, classify
+from lqnet.structure import classify, is_nested_split
 from lqnet.verifier import enumerate_ne_networks, graph_atlas, verify_nash
+
+from helpers import oracle_nested_split, oracle_replay_payoffs
 
 ALL_TREATMENTS = ("N5_LowCost", "N5_HighCost", "N9_LowCost1", "N9_LowCost2", "N9_HighCost")
 HIGH_COST = ("N5_HighCost", "N9_HighCost")
@@ -235,15 +236,16 @@ def test_criterion_07_dynamics_convergence_and_recovery():
 
 def test_criterion_08_property_suites():
     """Structural and replay property batteries."""
-    # nested-split dual implementations agree on the atlas and 1000 random graphs
+    # the nested-split check agrees with its quantifier oracle on the atlas
+    # and 1000 random graphs
     for net in graph_atlas(5):
-        assert _nsg_quantifier(net.adjacency) == _nsg_nesting(net.adjacency)
+        assert is_nested_split(net) == oracle_nested_split(net.adjacency)
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         n = int(rng.integers(2, 10))
         m = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
-        adj = m | m.T
-        assert _nsg_quantifier(adj) == _nsg_nesting(adj)
+        net = Network(m | m.T)
+        assert is_nested_split(net) == oracle_nested_split(net.adjacency)
 
     # every certified equilibrium network is a nested-split graph, and
     # every certified profile rejects all one-agent effort perturbations
@@ -252,7 +254,7 @@ def test_criterion_08_property_suites():
         for report in enumerate_ne_networks(params):
             if not report.supportable:
                 continue
-            assert _nsg_quantifier(report.network.adjacency)
+            assert oracle_nested_split(report.network.adjacency)
             witness = report.witness
             for i in range(params.n):
                 for delta in (-0.5, 0.5):
@@ -269,7 +271,7 @@ def test_criterion_08_property_suites():
         EffortRule.from_preset("N9_LowCost1", noise_sd=0.5), LinkRule.rank_top(5)
     )
     for record in batch_run(params, policy, 30, replications=5, base_seed=9):
-        assert np.array_equal(replay_payoffs(record), record.payoffs)
+        assert np.array_equal(oracle_replay_payoffs(record), record.payoffs)
 
     # realized networks are symmetric with a false diagonal
     rng = np.random.default_rng(7)

@@ -139,6 +139,13 @@ class TestClassify:
         assert payload["core"] == [1]
         assert payload["stats"]["link_count"] == 4
 
+    def test_named_star_beyond_nine_reports_core(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--network", "star", "--n", "12")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["core"] == [1]
+        assert payload["periphery"] == list(range(2, 13))
+
     def test_self_loop_edge_exit_one(self, capsys, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"n": 5, "edges": [[1, 2], [1, 1]]}))
@@ -202,6 +209,18 @@ class TestSimulateAnalyze:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be at least 1, got 0\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(self.POLICY)
+        code, out, err = run_cli(
+            capsys, "simulate", "--treatment", "N9_LowCost1", "--policy", str(policy_path),
+            "--seed", "-1", "--out", str(tmp_path / "runs"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
         assert not (tmp_path / "runs").exists()
 
     def test_analyze_twice_on_one_directory(self, capsys, tmp_path):

@@ -12,7 +12,6 @@ from lqnet.dynamics import (
     LogisticCoefficients,
     SessionRecord,
     batch_run,
-    replay_payoffs,
     run_session,
     step_effort,
     step_links,
@@ -23,7 +22,7 @@ from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import LqnetError
 from lqnet.model import GameParams, Network, get_treatment
 
-from helpers import oracle_complete_nash, oracle_run_session
+from helpers import oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
 
 P5 = get_treatment("N5_LowCost").params
 P9 = get_treatment("N9_LowCost1").params
@@ -231,7 +230,7 @@ class TestRunSession:
             LinkRule.logistic(LOGIT_PRESETS["rank"]),
         )
         rec = run_session(get_treatment("N5_HighCost").params, pol, 30, seed=13)
-        assert np.array_equal(replay_payoffs(rec), rec.payoffs)
+        assert np.array_equal(oracle_replay_payoffs(rec), rec.payoffs)
 
     def test_conformity_slows_decline_from_above(self):
         # starting above equilibrium on a frozen incomplete network, the

@@ -8,7 +8,6 @@ from lqnet.equilibria import (
     cost_thresholds,
     efficient_efforts,
     equilibrium_payoffs,
-    gross_welfare,
     nash_efforts,
     single_link_deviation_threshold,
     spectral_radius,
@@ -24,6 +23,7 @@ from lqnet.model import (
 
 from helpers import (
     oracle_complete_nash,
+    oracle_gross_welfare,
     oracle_spectral_radius,
     oracle_star_efficient,
     oracle_star_nash,
@@ -173,8 +173,8 @@ class TestEfficientEfforts:
                 theta=10.0, beta=4.0, lam=float(rng.uniform(0.05, 0.45)), kappa=1.0, n=n
             )
             net = random_network(rng, n, p=float(rng.uniform(0.1, 0.9)))
-            w_eff = gross_welfare(p, efficient_efforts(p, net).efforts.efforts, net)
-            w_nash = gross_welfare(p, nash_efforts(p, net).efforts.efforts, net)
+            w_eff = oracle_gross_welfare(p, efficient_efforts(p, net).efforts.efforts, net)
+            w_nash = oracle_gross_welfare(p, nash_efforts(p, net).efforts.efforts, net)
             assert w_eff >= w_nash - 1e-9
 
     def test_componentwise_dominance_on_treatment_networks(self):

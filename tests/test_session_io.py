@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from lqnet.dynamics import LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, batch_run, run_session
-from lqnet.errors import ConfigError, LqnetError, SchemaVersionError, UnknownTreatmentError
+from lqnet.errors import ConfigError, LqnetError, SchemaVersionError
 from lqnet.model import GameParams, IntentProfile, Network, get_treatment
 from lqnet.session_io import (
     intents_from_obj,
     intents_to_obj,
     load_network,
     load_policies,
-    load_scenario,
     network_from_obj,
     network_to_obj,
     profile_from_obj,
@@ -223,45 +222,13 @@ class TestNeighborIdCheck:
 
 
 class TestScenarioLoading:
-    def test_treatment_resolution(self, tmp_path):
-        path = tmp_path / "s.yaml"
-        path.write_text(
-            "treatment: N9_HighCost\n"
-            "periods: 12\n"
-            "replications: 4\n"
-            "seed: 7\n"
-            "out: runs/demo\n"
-            "policy:\n"
-            "  effort: {preset: N9_HighCost, noise_sd: 0.3}\n"
-            "  links: {kind: rank_top, k: 4}\n"
-        )
-        cfg = load_scenario(path)
-        assert cfg.params == get_treatment("N9_HighCost").params
-        assert cfg.periods == 12 and cfg.replications == 4 and cfg.seed == 7
-        assert cfg.treatment_name == "N9_HighCost"
-        assert cfg.out_dir == "runs/demo"
-        assert len(cfg.policies) == 9
-        assert cfg.policies[0].effort_rule.b1 == 0.763
-
-    def test_param_override(self, tmp_path):
-        path = tmp_path / "s.yaml"
-        path.write_text(
-            "treatment: N5_LowCost\n"
-            "params: {kappa: 0.0}\n"
-            "policy:\n"
-            "  effort: {b0: 0.0, b1: 1.0, b2: 0.0}\n"
-            "  links: {kind: benefit_threshold}\n"
-        )
-        cfg = load_scenario(path)
-        assert cfg.params.kappa == 0.0
-        assert cfg.params.lam == 0.4
+    """Policy files, the agents' rules that ``lqnet simulate --policy`` reads."""
 
     def test_json_accepted(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(
             json.dumps(
                 {
-                    "params": {"theta": 10, "beta": 4, "lambda": 0.3, "kappa": 1, "n": 4},
                     "policy": {
                         "effort": {"b0": 0.1, "b1": 0.8, "b2": 0.0},
                         "links": {"kind": "logistic", "preset": "benefit"},
@@ -269,32 +236,24 @@ class TestScenarioLoading:
                 }
             )
         )
-        cfg = load_scenario(path)
-        assert cfg.params.n == 4 and cfg.treatment_name is None
-        assert cfg.policies[0].link_rule.kind == "logistic"
-
-    def test_unknown_treatment(self, tmp_path):
-        path = tmp_path / "s.yaml"
-        path.write_text("treatment: N7_Whatever\npolicy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top, k: 1}\n")
-        with pytest.raises(UnknownTreatmentError):
-            load_scenario(path)
+        policies = load_policies(path, 4)
+        assert len(policies) == 4
+        assert policies[0].link_rule.kind == "logistic"
 
     @pytest.mark.parametrize(
         "body,fragment",
         [
-            ("params: {kappa: 1}\npolicy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top, k: 1}\n", "params.theta"),
-            ("treatment: N5_LowCost\nparams: {gamma: 2}\npolicy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top, k: 1}\n", "params.gamma"),
-            ("treatment: N5_LowCost\npolicy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: teleport}\n", "policy.links.kind"),
-            ("treatment: N5_LowCost\npolicy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top}\n", "policy.links.k"),
-            ("treatment: N5_LowCost\npolicy:\n  effort: {b0: 0, b2: 0}\n  links: {kind: rank_top, k: 1}\n", "policy.effort.b1"),
-            ("treatment: N5_LowCost\nperiods: 0\npolicy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top, k: 1}\n", "periods"),
+            ("policy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: teleport}\n", "policy.links.kind"),
+            ("policy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top}\n", "policy.links.k"),
+            ("policy:\n  effort: {b0: 0, b2: 0}\n  links: {kind: rank_top, k: 1}\n", "policy.effort.b1"),
         ],
+        ids=["policy.links.kind", "policy.links.k", "policy.effort.b1"],
     )
     def test_errors_carry_field_paths(self, tmp_path, body, fragment):
         path = tmp_path / "bad.yaml"
         path.write_text(body)
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
-            load_scenario(path)
+            load_policies(path, 5)
 
     def test_per_agent_policies(self, tmp_path):
         path = tmp_path / "s.yaml"
@@ -302,9 +261,8 @@ class TestScenarioLoading:
             "  - effort: {b0: 0, b1: 1, b2: 0}\n    links: {kind: rank_top, k: %d}" % k
             for k in range(1, 6)
         )
-        path.write_text(f"treatment: N5_LowCost\npolicies:\n{entries}\n")
-        cfg = load_scenario(path)
-        assert [p.link_rule.k for p in cfg.policies] == [1, 2, 3, 4, 5]
+        path.write_text(f"policies:\n{entries}\n")
+        assert [p.link_rule.k for p in load_policies(path, 5)] == [1, 2, 3, 4, 5]
 
     def test_policy_file_with_odds_ratios(self, tmp_path):
         path = tmp_path / "pol.yaml"

@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqnet.errors import DimensionMismatchError
 from lqnet.model import Network
-from lqnet.structure import (
-    _nsg_nesting,
-    _nsg_quantifier,
-    architecture_distance,
-    classify,
-    is_nested_split,
-    link_distance,
-    stats,
-)
+from lqnet.structure import architecture_distance, classify, is_nested_split, stats
 from lqnet.verifier import graph_atlas
+
+from helpers import oracle_link_distance, oracle_nested_split
 
 
 def random_network(rng, n, p=0.4):
@@ -64,14 +57,14 @@ class TestNestedSplit:
         atlas = graph_atlas(5)
         assert len(atlas) == 34
         for net in atlas:
-            assert _nsg_quantifier(net.adjacency) == _nsg_nesting(net.adjacency)
+            assert is_nested_split(net) == oracle_nested_split(net.adjacency)
 
     def test_implementations_agree_on_random_graphs(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
             n = int(rng.integers(2, 10))
             net = random_network(rng, n, p=float(rng.uniform(0.1, 0.9)))
-            assert _nsg_quantifier(net.adjacency) == _nsg_nesting(net.adjacency)
+            assert is_nested_split(net) == oracle_nested_split(net.adjacency)
 
 
 class TestClassify:
@@ -106,18 +99,40 @@ class TestClassify:
         assert brute_core_periphery(path, min_core=2) == []
         assert label.core is None or len(label.core) < 2
 
+    @staticmethod
+    def assert_partition_matches_bruteforce(net):
+        label = classify(net)
+        brute = brute_core_periphery(net)
+        if label.core is None:
+            assert brute == []
+        else:
+            assert (set(label.core), set(label.periphery)) in brute
+            assert len(label.core) == max(len(c) for c, _ in brute)
+
+    def test_partition_matches_bruteforce_on_every_labelled_graph(self):
+        for n in range(2, 6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [pair for k, pair in enumerate(pairs) if (bits >> k) & 1]
+                self.assert_partition_matches_bruteforce(Network.from_edges(n, edges))
+
     def test_partition_matches_bruteforce_on_random_graphs(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 8))
+        for _ in range(60):
+            n = int(rng.integers(6, 13))
             net = random_network(rng, n, p=float(rng.uniform(0.2, 0.8)))
-            label = classify(net)
-            brute = brute_core_periphery(net)
-            if label.core is None:
-                assert brute == []
-            else:
-                assert (set(label.core), set(label.periphery)) in brute
-                assert len(label.core) == max(len(c) for c, _ in brute)
+            self.assert_partition_matches_bruteforce(net)
+        # complete split graphs, and the same with one pair's link status flipped
+        for _ in range(40):
+            n = int(rng.integers(6, 13))
+            core = int(rng.integers(0, n + 1))
+            adj = np.zeros((n, n), dtype=bool)
+            adj[:core] = adj[:, :core] = True
+            np.fill_diagonal(adj, False)
+            self.assert_partition_matches_bruteforce(Network(adj))
+            i, j = rng.choice(n, 2, replace=False)
+            adj[i, j] = adj[j, i] = not adj[i, j]
+            self.assert_partition_matches_bruteforce(Network(adj))
 
     def test_other_nested_split(self):
         net = Network.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
@@ -162,32 +177,41 @@ class TestStats:
 class TestLinkDistance:
     def test_identical(self):
         net = Network.star(5)
-        assert link_distance(net, net) == 0
+        assert oracle_link_distance(net, net) == 0
 
     def test_one_edge_removed(self):
         full = Network.complete(5)
         minus = Network.from_edges(5, [e for e in full.edges() if e != (0, 1)])
-        assert link_distance(full, minus) == 1
+        assert oracle_link_distance(full, minus) == 1
 
     def test_empty_vs_star(self):
-        assert link_distance(Network.empty(5), Network.star(5)) == 4
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            link_distance(Network.empty(4), Network.empty(5))
+        assert oracle_link_distance(Network.empty(5), Network.star(5)) == 4
 
     @given(st.integers(min_value=0, max_value=2**30))
     @settings(max_examples=200, deadline=None)
     def test_metric_on_random_triples(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (random_network(rng, 6) for _ in range(3))
-        dab, dbc, dac = link_distance(a, b), link_distance(b, c), link_distance(a, c)
-        assert dab >= 0 and dab == link_distance(b, a)
+        dab, dbc, dac = oracle_link_distance(a, b), oracle_link_distance(b, c), oracle_link_distance(a, c)
+        assert dab >= 0 and dab == oracle_link_distance(b, a)
         assert dac <= dab + dbc
         assert (dab == 0) == np.array_equal(a.adjacency, b.adjacency)
 
 
 class TestArchitectureDistance:
+    def test_matches_link_distance_to_nearest_named_network(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(2, 10))
+            net = random_network(rng, n, p=float(rng.uniform(0.1, 0.9)))
+            assert architecture_distance(net, "Empty") == oracle_link_distance(net, Network.empty(n))
+            assert architecture_distance(net, "Complete") == oracle_link_distance(
+                net, Network.complete(n)
+            )
+            assert architecture_distance(net, "Star") == min(
+                oracle_link_distance(net, Network.star(n, center=c)) for c in range(n)
+            )
+
     def test_star_uses_best_center(self):
         assert architecture_distance(Network.star(5, center=3), "Star") == 0
 

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lqnet.equilibria import _with_kappa, balanced_sponsorship, nash_efforts
+from lqnet.equilibria import balanced_sponsorship, nash_efforts
 from lqnet.errors import LqnetError, OrientationBudgetError
 from lqnet.model import (
     EffortProfile,
@@ -19,14 +20,14 @@ from lqnet.verifier import (
     DeviationReport,
     SupportSearch,
     canonical_form,
-    deviation_gain,
+    enumerate_candidates,
     enumerate_ne_networks,
     graph_atlas,
     ne_supportable,
     verify_nash,
 )
 
-from helpers import make_profile, oracle_complete_nash
+from helpers import make_profile, oracle_complete_nash, oracle_deviation_gain
 
 
 def nash_profile(params, network, sponsorship=None):
@@ -48,7 +49,7 @@ class TestVerifyNash:
         profile = make_profile([2.5] * 5, [], 5)
         report = verify_nash(p, profile)
         assert not report.is_nash
-        gain, effort = deviation_gain(p, profile, 0, [1])
+        gain, effort = oracle_deviation_gain(p, profile, 0, [1])
         assert gain == pytest.approx(15.125 - 1.0 - 12.5, abs=1e-12)
         assert effort == pytest.approx(2.75, abs=1e-12)
         # the best deviation adds every link at once
@@ -63,7 +64,7 @@ class TestVerifyNash:
         profile = make_profile([2.5] * 5, [], 5)
         report = verify_nash(p, profile)
         assert report.is_nash
-        gain, _ = deviation_gain(p, profile, 2, [0])
+        gain, _ = oracle_deviation_gain(p, profile, 2, [0])
         assert gain == pytest.approx(15.125 - 3.9 - 12.5, abs=1e-12)
 
     def test_effort_only_deviation_gain_closed_form(self):
@@ -81,7 +82,7 @@ class TestVerifyNash:
             actual_delta = x[i] - profile.efforts.efforts[i]
             bumped = StrategyProfile(EffortProfile(x), profile.intents)
             targets = np.nonzero(profile.intents.matrix[i])[0]
-            gain, _ = deviation_gain(p, bumped, i, targets)
+            gain, _ = oracle_deviation_gain(p, bumped, i, targets)
             assert gain == pytest.approx(0.5 * p.beta * actual_delta**2, abs=1e-9)
 
     def test_perturbed_equilibrium_rejected(self):
@@ -199,7 +200,7 @@ class TestSupportSearch:
         for net in networks:
             search = SupportSearch(p, net)
             for k in kappas:
-                fresh = ne_supportable(_with_kappa(p, k), net).supportable
+                fresh = ne_supportable(replace(p, kappa=k), net).supportable
                 assert search.supportable(k) == fresh, (net.edges(), k)
 
     def _count_reports(self, monkeypatch):
@@ -274,16 +275,10 @@ class TestEnumerate:
                 if report.supportable:
                     assert is_nested_split(report.network)
 
-    def test_caller_candidates_deduplicated(self):
-        p = get_treatment("N9_HighCost").params
-        extra = [Network.star(9, center=4), Network.complete(9)]
-        reports = enumerate_ne_networks(p, candidates=extra)
-        assert len(reports) == 3 + 1  # star relabeled is new only as exact matrix
-
-    def test_rejects_wrong_size_candidate(self):
-        p = get_treatment("N9_HighCost").params
-        with pytest.raises(LqnetError):
-            enumerate_ne_networks(p, candidates=[Network.star(5)])
+    def test_candidates_pairwise_non_isomorphic(self):
+        for n in range(2, 8):
+            forms = [canonical_form(net) for net in enumerate_candidates(n)]
+            assert len(set(forms)) == len(forms)
 
 
 class TestCanonicalForm:
