@@ -51,7 +51,7 @@ def _emit(obj) -> None:
 
 def _clean(value):
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return "inf" if value > 0 else "-inf"
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, np.ndarray):
@@ -153,7 +153,7 @@ def _cmd_classify(args) -> int:
         _clean(
             {
                 "label": label.label,
-                "nested_split": structure.is_nested_split(network),
+                "nested_split": label.label != "NonNestedSplit",
                 "core": sorted(v + 1 for v in label.core) if label.core is not None else None,
                 "periphery": sorted(v + 1 for v in label.periphery)
                 if label.periphery is not None
@@ -256,12 +256,8 @@ def _write_summary_csv(summary: analysis.TreatmentSummary, path: Path) -> None:
 
 
 def _cmd_thresholds(args) -> int:
-    if args.grid_points < 2:
-        return _usage_error(f"--grid-points must be at least 2, got {args.grid_points}")
     treatment = get_treatment(args.treatment)
-    result = equilibria.cost_thresholds(
-        treatment.params, grid_points=args.grid_points
-    )
+    result = equilibria.cost_thresholds(treatment.params)
     _emit(
         _clean(
             {
@@ -320,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="linking-cost cutoffs for equilibrium support")
     p.add_argument("--treatment", required=True)
-    p.add_argument("--grid-points", type=int, default=161)
     p.set_defaults(func=_cmd_thresholds)
 
     return parser

@@ -23,9 +23,8 @@ from .model import (
     GameParams,
     IntentProfile,
     Network,
-    StrategyProfile,
     best_response,
-    payoff,
+    br_payoff,
     payoff_components,
     realize_network,
 )
@@ -267,133 +266,53 @@ def equilibrium_payoffs(
 # linking-cost thresholds
 # --------------------------------------------------------------------------
 
-def single_link_deviation_threshold(params: GameParams, tol: float = 1e-9) -> float:
+def single_link_deviation_threshold(params: GameParams) -> float:
     """Linking cost at which one added link stops paying off from the empty profile.
 
-    Everyone plays the empty-network equilibrium effort; one agent initiates
-    a single link and re-optimizes effort.  The gain is strictly decreasing
-    in kappa; the switch point is found by bisection through the payoff
-    engine.  This is the one-link margin only - deviations adding several
-    links at once stay profitable up to a higher cost (see
-    `cost_thresholds` for the full-predicate switch).
+    Everyone plays the empty-network effort ``b = theta/beta``; one agent
+    initiates a single link and re-optimizes effort, gaining ``V(b) -
+    br_payoff(b, 0) - kappa`` with ``V(s) = br_payoff(best_response(s), s)``,
+    so the switch is the kappa-free first two terms.  This is the one-link
+    margin only - deviations adding several links at once stay profitable
+    up to a higher cost (see `cost_thresholds` for the full-predicate
+    switch).
     """
-    def gain(kappa: float) -> float:
-        p = replace(params, kappa=kappa)
-        base = p.theta / p.beta
-        stay = payoff(
-            p,
-            StrategyProfile(EffortProfile.constant(p.n, base), IntentProfile.none(p.n)),
-            0,
-        ).total
-        efforts = np.full(p.n, base)
-        efforts[0] = best_response(p, base)
-        dev = payoff(
-            p,
-            StrategyProfile(
-                EffortProfile(efforts), IntentProfile.from_pairs(p.n, [(0, 1)])
-            ),
-            0,
-        ).total
-        return dev - stay
-
-    lo, hi = 0.0, 1.0
-    while gain(hi) > 0:
-        hi *= 2.0
-        if hi > 1e6:  # pragma: no cover
-            raise LqnetError("single-link deviation stayed profitable up to kappa=1e6")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gain(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    base = params.theta / params.beta
+    return float(
+        br_payoff(params, best_response(params, base), base) - br_payoff(params, base, 0.0)
+    )
 
 
-def cost_thresholds(
-    params: GameParams,
-    architectures: list[Network] | None = None,
-    bracket: tuple[float, float] = (0.0, 20.0),
-    grid_points: int = 161,
-    tol: float = 1e-6,
-) -> CostThresholds:
+def cost_thresholds(params: GameParams) -> CostThresholds:
     """Linking-cost cutoffs bounding the multiple-equilibria region.
 
-    ``kappa1`` is the smallest cost at which any non-complete candidate
-    architecture becomes equilibrium-supportable; ``kappa2`` the cost at
-    which the complete network stops being supportable.  The kappa field
-    of ``params`` is ignored; each architecture's switch is located on a
-    grid and sharpened by bisection on the verifier's support predicate,
-    asked of one `SupportSearch` per architecture.
-    The empty and complete predicates are checked for monotonicity on the
-    grid first; a violation raises rather than returning a silent value.
+    Each candidate architecture (`verifier.enumerate_candidates`) reports
+    the exact costs where it is equilibrium-supportable, as closed
+    intervals (`SupportSearch.intervals`), with ``onset`` the first lower
+    end and ``offset`` the last upper end (``inf`` and ``-inf`` when it is
+    never supportable).  ``kappa1`` is the least onset of a non-complete
+    architecture; ``kappa2`` is the complete network's offset.  The kappa
+    field of ``params`` is ignored.
     """
     from .structure import classify
     from .verifier import SupportSearch, enumerate_candidates
 
-    if architectures is None:
-        architectures = enumerate_candidates(params.n)
-    kappas = np.linspace(bracket[0], bracket[1], grid_points)
-
-    notes: dict = {
-        "bracket": bracket,
-        "grid_points": grid_points,
-        "architectures": [],
+    entries = []
+    for network in enumerate_candidates(params.n):
+        intervals = SupportSearch(params, network).intervals()
+        entries.append(
+            {
+                "label": classify(network).label,
+                "links": network.link_count(),
+                "intervals": intervals,
+                "onset": intervals[0][0] if intervals else math.inf,
+                "offset": intervals[-1][1] if intervals else -math.inf,
+            }
+        )
+    kappa1 = min((e["onset"] for e in entries if e["label"] != "Complete"), default=math.inf)
+    kappa2 = next(e["offset"] for e in entries if e["label"] == "Complete")
+    notes = {
+        "architectures": entries,
         "empty_single_link_threshold": single_link_deviation_threshold(params),
     }
-    kappa1 = math.inf
-    kappa2 = math.inf
-    for network in architectures:
-        label = classify(network).label
-        supportable = SupportSearch(params, network).supportable
-        pattern = [supportable(float(k)) for k in kappas]
-        entry: dict = {
-            "label": label,
-            "links": network.link_count(),
-            "grid_pattern": "".join("1" if b else "0" for b in pattern),
-        }
-        if label in ("Empty", "Complete"):
-            expected_monotone = (
-                all(not a or b for a, b in zip(pattern, pattern[1:]))
-                if label == "Empty"
-                else all(a or not b for a, b in zip(pattern, pattern[1:]))
-            )
-            if not expected_monotone:
-                raise LqnetError(
-                    f"support predicate for {label} not monotone on grid: "
-                    f"{entry['grid_pattern']}"
-                )
-        if label == "Complete":
-            if pattern[-1]:
-                entry["offset"] = math.inf
-            else:
-                idx = pattern.index(False)
-                lo = kappas[idx - 1] if idx > 0 else bracket[0]
-                hi = kappas[idx]
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    if supportable(mid):
-                        lo = mid
-                    else:
-                        hi = mid
-                entry["offset"] = 0.5 * (lo + hi)
-                kappa2 = min(kappa2, entry["offset"])
-        else:
-            if not any(pattern):
-                entry["onset"] = math.inf
-            else:
-                idx = pattern.index(True)
-                if idx == 0:
-                    entry["onset"] = bracket[0]
-                else:
-                    lo, hi = kappas[idx - 1], kappas[idx]
-                    while hi - lo > tol:
-                        mid = 0.5 * (lo + hi)
-                        if supportable(mid):
-                            hi = mid
-                        else:
-                            lo = mid
-                    entry["onset"] = 0.5 * (lo + hi)
-            kappa1 = min(kappa1, entry["onset"])
-        notes["architectures"].append(entry)
     return CostThresholds(kappa1=kappa1, kappa2=kappa2, method_notes=notes)

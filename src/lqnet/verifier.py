@@ -12,11 +12,15 @@ sponsorship orientations (one sponsor per link): greedy warm starts
 first, then backtracking over per-edge sponsor assignments constrained to
 each agent's stable sponsor sets, under a hard node budget.  Only the
 stable-set filter depends on the linking cost, so `SupportSearch` builds
-everything else once per network.
+everything else once per network.  Each stable-set condition is affine in
+the cost, so the costs where a network is supportable are a union of
+closed intervals whose ends come from the sponsor tables
+(`SupportSearch.intervals`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, permutations
@@ -201,6 +205,25 @@ def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.n
     return families
 
 
+def _row_ends(t: _SponsorTable) -> np.ndarray:
+    """The finite ends of the κ >= 0 ranges where the rows of ``t`` are stable.
+
+    Row r is stable when ``full_payoff - κ·counts + DEVIATION_TOL`` is at
+    least ``incoming_payoff`` and every ``prefix_payoff - κ·prefix_counts``.
+    Each condition reads ``a·κ <= b``, so the stable κ of a row form one
+    closed interval, possibly empty.
+    """
+    slack = t.full_payoff + DEVIATION_TOL
+    a = np.column_stack([t.counts, t.counts[:, None] - t.prefix_counts]).astype(float)
+    b = np.column_stack([slack - t.incoming_payoff, slack - t.prefix_payoff])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = b / a
+    lo = np.where(a < 0, ratio, 0.0).max(axis=1)
+    hi = np.where(a > 0, ratio, np.inf).min(axis=1)
+    stable = (lo <= hi) & np.all((a != 0) | (b >= 0), axis=1)
+    return np.concatenate([lo[stable & (lo > 0)], hi[stable & (hi < np.inf)]])
+
+
 def _drop_all_prunes(params: GameParams, x: np.ndarray, intents: np.ndarray) -> bool:
     """True if some agent profits from withdrawing all its sponsorships."""
     current = br_payoff(params, x, (intents | intents.T) @ x) - params.kappa * intents.sum(axis=1)
@@ -212,12 +235,10 @@ class SupportSearch:
     """One network's κ-free support state, queried at any linking cost.
 
     Efforts are fixed at the network's equilibrium values, so they, the
-    two greedy warm starts (lower-degree endpoint sponsors; balanced
+    distinct greedy warm starts (lower-degree endpoint sponsors; balanced
     assignment) and the sponsor tables are built once.  `report` searches
-    the orientations at one κ; `supportable` memoizes verdicts by the
-    per-agent stable families at κ.  Equal families give an equal search
-    space, so a stored negative verdict is reused, while a stored witness
-    is re-confirmed at the new κ and the full search runs if it fails.
+    the orientations at one κ; `intervals` gives every κ where the network
+    is supportable.
     """
 
     def __init__(self, params: GameParams, network: Network) -> None:
@@ -229,68 +250,72 @@ class SupportSearch:
         self.warm: list[tuple[int, ...]] = [()]
         if edges:
             balanced = balanced_sponsorship(network).matrix
-            self.warm = [
-                tuple(i if (deg[i], i) <= (deg[j], j) else j for i, j in edges),
-                tuple(i if balanced[i, j] else j for i, j in edges),
-            ]
-        self._verdicts: dict = {}
+            lower = tuple(i if (deg[i], i) <= (deg[j], j) else j for i, j in edges)
+            even = tuple(i if balanced[i, j] else j for i, j in edges)
+            self.warm = list(dict.fromkeys([lower, even]))
 
     @cached_property
     def tables(self) -> list[_SponsorTable]:
         return _sponsor_tables(self.params, self.x, self.network)
 
-    def _check(self, params: GameParams, intents_m: np.ndarray) -> StrategyProfile | None:
-        if _drop_all_prunes(params, self.x, intents_m):
-            return None
-        profile = StrategyProfile(EffortProfile(self.x), IntentProfile(intents_m))
-        if verify_nash(params, profile).is_nash:
-            return profile
-        return None
+    def intervals(self) -> list[tuple[float, float]]:
+        """Every κ >= 0 where the network is supportable, as sorted closed intervals.
 
-    def supportable(self, kappa: float) -> bool:
-        """Memoized support verdict; every positive one is confirmed at κ."""
-        families = _stable_sponsor_sets(self.tables, kappa)
-        key = None if families is None else tuple(f.tobytes() for f in families)
-        if key in self._verdicts:
-            witness = self._verdicts[key]
-            if witness is None:
-                return False
-            if self._check(replace(self.params, kappa=kappa), witness.intents.matrix) is not None:
-                return True
-        witness = self.report(kappa).witness
-        self._verdicts[key] = witness
-        return witness is not None
+        Every agent's stable family is constant between consecutive row
+        ends (`_row_ends`), so one `report` at the midpoint of each stretch
+        decides the whole stretch; the stretch past the last end is probed
+        at that end + 1.  Ends closer than ``DEVIATION_TOL`` count as one,
+        so no probe lands on or between float-close ends: a window
+        narrower than the tolerance is an artefact, not an equilibrium.
+        Adjacent supportable stretches join into one interval.
+        """
+        ends = np.unique(np.concatenate([[0.0], *map(_row_ends, self.tables)]))
+        groups = np.split(ends, np.flatnonzero(np.diff(ends) >= DEVIATION_TOL) + 1)
+        stretches = [(float(g[-1]), float(h[0])) for g, h in zip(groups, groups[1:])]
+        stretches.append((float(groups[-1][-1]), math.inf))
+        out: list[tuple[float, float]] = []
+        joined = False
+        for lo, hi in stretches:
+            mid = lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+            supportable = self.report(mid).supportable
+            if supportable and joined:
+                out[-1] = (out[-1][0], hi)
+            elif supportable:
+                out.append((lo, hi))
+            joined = supportable
+        return out
 
-    def report(self, kappa: float, budget: int = ORIENTATION_BUDGET) -> NESupportReport:
+    def report(self, kappa: float) -> NESupportReport:
         """Search for a sponsorship orientation making the network an equilibrium at κ.
 
-        Warm starts come first, pruned by no-drop feasibility before the full
-        deviation scan; then each link is assigned a sponsor under per-agent
-        stable-set constraints (exact, see `_sponsor_tables`), so negative
-        verdicts never need all 2**links orientations.  ``orientations_tried``
-        counts warm starts plus search-tree assignments; past ``budget`` the
-        search raises instead of guessing.
+        A κ where some agent has no stable sponsor set is rejected at once.
+        Otherwise the distinct warm starts come first, pruned by no-drop
+        feasibility before the full deviation scan; then each link is
+        assigned a sponsor under per-agent stable-set constraints (exact, see
+        `_sponsor_tables`), so negative verdicts never need all 2**links
+        orientations.  ``orientations_tried`` counts the warm starts (also
+        when rejected at once) plus search-tree assignments; past
+        ``ORIENTATION_BUDGET`` the search raises instead of guessing.
         """
         params = replace(self.params, kappa=kappa)
         network, n, edges, deg = self.network, self.network.n, self.edges, self.deg
 
         def check(sponsors) -> StrategyProfile | None:
-            return self._check(params, _orientation_intents(n, edges, sponsors))
+            intents_m = _orientation_intents(n, edges, sponsors)
+            if _drop_all_prunes(params, self.x, intents_m):
+                return None
+            profile = StrategyProfile(EffortProfile(self.x), IntentProfile(intents_m))
+            return profile if verify_nash(params, profile).is_nash else None
 
-        tried = 0
-        seen: set[tuple[int, ...]] = set()
-        for sponsors in self.warm:
-            if sponsors in seen:
-                continue
-            seen.add(sponsors)
-            tried += 1
+        families = _stable_sponsor_sets(self.tables, kappa)
+        if families is None:  # some agent has no stable set: every orientation fails
+            return NESupportReport(network, False, None, len(self.warm))
+        for tried, sponsors in enumerate(self.warm, 1):
             witness = check(sponsors)
             if witness is not None:
                 return NESupportReport(network, True, witness, tried)
-
-        families = _stable_sponsor_sets(self.tables, kappa)
-        if families is None:
-            return NESupportReport(network, False, None, tried)
+        tried = len(self.warm)
+        seen = set(self.warm)
         family_sizes = [np.bitwise_count(fam) for fam in families]
 
         sponsored = [0] * n
@@ -334,9 +359,9 @@ class SupportSearch:
             for sponsor in sorted((i, j), key=lambda v: (deg[v], v)):
                 other = j if sponsor == i else i
                 nodes += 1
-                if nodes > budget:
+                if nodes > ORIENTATION_BUDGET:
                     raise OrientationBudgetError(
-                        f"orientation search exceeded its budget of {budget} "
+                        f"orientation search exceeded its budget of {ORIENTATION_BUDGET} "
                         f"assignments on a {len(edges)}-link network"
                     )
                 sponsored[sponsor] |= 1 << other
@@ -362,11 +387,9 @@ class SupportSearch:
         return NESupportReport(network, False, None, tried + nodes)
 
 
-def ne_supportable(
-    params: GameParams, network: Network, budget: int = ORIENTATION_BUDGET
-) -> NESupportReport:
+def ne_supportable(params: GameParams, network: Network) -> NESupportReport:
     """Support report of one network at ``params.kappa`` (see `SupportSearch`)."""
-    return SupportSearch(params, network).report(params.kappa, budget)
+    return SupportSearch(params, network).report(params.kappa)
 
 
 # --------------------------------------------------------------------------

@@ -21,11 +21,7 @@ from lqnet.dynamics import (
     batch_run,
     run_session,
 )
-from lqnet.equilibria import (
-    cost_thresholds,
-    nash_efforts,
-    single_link_deviation_threshold,
-)
+from lqnet.equilibria import nash_efforts, single_link_deviation_threshold
 from lqnet.model import (
     EffortProfile,
     GameParams,
@@ -37,7 +33,7 @@ from lqnet.model import (
     realize_network,
 )
 from lqnet.structure import classify, is_nested_split
-from lqnet.verifier import enumerate_ne_networks, graph_atlas, verify_nash
+from lqnet.verifier import SupportSearch, enumerate_ne_networks, graph_atlas, verify_nash
 
 from helpers import oracle_nested_split, oracle_replay_payoffs
 
@@ -184,17 +180,16 @@ def test_criterion_05_equilibrium_network_sets():
 
 def test_criterion_06_empty_network_threshold():
     """The one-link deviation from the empty network stops paying at
-    kappa = 2.625 (15.125 - kappa against 12.5), located to 1e-6 through
+    kappa = 2.625 (15.125 - kappa against 12.5), in closed form through
     the payoff engine.  The full deviation search, which may add several
     links at once, keeps the empty network unsupported up to 3.0."""
     params = get_treatment("N5_LowCost").params
     oracle = 15.125 - 12.5  # one-link deviation payoff minus stay payoff
     assert oracle == pytest.approx(2.625)
-    switch = single_link_deviation_threshold(params, tol=1e-9)
-    assert switch == pytest.approx(2.625, abs=1e-6)
+    switch = single_link_deviation_threshold(params)
+    assert switch == pytest.approx(2.625, abs=1e-12)
 
-    ct = cost_thresholds(params, architectures=[Network.empty(5)], grid_points=41)
-    onset = ct.method_notes["architectures"][0]["onset"]
+    [(onset, _)] = SupportSearch(params, Network.empty(5)).intervals()
     k = params.n - 1
     multi_oracle = params.theta**2 * params.lam * (2 * params.beta + k * params.lam) / (
         2 * params.beta**3

@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 
 import lqnet
 from lqnet.cli import main
-from lqnet.model import PARAM_KEYS
+from lqnet.model import PARAM_KEYS, Network
+from lqnet.session_io import network_to_obj
+
+from helpers import oracle_nested_split
 
 GOLDEN_RECORD = Path(__file__).parent / "golden" / "sessions_n5" / "records" / "s7.csv"
 
@@ -145,6 +148,22 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["core"] == [1]
         assert payload["periphery"] == list(range(2, 13))
+
+    def test_nested_split_field_matches_oracle(self, capsys, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "net.json"
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            m = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+            net = Network(m | m.T)
+            path.write_text(json.dumps(network_to_obj(net)))
+            code, out, _ = run_cli(capsys, "classify", "--network", str(path))
+            assert code == 0
+            nested = json.loads(out)["nested_split"]
+            assert nested == oracle_nested_split(net.adjacency), net.edges()
+            seen.add(nested)
+        assert seen == {True, False}
 
     def test_self_loop_edge_exit_one(self, capsys, tmp_path):
         path = tmp_path / "net.json"
@@ -329,23 +348,17 @@ class TestSimulateAnalyze:
 
 class TestThresholds:
     def test_reports_cutoffs(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "thresholds", "--treatment", "N9_HighCost", "--grid-points", "41"
-        )
+        code, out, _ = run_cli(capsys, "thresholds", "--treatment", "N9_HighCost")
         assert code == 0
         payload = json.loads(out)
-        assert payload["kappa1"] == pytest.approx(1.953125, abs=1e-4)
-        assert payload["kappa2"] == pytest.approx(5.46875, abs=1e-4)
+        assert payload["kappa1"] == pytest.approx(1.953125, abs=1e-8)
+        assert payload["kappa2"] == pytest.approx(5.46875, abs=1e-8)
 
-
-    @pytest.mark.parametrize("points", ["0", "1", "-3"])
-    def test_grid_points_below_two_is_usage_error(self, capsys, points):
-        code, out, err = run_cli(
-            capsys, "thresholds", "--treatment", "N5_HighCost", "--grid-points", points
-        )
-        assert code == 2
-        assert out == ""
-        assert err == f"error: --grid-points must be at least 2, got {points}\n"
+    def test_grid_points_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "--treatment", "N5_HighCost", "--grid-points", "41"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid-points 41" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -20,6 +20,7 @@ from lqnet.model import (
     get_treatment,
     realize_network,
 )
+from lqnet.verifier import SupportSearch
 
 from helpers import (
     oracle_complete_nash,
@@ -281,21 +282,20 @@ class TestCostThresholds:
         p = get_treatment("N5_LowCost").params
         oracle = p.theta**2 * p.lam * (2 * p.beta + p.lam) / (2 * p.beta**3)
         assert oracle == pytest.approx(2.625, abs=1e-12)
-        assert single_link_deviation_threshold(p) == pytest.approx(oracle, abs=1e-6)
+        assert single_link_deviation_threshold(p) == pytest.approx(oracle, abs=1e-12)
 
     def test_named_architecture_switches(self):
         p = get_treatment("N5_LowCost").params
-        ct = cost_thresholds(
-            p,
-            architectures=[Network.empty(5), Network.star(5), Network.complete(5)],
+        empty, star, complete = (
+            SupportSearch(p, net).intervals()
+            for net in (Network.empty(5), Network.star(5), Network.complete(5))
         )
-        notes = {e["label"]: e for e in ct.method_notes["architectures"]}
 
         # empty: the binding deviation adds all n-1 links at once
         k = p.n - 1
         empty_oracle = p.theta**2 * p.lam * (2 * p.beta + k * p.lam) / (2 * p.beta**3)
         assert empty_oracle == pytest.approx(3.0, abs=1e-12)
-        assert notes["Empty"]["onset"] == pytest.approx(empty_oracle, abs=1e-5)
+        assert empty[0][0] == pytest.approx(empty_oracle, abs=1e-8)
 
         # star onset: a peripheral agent adding the other n-2 peripherals
         xc, xp = oracle_star_nash(p.theta, p.beta, p.lam, p.n)
@@ -303,38 +303,51 @@ class TestCostThresholds:
         m = p.n - 2
         xm = (p.theta + p.lam * (xc + m * xp)) / p.beta
         star_oracle = 2 * (xm**2 - x0**2) / m
-        assert notes["Star"]["onset"] == pytest.approx(star_oracle, abs=1e-5)
+        assert star[0][0] == pytest.approx(star_oracle, abs=1e-8)
 
         # complete offset: dropping both links of a balanced orientation
         x = oracle_complete_nash(p.theta, p.beta, p.lam, p.n)
         x2 = (p.theta + p.lam * (p.n - 3) * x) / p.beta
         complete_oracle = x**2 - x2**2
         assert complete_oracle == pytest.approx(6.25, abs=1e-12)
-        assert notes["Complete"]["offset"] == pytest.approx(complete_oracle, abs=1e-5)
+        assert complete[-1][1] == pytest.approx(complete_oracle, abs=1e-8)
 
-        assert ct.kappa1 == pytest.approx(3.0, abs=1e-5)
-        assert ct.kappa2 == pytest.approx(6.25, abs=1e-5)
+        ct = cost_thresholds(p)
+        assert ct.kappa1 == pytest.approx(3.0, abs=1e-8)
+        assert ct.kappa2 == pytest.approx(6.25, abs=1e-8)
         assert ct.kappa1 <= ct.kappa2
 
     def test_treatment_kappas_sit_in_the_right_regime(self):
-        p = get_treatment("N5_LowCost").params
-        ct = cost_thresholds(
-            p,
-            architectures=[Network.empty(5), Network.star(5), Network.complete(5)],
-        )
+        ct = cost_thresholds(get_treatment("N5_LowCost").params)
         assert 1.0 < ct.kappa1  # low-cost treatment: unique complete equilibrium
         assert ct.kappa1 < 3.9 < ct.kappa2  # high-cost treatment: multiple equilibria
 
-    def test_grid_patterns_monotone_for_empty_and_complete(self):
-        p = get_treatment("N9_HighCost").params
-        ct = cost_thresholds(
-            p,
-            architectures=[Network.empty(9), Network.complete(9)],
-            grid_points=21,
-        )
-        for entry in ct.method_notes["architectures"]:
-            pattern = entry["grid_pattern"]
-            if entry["label"] == "Empty":
-                assert "10" not in pattern
-            else:
-                assert "01" not in pattern
+    @pytest.mark.parametrize(
+        "treatment", ["N5_LowCost", "N5_HighCost", "N9_LowCost1", "N9_LowCost2", "N9_HighCost"]
+    )
+    def test_empty_supportable_above_and_complete_below_one_cost(self, treatment):
+        p = get_treatment(treatment).params
+        empty = SupportSearch(p, Network.empty(p.n)).intervals()
+        complete = SupportSearch(p, Network.complete(p.n)).intervals()
+        assert len(empty) == 1 and empty[0][1] == math.inf
+        assert len(complete) == 1 and complete[0][0] == 0.0
+
+    def test_complete_offset_beyond_the_old_bracket(self):
+        # N9_LowCost2: the complete network stays supportable up to
+        # (V(8x) - V(4x)) / 4 at its Nash effort x = 12.5, past kappa = 20
+        p = get_treatment("N9_LowCost2").params
+        x = p.theta / (p.beta - p.lam * (p.n - 1))
+        assert x == pytest.approx(12.5, abs=1e-12)
+
+        def value(s):
+            return (p.theta + p.lam * s) ** 2 / (2 * p.beta)
+
+        oracle = (value(8 * x) - value(4 * x)) / 4
+        assert oracle == pytest.approx(50.0, abs=1e-9)
+        assert cost_thresholds(p).kappa2 == pytest.approx(oracle, abs=1e-6)
+
+    def test_star_window_on_n5_high_cost(self):
+        p = get_treatment("N5_HighCost").params
+        [(lo, hi)] = SupportSearch(p, Network.star(5)).intervals()
+        assert lo == pytest.approx(3.774685, abs=1e-6)
+        assert hi == pytest.approx(3.911675, abs=1e-6)

@@ -1,10 +1,10 @@
 """CLI output pinned byte for byte.
 
 Each ``golden/{thresholds,enumerate}_<treatment>.json`` holds the stdout of
-``lqnet thresholds`` (default grid) or ``lqnet enumerate`` for one
-treatment.  Witnesses, ``orientations_tried``, grid patterns and threshold
-floats all show up here, so a change to search order or tie-breaking fails
-this test.
+``lqnet thresholds`` or ``lqnet enumerate`` for one treatment.
+Witnesses, ``orientations_tried``, support intervals and threshold floats
+all show up here, so a change to search order or tie-breaking fails this
+test.
 
 Each ``golden/sessions_<set>/`` directory holds a per-agent ``policy.yaml``
 that mixes every link-rule kind with preset and explicit effort rules, the

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from lqnet.model import (
 )
 from lqnet.structure import classify, is_nested_split
 from lqnet.verifier import (
-    DeviationReport,
+    DEVIATION_TOL,
     SupportSearch,
     canonical_form,
     enumerate_candidates,
@@ -148,8 +149,9 @@ class TestNeSupportable:
             return [t.masks for t in tables]
 
         monkeypatch.setattr(verifier_mod, "_stable_sponsor_sets", permissive)
+        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", 2)
         with pytest.raises(OrientationBudgetError):
-            ne_supportable(p, net, budget=2)
+            ne_supportable(p, net)
 
     def test_matches_exhaustive_orientation_search_small(self):
         # independent oracle: try every orientation through verify_nash
@@ -174,15 +176,17 @@ class TestNeSupportable:
 
 
 def parity_kappas(treatment):
-    """0, 20, every golden onset and offset +- 1e-7, and 20 seeded draws."""
+    """0, 20, every golden interval end +- 1e-7, and 20 seeded draws."""
     golden = Path(__file__).parent / "golden" / f"thresholds_{treatment}.json"
     entries = json.loads(golden.read_text())["method_notes"]["architectures"]
-    switches = {
-        e[key] for e in entries for key in ("onset", "offset") if e.get(key, "inf") != "inf"
-    }
-    kappas = [0.0, 20.0] + [s + d for s in sorted(switches) for d in (-1e-7, 1e-7)]
+    ends = {end for e in entries for iv in e["intervals"] for end in iv if end != "inf"}
+    kappas = [0.0, 20.0] + [s + d for s in sorted(ends) for d in (-1e-7, 1e-7)]
     kappas += np.random.default_rng(2).uniform(0.0, 20.0, 20).tolist()
     return [k for k in kappas if k >= 0.0]
+
+
+def in_union(kappa, intervals):
+    return any(lo <= kappa <= hi for lo, hi in intervals)
 
 
 class TestSupportSearch:
@@ -194,56 +198,52 @@ class TestSupportSearch:
         ],
     )
     def test_memoized_verdict_matches_fresh_search(self, treatment, networks):
+        # the interval union, computed once per network, against a fresh
+        # search at each cost
         p = get_treatment(treatment).params
         kappas = parity_kappas(treatment)
         assert len(kappas) >= 26
         for net in networks:
-            search = SupportSearch(p, net)
+            intervals = SupportSearch(p, net).intervals()
             for k in kappas:
                 fresh = ne_supportable(replace(p, kappa=k), net).supportable
-                assert search.supportable(k) == fresh, (net.edges(), k)
+                assert in_union(k, intervals) == fresh, (net.edges(), k)
 
-    def _count_reports(self, monkeypatch):
-        searched = []
-        report = SupportSearch.report
-
-        def counted(search, kappa, *args):
-            searched.append(kappa)
-            return report(search, kappa, *args)
-
-        monkeypatch.setattr(SupportSearch, "report", counted)
-        return searched
-
-    def test_negative_verdict_reused(self, monkeypatch):
+    def test_sweep_of_n5_atlas_matches_intervals(self):
         p = get_treatment("N5_HighCost").params
-        search = SupportSearch(p, Network.star(5))
-        searched = self._count_reports(monkeypatch)
-        assert not search.supportable(1.0)
-        assert not search.supportable(1.0)
-        assert searched == [1.0]
+        kappas = np.round(np.arange(0.0, 7.0 + 1e-9, 0.01), 2)
+        for net in graph_atlas(5):
+            search = SupportSearch(p, net)
+            intervals = search.intervals()
+            ends = np.array([end for iv in intervals for end in iv if end != np.inf])
+            for k in kappas:
+                if len(ends) and np.abs(ends - k).min() <= 1e-6:
+                    continue
+                assert search.report(float(k)).supportable == in_union(k, intervals), (
+                    net.edges(),
+                    k,
+                )
 
-    def test_rejected_witness_falls_back_to_full_search(self, monkeypatch):
-        import lqnet.verifier as verifier_mod
+    def test_float_close_ends_are_merged(self):
+        # K9 under N9_HighCost has row ends a few ulps apart near 5.46875; a
+        # probe between them once sent the orientation search past its budget
+        p = get_treatment("N9_HighCost").params
+        start = time.perf_counter()
+        intervals = SupportSearch(p, Network.complete(9)).intervals()
+        assert time.perf_counter() - start < 1.0
+        assert len(intervals) == 1 and intervals[0][0] == 0.0
 
+    def test_probe_on_an_end_leaves_intervals_unchanged(self):
+        # the empty network's interval starts where the all-links deviation
+        # gains exactly DEVIATION_TOL; a report placed there fails the
+        # confirming scan by float noise, which must not leak into intervals
         p = get_treatment("N5_HighCost").params
-        search = SupportSearch(p, Network.star(5))
-        searched = self._count_reports(monkeypatch)
-        assert search.supportable(3.9)
-        assert searched == [3.9]
-
-        real = verifier_mod.verify_nash
-        rejected = []
-
-        def reject_once(params, profile):
-            if not rejected:
-                rejected.append(params.kappa)
-                return DeviationReport(False, None, 0)
-            return real(params, profile)
-
-        monkeypatch.setattr(verifier_mod, "verify_nash", reject_once)
-        assert search.supportable(3.9)
-        assert rejected == [3.9]
-        assert searched == [3.9, 3.9]
+        fresh = SupportSearch(p, Network.empty(5)).intervals()
+        assert fresh[0][0] == pytest.approx(3.0 - DEVIATION_TOL / 4, abs=1e-12)
+        assert fresh[0][1] == np.inf and len(fresh) == 1
+        search = SupportSearch(p, Network.empty(5))
+        search.report(fresh[0][0])
+        assert search.intervals() == fresh
 
 
 class TestEnumerate:
