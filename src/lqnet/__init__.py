@@ -1,7 +1,7 @@
 """Toolkit for linear-quadratic network games with unilateral link formation.
 
 Compute equilibrium and welfare-efficient effort profiles on fixed
-networks, verify and enumerate equilibrium networks by exhaustive
+networks, verify and enumerate equilibrium networks by exact
 deviation search, simulate behavioral agents playing the repeated game,
 and aggregate session records into the standard outcome metrics.
 """

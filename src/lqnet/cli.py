@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--efficient", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="exhaustive Nash check of a strategy profile")
+    p = sub.add_parser("verify", help="exact Nash check of a strategy profile")
     p.add_argument("--treatment", required=True)
     p.add_argument("--profile", required=True, help="JSON profile file")
     p.set_defaults(func=_cmd_verify)

@@ -1,29 +1,31 @@
 """Hot numeric kernels, in NumPy.
 
-Two kernels dominate runtime once equilibrium enumeration or long batch
-analyses run:
-
-* `deviation_scan` - for every agent, scan all 2**(N-1) intent subsets
-  and return the best unilateral deviation (effort re-optimized per
-  subset).  This is the inner loop of Nash verification and of the
-  sponsorship-orientation search.
+* `deviation_sums` - the one statement of the best-deviation argument.
+  The best-reply payoff ``V(s) = max_x theta x - beta/2 x^2 + lam x s``
+  is a maximum of functions affine in the neighbor-effort total s, so it
+  is convex.  Among the m-target deviations from a candidate pool, the
+  neighbor total is largest for the m highest-effort candidates and
+  smallest for the m lowest, so one of those two sets is the best; the
+  2**(N-1) intent subsets reduce to 2N+1 prefix sums per agent.
+* `deviation_scan` - every agent's best unilateral deviation (effort
+  re-optimized per intent set), from `deviation_sums`.  This is the
+  inner loop of Nash verification and of the sponsorship-orientation
+  search.
 * `br_iteration` - clipped best-response fixed-point iteration used when
   the direct equilibrium solve does not apply.
 
-Both are pure functions of their arguments and state the game only
+All are pure functions of their arguments and state the game only
 through `model.best_response` and `model.br_payoff`.  Per-layer timings
 come from the benchmark harness, ``lqbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .model import GameParams, best_response, br_payoff
 
-__all__ = ["deviation_scan", "br_iteration", "backend_name"]
+__all__ = ["deviation_sums", "deviation_scan", "br_iteration", "backend_name"]
 
 
 def backend_name() -> str:
@@ -31,56 +33,57 @@ def backend_name() -> str:
     return "numpy"
 
 
-@lru_cache(maxsize=32)
-def _subset_table(m: int) -> np.ndarray:
-    """Boolean membership matrix of all 2**m subsets of m slots."""
-    masks = np.arange(1 << m, dtype=np.int64)
-    return (masks[:, None] >> np.arange(m)) & 1 == 1
+def deviation_sums(base: np.ndarray, x_sorted: np.ndarray, member: np.ndarray):
+    """Neighbor totals and target counts of every deviation that can be best.
 
-
-def deviation_scan(
-    efforts: np.ndarray,
-    incoming: np.ndarray,
-    own: np.ndarray,
-    params: GameParams,
-):
-    """Best unilateral deviation per agent over all intent subsets.
-
-    Parameters are the effort vector and per-agent bitmasks of incoming
-    intents (others pointing at the agent) and of the agent's own intents;
-    ``params`` gives the payoffs and the effort box.
-
-    Returns ``(best_gain, best_mask, best_effort, current)`` where
-    ``best_mask`` is the full-width intent bitmask of the best deviation
-    and ``current`` the agent's payoff at the given profile.
+    ``x_sorted`` holds k candidate efforts, highest first; ``member[r]``
+    marks the candidates row r may target, on top of the neighbor total
+    ``base[r]`` it keeps.  Returns ``(sums, counts)``, each of shape
+    (rows, 2k+1): column 0 targets nothing, column c in 1..k the row's
+    members among the first c candidates (a top-m set) and column k+c its
+    members among the last c (a bottom-m set).  By convexity of the
+    best-reply payoff (see the module docstring) one of these columns is
+    a best deviation for each row.
     """
-    efforts = np.ascontiguousarray(efforts, dtype=np.float64)
-    incoming = np.ascontiguousarray(incoming, dtype=np.int64)
-    own = np.ascontiguousarray(own, dtype=np.int64)
-    n = efforts.shape[0]
-    best_gain = np.empty(n, dtype=np.float64)
-    best_mask = np.empty(n, dtype=np.int64)
-    best_effort = np.empty(n, dtype=np.float64)
-    current = np.empty(n, dtype=np.float64)
-    members = _subset_table(n - 1)
-    counts = members.sum(axis=1)
-    bit_positions = np.arange(n)
-    for i in range(n):
-        others = np.concatenate([bit_positions[:i], bit_positions[i + 1 :]])
-        inc_bits = (incoming[i] >> others) & 1 == 1
-        realized_cur = ((own[i] | incoming[i]) >> bit_positions) & 1 == 1
-        s_cur = float(efforts[realized_cur].sum())
-        cur = br_payoff(params, efforts[i], s_cur) - params.kappa * int(own[i]).bit_count()
-        current[i] = cur
+    picked = np.where(member, x_sorted, 0.0)
+    sums = np.hstack([np.zeros((len(base), 1)), picked.cumsum(1), picked[:, ::-1].cumsum(1)])
+    counts = np.hstack(
+        [np.zeros((len(base), 1), np.int64), member.cumsum(1), member[:, ::-1].cumsum(1)]
+    )
+    return base[:, None] + sums, counts
 
-        sums = (members | inc_bits[None, :]) @ efforts[others]
-        x_dev = best_response(params, sums)
-        gains = br_payoff(params, x_dev, sums) - params.kappa * counts - cur
-        k = int(np.argmax(gains))
-        best_gain[i] = gains[k]
-        best_mask[i] = int((np.int64(1) << others[members[k]]).sum())
-        best_effort[i] = x_dev[k]
-    return best_gain, best_mask, best_effort, current
+
+def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams):
+    """Best unilateral deviation per agent over all intent sets.
+
+    ``intents[i, j]`` is True when agent i sponsors a link to j;
+    ``params`` gives the payoffs and the effort box.  An agent keeps the
+    links others sponsor to it and may target anyone else; targeting an
+    agent that already links to it only adds a cost, so the candidate
+    pool leaves those out.  Ties in gain go to the fewest targets, then to
+    the top-m set over the bottom-m set, with candidates ordered by higher
+    effort, then lower index.
+
+    Returns ``(best_gain, best_targets, best_effort)``: ``best_targets[i]``
+    is agent i's best intent set as a boolean row and ``best_effort`` the
+    clipped best reply to it.
+    """
+    x = np.asarray(efforts, dtype=np.float64)
+    intents = np.asarray(intents, dtype=bool)
+    n = len(x)
+    rows = np.arange(n)
+    current = br_payoff(params, x, (intents | intents.T) @ x) - params.kappa * intents.sum(axis=1)
+    order = np.lexsort((rows, -x))
+    member = (order[None, :] != rows[:, None]) & ~intents[order].T
+    sums, counts = deviation_sums(intents.T @ x, x[order], member)
+    x_dev = best_response(params, sums)
+    gains = br_payoff(params, x_dev, sums) - params.kappa * counts - current[:, None]
+    best = gains.max(axis=1)
+    pick = np.argmin(np.where(gains == best[:, None], counts, n), axis=1)
+    c = pick[:, None]
+    best_targets = np.zeros((n, n), dtype=bool)
+    best_targets[rows[:, None], order] = member & np.where(c <= n, rows < c, rows >= 2 * n - c)
+    return best, best_targets, x_dev[rows, pick]
 
 
 def br_iteration(

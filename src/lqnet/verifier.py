@@ -1,11 +1,15 @@
 """Exact Nash verification and enumeration of equilibrium-supportable networks.
 
-Verification enumerates, per agent, every subset of the other agents as a
-candidate intent set (`kernels.deviation_scan`).  Effort deviations need
-no grid: own payoff is strictly concave in own effort, so the clipped
-best response (`model.best_response`) dominates every other effort at
-any intent set, making the joint effort-plus-link deviation search exact.
-Every payoff here is `model.br_payoff` minus the link costs.
+Verification covers, per agent, every subset of the other agents as a
+candidate intent set without visiting each one: the best-reply payoff is
+convex in the neighbor-effort total, so for every number of targets the
+highest- or the lowest-effort candidates are best
+(`kernels.deviation_sums`, `kernels.deviation_scan`).  Effort deviations
+need no grid: own payoff is strictly concave in own effort, so the
+clipped best response (`model.best_response`) dominates every other
+effort at any intent set, making the joint effort-plus-link deviation
+search exact.  Every payoff here is `model.br_payoff` minus the link
+costs.
 
 Support checks fix efforts at the network's equilibrium values and search
 sponsorship orientations (one sponsor per link): greedy warm starts
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -44,7 +48,7 @@ from .model import (
 #: payoff gains at or below this value count as non-improving
 DEVIATION_TOL = 1e-9
 ORIENTATION_BUDGET = 1 << 20
-MAX_VERIFY_N = 16
+MAX_VERIFY_N = 62  # agent-id bitmasks (`_SponsorTable.masks`) are int64
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,13 @@ class Deviation:
 
 @dataclass(frozen=True)
 class DeviationReport:
+    """Outcome of `verify_nash`.
+
+    ``checked_deviations`` is ``n * 2**(n-1)``, the intent subsets the
+    check covers, not the ones it visits: each agent's best deviation
+    is found among 2n+1 candidate sets.
+    """
+
     is_nash: bool
     worst_deviation: Deviation | None
     checked_deviations: int
@@ -70,35 +81,15 @@ class NESupportReport:
     orientations_tried: int
 
 
-def _row_masks(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    weights = (np.int64(1) << np.arange(n, dtype=np.int64))
-    return (matrix.astype(np.int64) * weights).sum(axis=1).astype(np.int64)
-
-
-def _mask_to_targets(mask: int) -> tuple[int, ...]:
-    out = []
-    j = 0
-    m = int(mask)
-    while m:
-        if m & 1:
-            out.append(j)
-        m >>= 1
-        j += 1
-    return tuple(out)
-
-
 def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport:
-    """Exhaustive unilateral-deviation check of a full strategy profile."""
+    """Unilateral-deviation check of a full strategy profile, exact over every
+    intent set and effort (see `kernels.deviation_scan`)."""
     if profile.n != params.n:
         raise LqnetError(f"profile has n={profile.n}, params expect n={params.n}")
     if params.n > MAX_VERIFY_N:
         raise LqnetError(f"verification supports n <= {MAX_VERIFY_N}, got {params.n}")
-    m = profile.intents.matrix
-    own = _row_masks(m)
-    incoming = _row_masks(m.T)
-    best_gain, best_mask, best_effort, _ = kernels.deviation_scan(
-        profile.efforts.efforts, incoming, own, params
+    best_gain, best_targets, best_effort = kernels.deviation_scan(
+        profile.efforts.efforts, profile.intents.matrix, params
     )
     agent = int(np.argmax(best_gain))
     gain = float(best_gain[agent])
@@ -107,7 +98,7 @@ def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport
         return DeviationReport(is_nash=True, worst_deviation=None, checked_deviations=checked)
     dev = Deviation(
         agent=agent,
-        targets=_mask_to_targets(int(best_mask[agent])),
+        targets=tuple(np.flatnonzero(best_targets[agent]).tolist()),
         effort=float(best_effort[agent]),
         gain=gain,
     )
@@ -131,12 +122,18 @@ def _br_value(params: GameParams, neighbor_sums: np.ndarray) -> np.ndarray:
     return br_payoff(params, best_response(params, neighbor_sums), neighbor_sums)
 
 
+@lru_cache(maxsize=32)
+def _subset_table(m: int) -> np.ndarray:
+    """Boolean membership matrix of all 2**m subsets of m slots."""
+    masks = np.arange(1 << m, dtype=np.int64)
+    return (masks[:, None] >> np.arange(m)) & 1 == 1
+
+
 class _SponsorTable(NamedTuple):
     """One agent's κ-free payoffs, one row per candidate sponsored-neighbor set."""
 
-    prefix_payoff: np.ndarray  # BR payoff at each effort-sorted deviation prefix
-    prefix_counts: np.ndarray  # links that prefix sponsors
-    incoming_payoff: np.ndarray  # BR payoff after withdrawing every sponsorship
+    dev_payoff: np.ndarray  # BR payoff of each deviation `kernels.deviation_sums` forms
+    dev_counts: np.ndarray  # links that deviation sponsors
     full_payoff: float  # BR payoff with every link kept
     counts: np.ndarray  # links the set sponsors
     masks: np.ndarray  # the set as an agent-id bitmask
@@ -145,43 +142,35 @@ class _SponsorTable(NamedTuple):
 def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list[_SponsorTable]:
     """Per agent, the payoff tables `_stable_sponsor_sets` filters at each κ.
 
-    With efforts fixed, an agent facing incoming links can deviate to any
-    target set within (sponsored ∪ non-neighbors); since the best-response
-    payoff is nondecreasing in the neighbor-effort total, the best m-target
-    deviation takes the m highest-effort candidates, so prefix sums over
-    the effort-sorted candidate pool are exact.
+    With efforts fixed, an agent sponsoring a set of its links keeps the
+    incoming ones and can deviate to any target set within (sponsored ∪
+    non-neighbors).  The best-reply payoff is convex in the neighbor-effort
+    total, so the best m-target deviation takes the m highest- or the m
+    lowest-effort candidates (`kernels.deviation_sums`) and the table is
+    exact.  The lowest can win where the best reply is negative, because
+    the payoff then falls as neighbor effort rises.
     """
-    from .kernels import _subset_table
-
     adj = network.adjacency
     n = network.n
+    ranked = np.lexsort((np.arange(n), -x))  # higher effort, then lower index
     tables: list[_SponsorTable] = []
     for i in range(n):
-        nb = np.nonzero(adj[i])[0]
-        others = np.array([j for j in range(n) if j != i], dtype=np.int64)
-        order = others[np.lexsort((others, -x[others]))]
-        x_ord = x[order]
-        d = len(nb)
-        table = _subset_table(d)
-        s_sums = table @ x[nb] if d else np.zeros(1)
-        all_sum = float(x[nb].sum()) if d else 0.0
-        inc = all_sum - s_sums
-        member = np.broadcast_to(~adj[i][order], (table.shape[0], len(order))).copy()
-        nb_col = {int(v): t for t, v in enumerate(nb)}
-        for k, node in enumerate(order):
-            t = nb_col.get(int(node))
-            if t is not None:
-                member[:, k] = table[:, t]
-        prefix_sums = inc[:, None] + np.cumsum(np.where(member, x_ord, 0.0), axis=1)
-        weights = (np.int64(1) << nb.astype(np.int64)) if d else np.zeros(0, np.int64)
+        nb = np.flatnonzero(adj[i])
+        order = ranked[ranked != i]
+        table = _subset_table(len(nb))
+        s_sums = table @ x[nb]
+        all_sum = float(x[nb].sum())
+        is_nb = adj[i][order]
+        member = np.tile(~is_nb, (len(table), 1))
+        member[:, is_nb] = table[:, np.searchsorted(nb, order[is_nb])]
+        sums, dev_counts = kernels.deviation_sums(all_sum - s_sums, x[order], member)
         tables.append(
             _SponsorTable(
-                prefix_payoff=_br_value(params, prefix_sums),
-                prefix_counts=np.cumsum(member, axis=1),
-                incoming_payoff=_br_value(params, inc),
+                dev_payoff=_br_value(params, sums),
+                dev_counts=dev_counts,
                 full_payoff=float(_br_value(params, np.array(all_sum))),
                 counts=table.sum(axis=1),
-                masks=(table.astype(np.int64) @ weights).astype(np.int64),
+                masks=table.astype(np.int64) @ (np.int64(1) << nb),
             )
         )
     return tables
@@ -195,8 +184,7 @@ def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.n
     """
     families: list[np.ndarray] = []
     for t in tables:
-        dev = t.prefix_payoff - kappa * t.prefix_counts
-        best = np.maximum(t.incoming_payoff, dev.max(axis=1))
+        best = (t.dev_payoff - kappa * t.dev_counts).max(axis=1)
         current = t.full_payoff - kappa * t.counts
         stable = current + DEVIATION_TOL >= best
         if not stable.any():
@@ -209,13 +197,13 @@ def _row_ends(t: _SponsorTable) -> np.ndarray:
     """The finite ends of the κ >= 0 ranges where the rows of ``t`` are stable.
 
     Row r is stable when ``full_payoff - κ·counts + DEVIATION_TOL`` is at
-    least ``incoming_payoff`` and every ``prefix_payoff - κ·prefix_counts``.
-    Each condition reads ``a·κ <= b``, so the stable κ of a row form one
-    closed interval, possibly empty.
+    least every ``dev_payoff - κ·dev_counts``.  Each condition reads
+    ``a·κ <= b``, so the stable κ of a row form one closed interval,
+    possibly empty.
     """
     slack = t.full_payoff + DEVIATION_TOL
-    a = np.column_stack([t.counts, t.counts[:, None] - t.prefix_counts]).astype(float)
-    b = np.column_stack([slack - t.incoming_payoff, slack - t.prefix_payoff])
+    a = (t.counts[:, None] - t.dev_counts).astype(float)
+    b = slack - t.dev_payoff
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = b / a
     lo = np.where(a < 0, ratio, 0.0).max(axis=1)

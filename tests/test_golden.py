@@ -6,6 +6,14 @@ Witnesses, ``orientations_tried``, support intervals and threshold floats
 all show up here, so a change to search order or tie-breaking fails this
 test.
 
+Each ``golden/verify_<profile>_<treatment>.json`` holds the stdout of
+``lqnet verify`` on ``golden/profiles/<profile>.json``.  The profiles put
+every effort on a 0.25 grid, so every neighbor total is exact and the gain
+does not depend on summation order; they cover tied efforts, a negative
+effort, an effort above the box and a profile whose worst deviation
+targets a proper subset, so the worst agent, its targets and its gain are
+pinned.
+
 Each ``golden/sessions_<set>/`` directory holds a per-agent ``policy.yaml``
 that mixes every link-rule kind with preset and explicit effort rules, the
 ``records/`` a seeded ``lqnet simulate`` wrote from it, and, for the windows
@@ -17,6 +25,8 @@ To regenerate after an intended change, from the repository root::
 
     PYTHONPATH=src python -m lqnet.cli thresholds --treatment T > tests/golden/thresholds_T.json
     PYTHONPATH=src python -m lqnet.cli enumerate --treatment T > tests/golden/enumerate_T.json
+    PYTHONPATH=src python -m lqnet.cli verify --treatment T \\
+        --profile tests/golden/profiles/P.json > tests/golden/verify_P_T.json
 
 and, in ``tests/golden/sessions_<set>/``, with the treatment, replication
 count and seed that ``SESSIONS`` below gives for the set::
@@ -48,12 +58,32 @@ SESSIONS = {
 }
 WINDOWS = ["full", "last10", "3:8"]
 
+#: verify golden profile -> treatments it is checked under
+VERIFY = {
+    "tied": ["N5_LowCost", "N5_HighCost"],
+    "negative": ["N5_LowCost", "N5_HighCost"],
+    "above_box": ["N5_LowCost", "N5_HighCost"],
+    "partial5": ["N5_HighCost"],
+    "empty9": ["N9_LowCost1", "N9_LowCost2", "N9_HighCost"],
+    "partial9": ["N9_HighCost"],
+}
+
 
 @pytest.mark.parametrize("treatment", TREATMENTS)
 @pytest.mark.parametrize("command", ["thresholds", "enumerate"])
 def test_stdout_matches_golden(capsys, command, treatment):
     assert main([command, "--treatment", treatment]) == 0
     expected = (GOLDEN / f"{command}_{treatment}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "profile,treatment", [(p, t) for p, treatments in VERIFY.items() for t in treatments]
+)
+def test_verify_matches_golden(capsys, profile, treatment):
+    argv = ["verify", "--treatment", treatment, "--profile", str(GOLDEN / "profiles" / f"{profile}.json")]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"verify_{profile}_{treatment}.json").read_text()
     assert capsys.readouterr().out == expected
 
 

@@ -1,5 +1,6 @@
 """The NumPy kernels against brute-force and linear-algebra oracles."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,18 +11,17 @@ from lqnet import kernels
 from lqnet.model import GameParams, get_treatment
 
 
-def random_inputs(rng, n):
-    efforts = rng.uniform(0.0, 20.0, n)
+def random_inputs(rng, n, low, high, grid=None):
+    efforts = rng.uniform(low, high, n)
+    if grid is not None:
+        efforts = np.round(efforts / grid) * grid  # many tied efforts
     m = rng.random((n, n)) < 0.4
     np.fill_diagonal(m, False)
-    weights = np.int64(1) << np.arange(n)
-    own = (m.astype(np.int64) * weights).sum(axis=1)
-    incoming = (m.T.astype(np.int64) * weights).sum(axis=1)
-    return efforts, incoming, own, m
+    return efforts, m
 
 
 def oracle_scan(p, efforts, m, i):
-    """Agent i's current payoff and (gain, targets mask, effort) of every intent set."""
+    """(gain, targets mask, effort) of every intent set of agent i."""
     n = len(efforts)
     incoming = {j for j in range(n) if m[j, i]}
     current_nb = incoming | {j for j in range(n) if m[i, j]}
@@ -35,24 +35,45 @@ def oracle_scan(p, efforts, m, i):
             x = min(max((p.theta + p.lam * s) / p.beta, p.effort_min), p.effort_max)
             payoff = oracle_gross_payoff(p.theta, p.beta, p.lam, x, s) - p.kappa * size
             options.append((payoff - current, sum(1 << j for j in targets), x))
-    return current, options
+    return options
+
+
+#: (effort box, lam, range efforts are drawn from, rounding grid); boxes
+#: below zero make the best-reply payoff fall in the neighbor total, so a
+#: bottom-m set can be the best deviation
+SCAN_CASES = [
+    ((0.0, 20.0), 0.25, (0.0, 20.0), None),
+    ((0.0, 20.0), 0.25, (-4.0, 24.0), None),
+    ((-5.0, 20.0), 0.25, (-5.0, 20.0), 2.5),
+    ((-20.0, 3.0), 1.5, (-23.0, 5.0), None),
+    ((-20.0, 3.0), 1.5, (-20.0, 3.0), 4.0),
+    ((-8.0, -1.0), 0.6, (-10.0, 1.0), None),
+    ((-8.0, -1.0), 0.6, (-8.0, -1.0), 1.0),
+]
 
 
 def test_deviation_scan_matches_brute_force():
     rng = np.random.default_rng(12)
-    p = get_treatment("N9_HighCost").params
-    for _ in range(30):
-        n = int(rng.integers(2, 10))
-        efforts, incoming, own, m = random_inputs(rng, n)
-        gain, mask, effort, current = kernels.deviation_scan(efforts, incoming, own, p)
-        for i in range(n):
-            cur, options = oracle_scan(p, efforts, m, i)
-            assert current[i] == pytest.approx(cur, abs=1e-10)
-            best = max(g for g, _, _ in options)
-            assert gain[i] == pytest.approx(best, abs=1e-10)
-            tied = {(tmask, x) for g, tmask, x in options if g >= best - 1e-12}
-            assert any(mask[i] == tmask and effort[i] == pytest.approx(x, abs=1e-10)
-                       for tmask, x in tied)
+    base = get_treatment("N9_HighCost").params
+    for (low, high), lam, draw, grid in SCAN_CASES:
+        p = replace(base, effort_min=low, effort_max=high, lam=lam)
+        for _ in range(30):
+            n = int(rng.integers(2, 10))
+            efforts, m = random_inputs(rng, n, *draw, grid)
+            gain, targets, effort = kernels.deviation_scan(efforts, m, p)
+            for i in range(n):
+                options = oracle_scan(p, efforts, m, i)
+                best = max(g for g, _, _ in options)
+                assert gain[i] == pytest.approx(best, abs=1e-10)
+                assert not targets[i, i]
+                chosen = {tmask: (g, x) for g, tmask, x in options}[
+                    sum(1 << int(j) for j in np.flatnonzero(targets[i]))
+                ]
+                assert chosen[0] == pytest.approx(best, abs=1e-10)
+                s = efforts @ (targets[i] | m[:, i])
+                reply = min(max((p.theta + p.lam * s) / p.beta, low), high)
+                assert effort[i] == pytest.approx(reply, abs=1e-10)
+                assert effort[i] == pytest.approx(chosen[1], abs=1e-10)
 
 
 def test_br_iteration_matches_linear_solve():

@@ -102,9 +102,25 @@ class TestVerifyNash:
                 assert report.worst_deviation.gain >= 0.5 * p.beta * 0.25 - 1e-9
 
     def test_rejects_oversized_group(self):
-        p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=17)
+        p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=63)
         with pytest.raises(LqnetError):
-            verify_nash(p, make_profile([2.5] * 17, [], 17))
+            verify_nash(p, make_profile([2.5] * 63, [], 63))
+
+    def test_empty_n40_best_deviation_links_to_everyone(self):
+        # from the empty network at x0 = theta/beta, the all-links deviation
+        # gains ((theta + lam (n-1) x0)^2 - theta^2) / (2 beta) - kappa (n-1)
+        n = 40
+        p = GameParams(theta=10.0, beta=4.0, lam=0.02, kappa=0.1, n=n)
+        x0 = p.theta / p.beta
+        report = verify_nash(p, make_profile([x0] * n, [], n))
+        expected = ((p.theta + p.lam * (n - 1) * x0) ** 2 - p.theta**2) / (2 * p.beta) - p.kappa * (n - 1)
+        assert expected == pytest.approx(1.45, abs=1e-3)
+        assert not report.is_nash
+        dev = report.worst_deviation
+        assert dev.targets == tuple(j for j in range(n) if j != dev.agent)
+        assert dev.gain == pytest.approx(expected, abs=1e-9)
+        assert dev.effort == pytest.approx((p.theta + p.lam * (n - 1) * x0) / p.beta, abs=1e-12)
+        assert report.checked_deviations == n * 2 ** (n - 1)
 
 
 class TestNeSupportable:
@@ -189,6 +205,9 @@ def in_union(kappa, intervals):
     return any(lo <= kappa <= hi for lo, hi in intervals)
 
 
+TRIANGLE_AND_TWO_ISOLATES = Network.from_edges(5, [(0, 1), (1, 2), (0, 2)])
+
+
 class TestSupportSearch:
     @pytest.mark.parametrize(
         "treatment,networks",
@@ -244,6 +263,29 @@ class TestSupportSearch:
         search = SupportSearch(p, Network.empty(5))
         search.report(fresh[0][0])
         assert search.intervals() == fresh
+
+    def test_negative_effort_neighbors_are_bottom_m_deviations(self):
+        # a triangle at effort -5 plus two isolates at 2.5: an isolate's best
+        # deviation links to the three triangle members, the bottom-3 set,
+        # and gains 187.5 - 3 kappa; tables of top-m sets alone miss it and
+        # reported [37.5, 87.5]
+        p = GameParams(theta=10.0, beta=4.0, lam=4.0, kappa=1.0, n=5, effort_min=-5.0)
+        search = SupportSearch(p, TRIANGLE_AND_TWO_ISOLATES)
+        assert search.x.tolist() == [-5.0, -5.0, -5.0, 2.5, 2.5]
+        (lo, hi), = search.intervals()
+        assert lo == pytest.approx(62.5, abs=1e-8) and hi == pytest.approx(87.5, abs=1e-8)
+        assert not search.report(37.75).supportable
+        assert not search.report(60.0).supportable
+
+    @pytest.mark.parametrize("lam", [3.0, 4.0, 6.0])
+    def test_sweep_with_negative_efforts_matches_intervals(self, lam):
+        # 0.037 + 0.1 k keeps every probe off the exact weak-equilibrium costs
+        p = GameParams(theta=10.0, beta=4.0, lam=lam, kappa=1.0, n=5, effort_min=-5.0)
+        search = SupportSearch(p, TRIANGLE_AND_TWO_ISOLATES)
+        intervals = search.intervals()
+        assert intervals
+        for k in 0.037 + 0.1 * np.arange(1600):
+            assert search.report(float(k)).supportable == in_union(k, intervals), k
 
 
 class TestEnumerate:
