@@ -286,7 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact Nash check of a strategy profile")
     p.add_argument("--treatment", required=True)
-    p.add_argument("--profile", required=True, help="JSON profile file")
+    p.add_argument(
+        "--profile",
+        required=True,
+        help="JSON profile file; its n must equal the treatment's group size",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="equilibrium-supportable candidate networks")

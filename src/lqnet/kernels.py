@@ -9,8 +9,8 @@
   2**(N-1) intent subsets reduce to 2N+1 prefix sums per agent.
 * `deviation_scan` - every agent's best unilateral deviation (effort
   re-optimized per intent set), from `deviation_sums`.  This is the
-  inner loop of Nash verification and of the sponsorship-orientation
-  search.
+  inner loop of Nash verification (`verifier.verify_nash`); the
+  sponsorship-orientation search uses `deviation_sums` directly.
 * `br_iteration` - clipped best-response fixed-point iteration used when
   the direct equilibrium solve does not apply.
 

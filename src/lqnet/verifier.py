@@ -12,20 +12,23 @@ search exact.  Every payoff here is `model.br_payoff` minus the link
 costs.
 
 Support checks fix efforts at the network's equilibrium values and search
-sponsorship orientations (one sponsor per link): greedy warm starts
-first, then backtracking over per-edge sponsor assignments constrained to
-each agent's stable sponsor sets, under a hard node budget.  Only the
-stable-set filter depends on the linking cost, so `SupportSearch` builds
-everything else once per network.  Each stable-set condition is affine in
-the cost, so the costs where a network is supportable are a union of
-closed intervals whose ends come from the sponsor tables
-(`SupportSearch.intervals`).
+sponsorship orientations (one sponsor per link).  With efforts fixed, an
+orientation is an equilibrium exactly when every agent's sponsored set is
+stable, and each set's stability condition is affine in the linking cost,
+so `_sponsor_tables` solves it once per network into a closed cost
+interval per set.  Those intervals are the one stability test: they give
+each agent's stable family at a cost (`_stable_sponsor_sets`), which the
+search uses to accept greedy warm starts and to constrain backtracking
+over per-edge sponsor assignments under a hard node budget, and their ends
+split the costs into stretches of constant verdict
+(`SupportSearch.intervals`).  `verify_nash` checks a whole profile on its
+own and shares only `kernels.deviation_sums` with the search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -130,17 +133,15 @@ def _subset_table(m: int) -> np.ndarray:
 
 
 class _SponsorTable(NamedTuple):
-    """One agent's κ-free payoffs, one row per candidate sponsored-neighbor set."""
+    """One agent's sponsored-neighbor sets, each with the closed κ range where it is stable."""
 
-    dev_payoff: np.ndarray  # BR payoff of each deviation `kernels.deviation_sums` forms
-    dev_counts: np.ndarray  # links that deviation sponsors
-    full_payoff: float  # BR payoff with every link kept
-    counts: np.ndarray  # links the set sponsors
+    lo: np.ndarray  # least stable κ of each set
+    hi: np.ndarray  # greatest stable κ (inf when unbounded)
     masks: np.ndarray  # the set as an agent-id bitmask
 
 
 def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list[_SponsorTable]:
-    """Per agent, the payoff tables `_stable_sponsor_sets` filters at each κ.
+    """Per agent, every sponsored-neighbor set that is stable at some κ >= 0, and where.
 
     With efforts fixed, an agent sponsoring a set of its links keeps the
     incoming ones and can deviate to any target set within (sponsored ∪
@@ -149,6 +150,12 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
     lowest-effort candidates (`kernels.deviation_sums`) and the table is
     exact.  The lowest can win where the best reply is negative, because
     the payoff then falls as neighbor effort rises.
+
+    This is the one statement of the stability inequality: a set sponsoring
+    c links is stable at κ when ``V(all) - κ·c + DEVIATION_TOL`` is at least
+    every deviation's ``V(dev) - κ·c_dev``.  Each condition reads
+    ``a·κ <= b``, so a set's stable κ form one closed interval ``[lo, hi]``;
+    sets whose interval is empty are dropped.
     """
     adj = network.adjacency
     n = network.n
@@ -164,59 +171,31 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
         member = np.tile(~is_nb, (len(table), 1))
         member[:, is_nb] = table[:, np.searchsorted(nb, order[is_nb])]
         sums, dev_counts = kernels.deviation_sums(all_sum - s_sums, x[order], member)
-        tables.append(
-            _SponsorTable(
-                dev_payoff=_br_value(params, sums),
-                dev_counts=dev_counts,
-                full_payoff=float(_br_value(params, np.array(all_sum))),
-                counts=table.sum(axis=1),
-                masks=table.astype(np.int64) @ (np.int64(1) << nb),
-            )
-        )
+        a = (table.sum(axis=1)[:, None] - dev_counts).astype(float)
+        b = _br_value(params, np.array(all_sum)) + DEVIATION_TOL - _br_value(params, sums)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = b / a
+        lo = np.where(a < 0, ratio, 0.0).max(axis=1)
+        hi = np.where(a > 0, ratio, np.inf).min(axis=1)
+        ok = (lo <= hi) & np.all((a != 0) | (b >= 0), axis=1)
+        masks = table.astype(np.int64) @ (np.int64(1) << nb)
+        tables.append(_SponsorTable(lo[ok], hi[ok], masks[ok]))
     return tables
 
 
 def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.ndarray] | None:
-    """Per agent, every sponsored-neighbor set admitting no profitable deviation.
+    """Per agent, every sponsored-neighbor set admitting no profitable deviation at κ.
 
     Returns one int64 array of stable sets per agent (as agent-id
     bitmasks), or None as soon as some agent has no stable set.
     """
     families: list[np.ndarray] = []
     for t in tables:
-        best = (t.dev_payoff - kappa * t.dev_counts).max(axis=1)
-        current = t.full_payoff - kappa * t.counts
-        stable = current + DEVIATION_TOL >= best
-        if not stable.any():
+        stable = t.masks[(t.lo <= kappa) & (kappa <= t.hi)]
+        if not len(stable):
             return None
-        families.append(t.masks[stable])
+        families.append(stable)
     return families
-
-
-def _row_ends(t: _SponsorTable) -> np.ndarray:
-    """The finite ends of the κ >= 0 ranges where the rows of ``t`` are stable.
-
-    Row r is stable when ``full_payoff - κ·counts + DEVIATION_TOL`` is at
-    least every ``dev_payoff - κ·dev_counts``.  Each condition reads
-    ``a·κ <= b``, so the stable κ of a row form one closed interval,
-    possibly empty.
-    """
-    slack = t.full_payoff + DEVIATION_TOL
-    a = (t.counts[:, None] - t.dev_counts).astype(float)
-    b = slack - t.dev_payoff
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = b / a
-    lo = np.where(a < 0, ratio, 0.0).max(axis=1)
-    hi = np.where(a > 0, ratio, np.inf).min(axis=1)
-    stable = (lo <= hi) & np.all((a != 0) | (b >= 0), axis=1)
-    return np.concatenate([lo[stable & (lo > 0)], hi[stable & (hi < np.inf)]])
-
-
-def _drop_all_prunes(params: GameParams, x: np.ndarray, intents: np.ndarray) -> bool:
-    """True if some agent profits from withdrawing all its sponsorships."""
-    current = br_payoff(params, x, (intents | intents.T) @ x) - params.kappa * intents.sum(axis=1)
-    dropped = _br_value(params, intents.T @ x)  # incoming-only neighbor effort sums
-    return bool(np.any(dropped - current > DEVIATION_TOL))
 
 
 class SupportSearch:
@@ -249,15 +228,18 @@ class SupportSearch:
     def intervals(self) -> list[tuple[float, float]]:
         """Every κ >= 0 where the network is supportable, as sorted closed intervals.
 
-        Every agent's stable family is constant between consecutive row
-        ends (`_row_ends`), so one `report` at the midpoint of each stretch
-        decides the whole stretch; the stretch past the last end is probed
-        at that end + 1.  Ends closer than ``DEVIATION_TOL`` count as one,
-        so no probe lands on or between float-close ends: a window
-        narrower than the tolerance is an artefact, not an equilibrium.
-        Adjacent supportable stretches join into one interval.
+        Every agent's stable family is constant between consecutive ends of
+        the sponsor tables' ranges, so one `report` at the midpoint of each
+        stretch decides the whole stretch; the stretch past the last end is
+        probed at that end + 1.  A set stable on a stretch is stable on its
+        closure, so `report` at any reported end agrees with the interval.
+        Ends closer than ``DEVIATION_TOL`` count as one, so no probe lands
+        on or between float-close ends: a window narrower than the
+        tolerance is an artefact, not an equilibrium.  Adjacent supportable
+        stretches join into one interval.
         """
-        ends = np.unique(np.concatenate([[0.0], *map(_row_ends, self.tables)]))
+        ends = np.unique(np.concatenate([[0.0], *(np.r_[t.lo, t.hi] for t in self.tables)]))
+        ends = ends[np.isfinite(ends)]
         groups = np.split(ends, np.flatnonzero(np.diff(ends) >= DEVIATION_TOL) + 1)
         stretches = [(float(g[-1]), float(h[0])) for g, h in zip(groups, groups[1:])]
         stretches.append((float(groups[-1][-1]), math.inf))
@@ -276,65 +258,53 @@ class SupportSearch:
     def report(self, kappa: float) -> NESupportReport:
         """Search for a sponsorship orientation making the network an equilibrium at κ.
 
-        A κ where some agent has no stable sponsor set is rejected at once.
-        Otherwise the distinct warm starts come first, pruned by no-drop
-        feasibility before the full deviation scan; then each link is
-        assigned a sponsor under per-agent stable-set constraints (exact, see
-        `_sponsor_tables`), so negative verdicts never need all 2**links
-        orientations.  ``orientations_tried`` counts the warm starts (also
-        when rejected at once) plus search-tree assignments; past
-        ``ORIENTATION_BUDGET`` the search raises instead of guessing.
+        An orientation is an equilibrium exactly when each agent's sponsored
+        set is in its stable family at κ (`_stable_sponsor_sets`, exact, see
+        `_sponsor_tables`).  A κ where some agent has no stable set is
+        rejected at once.  Otherwise the distinct warm starts are tried
+        first; then each link is assigned a sponsor under the per-agent
+        family constraints, so negative verdicts never need all 2**links
+        orientations, and the first completed assignment is the witness.
+        ``orientations_tried`` counts the warm starts (also when rejected
+        at once) plus search-tree assignments; past ``ORIENTATION_BUDGET``
+        the search raises instead of guessing.
         """
-        params = replace(self.params, kappa=kappa)
         network, n, edges, deg = self.network, self.network.n, self.edges, self.deg
 
-        def check(sponsors) -> StrategyProfile | None:
-            intents_m = _orientation_intents(n, edges, sponsors)
-            if _drop_all_prunes(params, self.x, intents_m):
-                return None
-            profile = StrategyProfile(EffortProfile(self.x), IntentProfile(intents_m))
-            return profile if verify_nash(params, profile).is_nash else None
+        def found(intents: np.ndarray, tried: int) -> NESupportReport:
+            witness = StrategyProfile(EffortProfile(self.x), IntentProfile(intents))
+            return NESupportReport(network, True, witness, tried)
 
         families = _stable_sponsor_sets(self.tables, kappa)
         if families is None:  # some agent has no stable set: every orientation fails
             return NESupportReport(network, False, None, len(self.warm))
         for tried, sponsors in enumerate(self.warm, 1):
-            witness = check(sponsors)
-            if witness is not None:
-                return NESupportReport(network, True, witness, tried)
+            intents = _orientation_intents(n, edges, sponsors)
+            own = intents.astype(np.int64) @ (np.int64(1) << np.arange(n))
+            if all(m in fam for fam, m in zip(families, own)):
+                return found(intents, tried)
         tried = len(self.warm)
-        seen = set(self.warm)
         family_sizes = [np.bitwise_count(fam) for fam in families]
 
         sponsored = [0] * n
         refused = [0] * n
 
-        def feasible(agent: int) -> bool:
-            fam = families[agent]
-            sp = sponsored[agent]
-            return bool(np.any(((fam & sp) == sp) & ((fam & refused[agent]) == 0)))
-
         def max_additional(agent: int) -> int:
-            """Most extra sponsorships this agent can still take on."""
-            fam = families[agent]
-            ok = ((fam & sponsored[agent]) == sponsored[agent]) & (
-                (fam & refused[agent]) == 0
-            )
+            """Most extra sponsorships this agent can still take on; -1 if none fits."""
+            fam, sp = families[agent], sponsored[agent]
+            ok = ((fam & sp) == sp) & ((fam & refused[agent]) == 0)
             if not ok.any():
                 return -1
-            return int(family_sizes[agent][ok].max()) - int(
-                bin(sponsored[agent]).count("1")
-            )
+            return int(family_sizes[agent][ok].max()) - sp.bit_count()
 
         def capacity_ok(assigned: int) -> bool:
-            remaining = len(edges) - assigned
             total = 0
             for agent in range(n):
                 extra = max_additional(agent)
                 if extra < 0:
                     return False
                 total += extra
-            return total >= remaining
+            return total >= len(edges) - assigned
 
         nodes = 0
 
@@ -354,24 +324,16 @@ class SupportSearch:
                     )
                 sponsored[sponsor] |= 1 << other
                 refused[other] |= 1 << sponsor
-                if feasible(sponsor) and feasible(other) and capacity_ok(k + 1):
+                if capacity_ok(k + 1):  # also fails when some agent has no set left
                     yield from assignments(k + 1)
                 sponsored[sponsor] &= ~(1 << other)
                 refused[other] &= ~(1 << sponsor)
 
         if not capacity_ok(0):
             return NESupportReport(network, False, None, tried)
-
-        # every completed assignment gives each agent exactly one of its stable
-        # sets, so the confirming scan can only fail on a float knife edge; the
-        # generator then simply continues
+        # a completed assignment gives each agent exactly one of its stable sets
         for sponsors in assignments(0):
-            if sponsors in seen:
-                continue
-            seen.add(sponsors)
-            witness = check(sponsors)
-            if witness is not None:
-                return NESupportReport(network, True, witness, tried + nodes)
+            return found(_orientation_intents(n, edges, sponsors), tried + nodes)
         return NESupportReport(network, False, None, tried + nodes)
 
 
@@ -435,7 +397,7 @@ def graph_atlas(n: int) -> list[Network]:
     labels = np.unique(_canonical_labels(n, np.arange(1 << len(pairs), dtype=np.int64)))
     return [
         Network.from_edges(n, [pairs[idx] for idx in range(len(pairs)) if (canon >> idx) & 1])
-        for canon in sorted(labels.tolist(), key=lambda c: (bin(c).count("1"), c))
+        for canon in sorted(labels.tolist(), key=lambda c: (c.bit_count(), c))
     ]
 
 

@@ -154,18 +154,18 @@ class TestNeSupportable:
                     assert not (m & m.T).any()
 
     def test_budget_error_reported(self, monkeypatch):
-        # the assignment search is guarded by a node budget; force it to run
-        # by making every sponsor set look stable on a non-equilibrium network
+        # the assignment search is guarded by a node budget; force it to branch
+        # by letting each agent sponsor only all of its links, which no
+        # orientation (one sponsor per link) can give every agent
         import lqnet.verifier as verifier_mod
 
         p = get_treatment("N5_LowCost").params
         net = Network.star(5, center=0)
-
-        def permissive(tables, kappa):
-            return [t.masks for t in tables]
-
-        monkeypatch.setattr(verifier_mod, "_stable_sponsor_sets", permissive)
-        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", 2)
+        everything = [
+            np.array([sum(1 << int(j) for j in np.flatnonzero(row))]) for row in net.adjacency
+        ]
+        monkeypatch.setattr(verifier_mod, "_stable_sponsor_sets", lambda tables, kappa: everything)
+        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", 1)
         with pytest.raises(OrientationBudgetError):
             ne_supportable(p, net)
 
@@ -192,11 +192,11 @@ class TestNeSupportable:
 
 
 def parity_kappas(treatment):
-    """0, 20, every golden interval end +- 1e-7, and 20 seeded draws."""
+    """0, 20, every golden interval end, also +- 1e-7, and 20 seeded draws."""
     golden = Path(__file__).parent / "golden" / f"thresholds_{treatment}.json"
     entries = json.loads(golden.read_text())["method_notes"]["architectures"]
     ends = {end for e in entries for iv in e["intervals"] for end in iv if end != "inf"}
-    kappas = [0.0, 20.0] + [s + d for s in sorted(ends) for d in (-1e-7, 1e-7)]
+    kappas = [0.0, 20.0] + [s + d for s in sorted(ends) for d in (-1e-7, 0.0, 1e-7)]
     kappas += np.random.default_rng(2).uniform(0.0, 20.0, 20).tolist()
     return [k for k in kappas if k >= 0.0]
 
@@ -205,6 +205,7 @@ def in_union(kappa, intervals):
     return any(lo <= kappa <= hi for lo, hi in intervals)
 
 
+TREATMENTS = ("N5_HighCost", "N5_LowCost", "N9_HighCost", "N9_LowCost1", "N9_LowCost2")
 TRIANGLE_AND_TWO_ISOLATES = Network.from_edges(5, [(0, 1), (1, 2), (0, 2)])
 
 
@@ -234,14 +235,11 @@ class TestSupportSearch:
         for net in graph_atlas(5):
             search = SupportSearch(p, net)
             intervals = search.intervals()
-            ends = np.array([end for iv in intervals for end in iv if end != np.inf])
             for k in kappas:
-                if len(ends) and np.abs(ends - k).min() <= 1e-6:
-                    continue
-                assert search.report(float(k)).supportable == in_union(k, intervals), (
-                    net.edges(),
-                    k,
-                )
+                report = search.report(float(k))
+                assert report.supportable == in_union(k, intervals), (net.edges(), k)
+                if report.supportable:
+                    assert verify_nash(replace(p, kappa=float(k)), report.witness).is_nash
 
     def test_float_close_ends_are_merged(self):
         # K9 under N9_HighCost has row ends a few ulps apart near 5.46875; a
@@ -254,15 +252,35 @@ class TestSupportSearch:
 
     def test_probe_on_an_end_leaves_intervals_unchanged(self):
         # the empty network's interval starts where the all-links deviation
-        # gains exactly DEVIATION_TOL; a report placed there fails the
-        # confirming scan by float noise, which must not leak into intervals
+        # gains exactly DEVIATION_TOL; a report placed there is supportable,
+        # and probing must not change the intervals
         p = get_treatment("N5_HighCost").params
         fresh = SupportSearch(p, Network.empty(5)).intervals()
         assert fresh[0][0] == pytest.approx(3.0 - DEVIATION_TOL / 4, abs=1e-12)
         assert fresh[0][1] == np.inf and len(fresh) == 1
         search = SupportSearch(p, Network.empty(5))
-        search.report(fresh[0][0])
+        assert search.report(fresh[0][0]).supportable
         assert search.intervals() == fresh
+
+    def test_every_interval_end_is_supportable(self, monkeypatch):
+        # a report at a finite end agrees with the closed interval, and its
+        # witness passes the independent deviation check there; a small
+        # budget makes a regression fail fast rather than search 2**20 nodes
+        import lqnet.verifier as verifier_mod
+
+        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", 1 << 12)
+        checked = 0
+        for treatment in TREATMENTS:
+            p = get_treatment(treatment).params
+            for net in enumerate_candidates(p.n):
+                search = SupportSearch(p, net)
+                for end in {e for iv in search.intervals() for e in iv if e != np.inf}:
+                    report = search.report(end)
+                    assert report.supportable, (treatment, net.edges(), end)
+                    worst = verify_nash(replace(p, kappa=end), report.witness).worst_deviation
+                    assert worst is None or worst.gain <= DEVIATION_TOL + 1e-12, (treatment, end)
+                    checked += 1
+        assert checked == 29
 
     def test_negative_effort_neighbors_are_bottom_m_deviations(self):
         # a triangle at effort -5 plus two isolates at 2.5: an isolate's best
