@@ -85,7 +85,7 @@ class EffortRule:
 
     ``initial_effort`` may be a number (constant start), the string
     "uniform" (uniform draw over the effort box), or None for the
-    empty-network best response theta/beta.
+    empty-network best response, theta/beta clipped to the effort box.
     """
 
     b0: float
@@ -344,7 +344,7 @@ def step_links(
 def _initial_effort(rule: EffortRule, params: GameParams, rng: np.random.Generator) -> float:
     spec = rule.initial_effort
     if spec is None:
-        return params.theta / params.beta
+        return float(best_response(params, 0.0))
     if spec == "uniform":
         return float(rng.uniform(params.effort_min, params.effort_max))
     return float(np.clip(spec, params.effort_min, params.effort_max))

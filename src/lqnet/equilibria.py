@@ -4,9 +4,9 @@ Nash efforts on a fixed network solve ``[I - (lam/beta) G] x = (theta/beta) 1``
 (the walk-counting centrality scaled by theta/beta) when the spectral
 condition holds and the solution is interior; otherwise a clipped
 best-response iteration from the all-minimum profile returns the least
-fixed point.  Efficient efforts maximize total gross welfare over the
-effort box by cyclic coordinate ascent, which handles the capped regime
-where the interior problem is unbounded.
+fixed point.  Efficient efforts are the same solve with the spillover
+doubled: the planner's first-order condition for agent i is the Nash
+condition at ``2 lam`` (see `efficient_efforts`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .model import (
     best_response,
     br_payoff,
     payoff_components,
-    realize_network,
 )
 
 #: residual below which a solver output counts as converged
@@ -71,10 +70,8 @@ def _check_network(params: GameParams, network: Network) -> None:
         )
 
 
-def _at_bounds(params: GameParams, x: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(
-        np.any(x <= params.effort_min + tol) or np.any(x >= params.effort_max - tol)
-    )
+def _at_bounds(params: GameParams, x: np.ndarray) -> bool:
+    return bool(np.any(x <= params.effort_min + 1e-12) or np.any(x >= params.effort_max - 1e-12))
 
 
 def _br_residual(params: GameParams, adj: np.ndarray, x: np.ndarray) -> float:
@@ -120,34 +117,15 @@ def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
 def efficient_efforts(params: GameParams, network: Network) -> EffortSolution:
     """Effort vector maximizing total gross welfare over the effort box.
 
-    Cyclic coordinate ascent.  Each agent's effort also raises its
-    neighbors' spillovers, so the per-coordinate update is the best reply
-    with the spillover doubled, ``best_response`` at ``2 lam``.  When the
-    interior problem is well-posed this matches the linear-system solution;
-    when it is unbounded the ascent escalates to the upper bound.
+    Agent i's effort enters its own payoff and, through the spillover
+    ``lam x_i x_j``, each neighbor's, so the planner's first-order
+    condition ``theta - beta x_i + 2 lam s_i = 0``, clipped to the box, is
+    the Nash condition with the spillover doubled.  Efficient efforts are
+    therefore `nash_efforts` at ``2 lam``: the linear solve when it is
+    interior, else the least fixed point of the clipped best reply, which
+    escalates to the upper bound where the interior problem is unbounded.
     """
-    _check_network(params, network)
-    planner = replace(params, lam=2.0 * params.lam)
-    adj = network.adjacency
-    x = np.full(params.n, params.effort_min, dtype=float)
-    sweeps = 0
-    while sweeps < MAX_ITER:
-        change = 0.0
-        for i in range(params.n):
-            new = float(best_response(planner, float(x[adj[i]].sum())))
-            change = max(change, abs(new - x[i]))
-            x[i] = new
-        sweeps += 1
-        if change < 1e-10:
-            break
-    residual = float(np.max(np.abs(x - best_response(planner, adj @ x))))
-    return EffortSolution(
-        efforts=EffortProfile(x),
-        converged=residual <= SOLVER_TOL,
-        iterations=sweeps,
-        residual=residual,
-        capped=_at_bounds(params, x),
-    )
+    return nash_efforts(replace(params, lam=2.0 * params.lam), network)
 
 
 # --------------------------------------------------------------------------
@@ -231,27 +209,16 @@ def balanced_sponsorship(network: Network) -> IntentProfile:
 
 
 def equilibrium_payoffs(
-    params: GameParams,
-    network: Network,
-    efforts: EffortProfile,
-    sponsorship: IntentProfile | None = None,
+    params: GameParams, network: Network, efforts: EffortProfile
 ) -> EquilibriumPayoffReport:
     """Per-agent payoffs at the given efforts with single-sponsor link costs.
 
-    With ``sponsorship=None`` a balanced default is constructed (see
-    `balanced_sponsorship`).  A supplied sponsorship must realize exactly
-    the target network with each link initiated by exactly one side.
+    Each link is paid by one endpoint, as `balanced_sponsorship` assigns it.
     """
     _check_network(params, network)
     if efforts.n != params.n:
         raise DimensionMismatchError(f"efforts have n={efforts.n}, expected {params.n}")
-    if sponsorship is None:
-        sponsorship = balanced_sponsorship(network)
-    else:
-        if not np.array_equal(realize_network(sponsorship).adjacency, network.adjacency):
-            raise LqnetError("sponsorship does not realize the target network")
-        if (sponsorship.matrix & sponsorship.matrix.T).any():
-            raise LqnetError("sponsorship must initiate each link from exactly one side")
+    sponsorship = balanced_sponsorship(network)
     comps = payoff_components(params, efforts.efforts, sponsorship.matrix)
     per_agent = comps[:, 4].copy()
     per_agent.setflags(write=False)
@@ -269,15 +236,15 @@ def equilibrium_payoffs(
 def single_link_deviation_threshold(params: GameParams) -> float:
     """Linking cost at which one added link stops paying off from the empty profile.
 
-    Everyone plays the empty-network effort ``b = theta/beta``; one agent
-    initiates a single link and re-optimizes effort, gaining ``V(b) -
-    br_payoff(b, 0) - kappa`` with ``V(s) = br_payoff(best_response(s), s)``,
-    so the switch is the kappa-free first two terms.  This is the one-link
-    margin only - deviations adding several links at once stay profitable
-    up to a higher cost (see `cost_thresholds` for the full-predicate
-    switch).
+    Everyone plays the empty-network effort ``b = best_response(0)``
+    (``theta/beta`` clipped to the effort box); one agent initiates a single
+    link and re-optimizes effort, gaining ``V(b) - br_payoff(b, 0) - kappa``
+    with ``V(s) = br_payoff(best_response(s), s)``, so the switch is the
+    kappa-free first two terms.  This is the one-link margin only -
+    deviations adding several links at once stay profitable up to a higher
+    cost (see `cost_thresholds` for the full-predicate switch).
     """
-    base = params.theta / params.beta
+    base = float(best_response(params, 0.0))
     return float(
         br_payoff(params, best_response(params, base), base) - br_payoff(params, base, 0.0)
     )

@@ -87,11 +87,7 @@ def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams)
 
 
 def br_iteration(
-    adjacency: np.ndarray,
-    x0: np.ndarray,
-    params: GameParams,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
+    adjacency: np.ndarray, x0: np.ndarray, params: GameParams, tol: float, max_iter: int
 ):
     """Iterate the clipped best-response map until the sweep change is below tol.
 

@@ -205,6 +205,14 @@ class TestRunSession:
         # initial efforts 2.5: benefit 0.4 * 6.25 - 1 = 1.5 > 0, all links initiated
         assert rec.intents[0].sum() == 5 * 4
 
+    def test_default_start_is_clipped_to_the_box(self):
+        # theta/beta = 2.5 lies above effort_max = 2: the empty-network best
+        # response is the cap
+        params = GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=5, effort_max=2.0)
+        pol = AgentPolicy(EffortRule(b0=1.0, b1=0.0, b2=0.0), LinkRule.benefit_threshold())
+        rec = run_session(params, pol, 1, seed=0)
+        assert list(rec.efforts[0]) == [2.0] * 5
+
     def test_uniform_initial_efforts(self):
         pol = AgentPolicy(
             EffortRule(b0=1.0, b1=0.0, b2=0.0, initial_effort="uniform"),

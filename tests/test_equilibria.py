@@ -12,10 +12,9 @@ from lqnet.equilibria import (
     single_link_deviation_threshold,
     spectral_radius,
 )
-from lqnet.errors import LqnetError, NonContractionError
+from lqnet.errors import NonContractionError
 from lqnet.model import (
     GameParams,
-    IntentProfile,
     Network,
     get_treatment,
     realize_network,
@@ -122,8 +121,26 @@ class TestEfficientEfforts:
     def test_complete_n5(self):
         p = get_treatment("N5_LowCost").params
         sol = efficient_efforts(p, Network.complete(5))
-        assert np.allclose(sol.efforts.efforts, 12.5, atol=1e-8)
+        # the linear solve leaves last-bit differences only
+        assert np.ptp(sol.efforts.efforts) <= 1e-12
+        assert np.allclose(sol.efforts.efforts, 12.5, rtol=0, atol=1e-12)
         assert not sol.capped
+
+    def test_star_centres_exact(self):
+        # planner's star: centre theta (beta + 2 lam (n-1)) / (beta^2 - 4 lam^2 (n-1)),
+        # periphery (theta + 2 lam centre) / beta
+        x5 = efficient_efforts(get_treatment("N5_HighCost").params, Network.star(5)).efforts.efforts
+        assert x5[0] == pytest.approx(72 / 13.44, abs=1e-12)
+        x9 = efficient_efforts(get_treatment("N9_HighCost").params, Network.star(9)).efforts.efforts
+        assert x9[0] == pytest.approx(40 / 7, abs=1e-12)
+        assert np.allclose(x9[1:], 45 / 14, rtol=0, atol=1e-12)
+
+    def test_non_contraction_error(self):
+        # the Nash case of TestNashEfforts at half the spillover: the
+        # planner's ratio 2 lam (n-1) / beta is just above 1
+        p = GameParams(theta=1e-4, beta=4.0, lam=0.25000025, kappa=1.0, n=9)
+        with pytest.raises(NonContractionError):
+            efficient_efforts(p, Network.complete(9))
 
     def test_complete_n9_cap_binds(self):
         p = get_treatment("N9_LowCost1").params
@@ -261,21 +278,6 @@ class TestEquilibriumPayoffs:
             assert np.allclose(rep.per_agent[1:], peri_pay, atol=0.01)
             assert rep.sponsorship.initiation_counts()[0] == 0
 
-    def test_rejects_mismatched_sponsorship(self):
-        p = get_treatment("N5_LowCost").params
-        net = Network.complete(5)
-        with pytest.raises(LqnetError):
-            equilibrium_payoffs(
-                p, net, nash_efforts(p, net).efforts, IntentProfile.none(5)
-            )
-
-    def test_rejects_double_sponsorship(self):
-        p = get_treatment("N5_LowCost").params
-        net = Network.from_edges(5, [(0, 1)])
-        both = IntentProfile.from_pairs(5, [(0, 1), (1, 0)])
-        with pytest.raises(LqnetError):
-            equilibrium_payoffs(p, net, nash_efforts(p, net).efforts, both)
-
 
 class TestCostThresholds:
     def test_single_link_threshold_closed_form(self):
@@ -283,6 +285,12 @@ class TestCostThresholds:
         oracle = p.theta**2 * p.lam * (2 * p.beta + p.lam) / (2 * p.beta**3)
         assert oracle == pytest.approx(2.625, abs=1e-12)
         assert single_link_deviation_threshold(p) == pytest.approx(oracle, abs=1e-12)
+
+    def test_single_link_threshold_from_clipped_empty_effort(self):
+        # theta/beta = 2.5 lies above effort_max = 2, so everyone plays 2 on
+        # the empty network: V(2) - br_payoff(2, 0) = 13.6 - 12
+        p = GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=5, effort_max=2.0)
+        assert single_link_deviation_threshold(p) == pytest.approx(1.6, abs=1e-12)
 
     def test_named_architecture_switches(self):
         p = get_treatment("N5_LowCost").params

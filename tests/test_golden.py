@@ -6,6 +6,10 @@ Witnesses, ``orientations_tried``, support intervals and threshold floats
 all show up here, so a change to search order or tie-breaking fails this
 test.
 
+Each ``golden/solve_<objective>_<network>_<treatment>.json`` holds the
+stdout of ``lqnet solve`` on the empty, star or complete network, for the
+Nash (``nash``) or the efficient (``efficient``, ``--efficient``) efforts.
+
 Each ``golden/verify_<profile>_<treatment>.json`` holds the stdout of
 ``lqnet verify`` on ``golden/profiles/<profile>.json``.  The profiles put
 every effort on a 0.25 grid, so every neighbor total is exact and the gain
@@ -25,6 +29,10 @@ To regenerate after an intended change, from the repository root::
 
     PYTHONPATH=src python -m lqnet.cli thresholds --treatment T > tests/golden/thresholds_T.json
     PYTHONPATH=src python -m lqnet.cli enumerate --treatment T > tests/golden/enumerate_T.json
+    PYTHONPATH=src python -m lqnet.cli solve --treatment T --network N \\
+        > tests/golden/solve_nash_N_T.json
+    PYTHONPATH=src python -m lqnet.cli solve --treatment T --network N --efficient \\
+        > tests/golden/solve_efficient_N_T.json
     PYTHONPATH=src python -m lqnet.cli verify --treatment T \\
         --profile tests/golden/profiles/P.json > tests/golden/verify_P_T.json
 
@@ -74,6 +82,16 @@ VERIFY = {
 def test_stdout_matches_golden(capsys, command, treatment):
     assert main([command, "--treatment", treatment]) == 0
     expected = (GOLDEN / f"{command}_{treatment}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("treatment", TREATMENTS)
+@pytest.mark.parametrize("network", ["empty", "star", "complete"])
+@pytest.mark.parametrize("objective", ["nash", "efficient"])
+def test_solve_matches_golden(capsys, objective, network, treatment):
+    argv = ["solve", "--treatment", treatment, "--network", network]
+    assert main(argv + ["--efficient"] * (objective == "efficient")) == 0
+    expected = (GOLDEN / f"solve_{objective}_{network}_{treatment}.json").read_text()
     assert capsys.readouterr().out == expected
 
 
