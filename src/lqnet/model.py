@@ -16,7 +16,6 @@ output use 1-based IDs (see `session_io`).
 
 from __future__ import annotations
 
-import importlib.resources
 import math
 import operator
 from collections.abc import Mapping
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, DimensionMismatchError, UnknownTreatmentError
 
@@ -270,6 +268,40 @@ class PayoffBreakdown:
     total: float
 
 
+#: Bundled treatment presets, keyed by treatment name, in the mapping form of
+#: `GameParams.from_mapping`:
+#:
+#: theta:  linear benefit coefficient of own effort
+#: beta:   quadratic effort-cost coefficient
+#: lambda: complementarity (spillover) coefficient
+#: kappa:  cost per initiated link
+#: n:      group size
+#: equilibrium_networks: architectures supportable as a Nash equilibrium
+#:   under these parameters (used by `enumerate` as the documented target set).
+TREATMENT_PRESETS: dict[str, dict] = {
+    "N5_LowCost": {
+        "n": 5, "theta": 10.0, "beta": 4.0, "lambda": 0.4, "kappa": 1.0,
+        "equilibrium_networks": ("Complete",),
+    },
+    "N5_HighCost": {
+        "n": 5, "theta": 10.0, "beta": 4.0, "lambda": 0.4, "kappa": 3.9,
+        "equilibrium_networks": ("Empty", "Star", "Complete"),
+    },
+    "N9_LowCost1": {
+        "n": 9, "theta": 10.0, "beta": 4.0, "lambda": 0.25, "kappa": 1.0,
+        "equilibrium_networks": ("Complete",),
+    },
+    "N9_LowCost2": {
+        "n": 9, "theta": 10.0, "beta": 4.0, "lambda": 0.4, "kappa": 1.0,
+        "equilibrium_networks": ("Complete",),
+    },
+    "N9_HighCost": {
+        "n": 9, "theta": 10.0, "beta": 4.0, "lambda": 0.25, "kappa": 2.5,
+        "equilibrium_networks": ("Empty", "Star", "Complete"),
+    },
+}
+
+
 @dataclass(frozen=True)
 class Treatment:
     """Named parameterization bundled with its equilibrium architectures."""
@@ -281,19 +313,15 @@ class Treatment:
 
 @lru_cache(maxsize=1)
 def treatments() -> dict[str, Treatment]:
-    """Bundled treatment presets, keyed by name."""
-    text = (
-        importlib.resources.files("lqnet.data").joinpath("treatments.yaml").read_text()
-    )
-    raw = yaml.safe_load(text)
-    out: dict[str, Treatment] = {}
-    for name, cfg in raw.items():
-        out[name] = Treatment(
+    """`TREATMENT_PRESETS` as validated `Treatment`s, keyed by name."""
+    return {
+        name: Treatment(
             name=name,
             params=GameParams.from_mapping(cfg),
-            equilibrium_networks=tuple(cfg["equilibrium_networks"]),
+            equilibrium_networks=cfg["equilibrium_networks"],
         )
-    return out
+        for name, cfg in TREATMENT_PRESETS.items()
+    }
 
 
 def get_treatment(name: str) -> Treatment:

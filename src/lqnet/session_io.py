@@ -15,7 +15,6 @@ from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .dynamics import (
     LINK_RULE_KINDS,
@@ -151,13 +150,22 @@ def profile_from_obj(obj: dict) -> StrategyProfile:
     return StrategyProfile(EffortProfile(efforts), intents)
 
 
+def _read_text(path: str | Path, what: str, error: type[LqnetError]) -> str:
+    """Text of the file at ``path``; a failed read raises one-line ``error``
+    naming the file as ``what``."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
+
+
 def read_json(path: str, what: str):
     """Parse the JSON file at ``path``; ``what`` names the file in errors."""
-    p = Path(path)
-    if not p.exists():
-        raise LqnetError(f"{what} file not found: {path}")
+    text = _read_text(path, f"{what} file", LqnetError)
     try:
-        return json.loads(p.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LqnetError(f"{path}: malformed JSON: {exc}") from None
 
@@ -270,11 +278,12 @@ def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
 def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
     """Agent policies for a group of ``n`` from a policy file (YAML, or JSON as a
     YAML subset): a shared `policy` section or a per-agent `policies` list."""
+    import yaml
+
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"file not found: {p}")
+    text = _read_text(p, "file", ConfigError)
     try:
-        data = _as_mapping(yaml.safe_load(p.read_text()), str(p))
+        data = _as_mapping(yaml.safe_load(text), str(p))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: malformed file: {exc}") from None
     if "policies" in data:

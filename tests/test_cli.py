@@ -385,6 +385,11 @@ def _profile_argv(path):
     return ["verify", "--treatment", "N5_HighCost", "--profile", str(path)]
 
 
+def _policy_argv(path):
+    return ["simulate", "--treatment", "N5_HighCost", "--policy", str(path),
+            "--out", str(Path(path).parent / "out")]
+
+
 DELETE = object()
 
 
@@ -450,6 +455,22 @@ class TestBadInputFiles:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (_solve_argv, "network file"),
+            (_profile_argv, "profile file"),
+            (_network_argv, "network file"),
+            (_policy_argv, "file"),
+        ],
+        ids=["solve", "verify", "classify", "simulate"],
+    )
+    def test_directory_path_is_one_error_line(self, capsys, tmp_path, argv, what):
+        code, out, err = run_cli(capsys, *argv(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path}: cannot read {what}: Is a directory\n"
 
     @pytest.mark.parametrize(
         "sidecar,fragment",

@@ -54,17 +54,24 @@ class TestTreatments:
             "N9_LowCost2": (9, 0.4, 1.0),
             "N9_HighCost": (9, 0.25, 2.5),
         }
-        assert set(treatments()) == set(expected)
+        assert list(treatments()) == list(expected)
         for name, (n, lam, kappa) in expected.items():
             t = get_treatment(name)
-            assert t.params.theta == 10.0 and t.params.beta == 4.0
-            assert (t.params.n, t.params.lam, t.params.kappa) == (n, lam, kappa)
+            assert t.name == name
+            assert t.params == GameParams(
+                theta=10.0, beta=4.0, lam=lam, kappa=kappa, n=n,
+                effort_min=0.0, effort_max=20.0,
+            )
 
     def test_equilibrium_architectures(self):
-        assert get_treatment("N5_LowCost").equilibrium_networks == ("Complete",)
-        assert get_treatment("N5_HighCost").equilibrium_networks == (
-            "Empty", "Star", "Complete",
-        )
+        low, high = ("Complete",), ("Empty", "Star", "Complete")
+        assert {name: t.equilibrium_networks for name, t in treatments().items()} == {
+            "N5_LowCost": low,
+            "N5_HighCost": high,
+            "N9_LowCost1": low,
+            "N9_LowCost2": low,
+            "N9_HighCost": high,
+        }
 
     def test_unknown_name(self):
         with pytest.raises(UnknownTreatmentError):
