@@ -123,24 +123,37 @@ def complete_equilibrium_average(params: GameParams) -> float:
     return equilibrium_payoffs(params, complete, efforts).group_average
 
 
+def _welfare_series(
+    record: SessionRecord, window: Window, denominator: float
+) -> dict[str, np.ndarray]:
+    """Per-period average effort, average payoff and relative efficiency in a window."""
+    start, end = window
+    payoff = np.ascontiguousarray(record.payoffs[start - 1 : end, :, 4]).mean(axis=1)
+    return {
+        "avg_effort": record.efforts[start - 1 : end].mean(axis=1),
+        "avg_payoff": payoff,
+        "relative_efficiency": payoff / denominator,
+    }
+
+
 def efficiency_report(
     records: list[SessionRecord],
     treatment: Treatment | GameParams,
     window="full",
 ) -> EfficiencyReport:
     """Realized average effort and payoff, and their ratio to the
-    complete-network equilibrium payoff."""
+    complete-network equilibrium payoff.
+
+    Each is a per-period mean over agents, averaged over the window and
+    then over records: the reduction behind `treatment_summary`'s overall
+    means, so both report the same bits.
+    """
     params = _params_of(treatment)
     windows = _windows(records, window)
-    pairs = list(zip(records, windows))
-    avg_effort = float(np.mean([rec.efforts[s - 1 : e].mean() for rec, (s, e) in pairs]))
-    avg_payoff = float(np.mean([rec.payoffs[s - 1 : e, :, 4].mean() for rec, (s, e) in pairs]))
-    return EfficiencyReport(
-        avg_effort=avg_effort,
-        avg_payoff=avg_payoff,
-        relative_efficiency=avg_payoff / complete_equilibrium_average(params),
-        window=windows[-1],
-    )
+    denominator = complete_equilibrium_average(params)
+    series = [_welfare_series(rec, w, denominator) for rec, w in zip(records, windows)]
+    means = {f: float(np.mean([s[f].mean() for s in series])) for f in series[0]}
+    return EfficiencyReport(**means, window=windows[-1])
 
 
 def frequency_report(records: list[SessionRecord], window="full") -> FrequencyReport:
@@ -275,11 +288,7 @@ def treatment_summary(
     groups = []
     for rec, (start, end) in zip(records, windows):
         networks = rec.networks[start - 1 : end]
-        payoff = np.ascontiguousarray(rec.payoffs[start - 1 : end, :, 4]).mean(axis=1)
-        series = period_stats(networks)
-        series["avg_effort"] = rec.efforts[start - 1 : end].mean(axis=1)
-        series["avg_payoff"] = payoff
-        series["relative_efficiency"] = payoff / denominator
+        series = period_stats(networks) | _welfare_series(rec, (start, end), denominator)
         series["nash_effort_on_network"] = nash_means[[index[a.tobytes()] for a in networks]]
         table = np.array([series[f] for f in SUMMARY_FIELDS], dtype=float)
         groups.append(

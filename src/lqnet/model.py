@@ -381,7 +381,7 @@ def payoff_components(
     cost = 0.5 * params.beta * x**2
     spill = params.lam * x * neighbor_sums
     links = params.kappa * intents_matrix.sum(axis=-1).astype(float)
-    total = own - cost + spill - links
+    total = br_payoff(params, x, neighbor_sums) - links
     return np.stack([own, cost, spill, links, total], axis=-1)
 
 

@@ -10,6 +10,7 @@ written in shortest round-trip decimal form so records replay bit-exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -154,11 +155,13 @@ def _read_text(path: str | Path, what: str, error: type[LqnetError]) -> str:
     """Text of the file at ``path``; a failed read raises one-line ``error``
     naming the file as ``what``."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise error(f"{path}: cannot read {what}: not UTF-8 text") from None
 
 
 def read_json(path: str, what: str):
@@ -392,30 +395,29 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     cells: list[list[str]] = []  # initiated_ids and neighbor_ids text of each row
     parsed: dict[str, list[int]] = {}  # each distinct ID-cell text, parsed at its first row
     name = csv_path.name
-    with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise LqnetError(f"{csv_path}: unexpected header {header}")
-        for rownum, row in enumerate(reader, start=2):
-            where = f"{name} row {rownum}"
-            if len(row) != len(CSV_COLUMNS):
-                raise LqnetError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-            try:
-                t = int(row[1]) - 1
-                i = int(row[2]) - 1
-                values.append((float(row[3]), *map(float, row[6:11])))
-            except ValueError as exc:
-                raise LqnetError(f"{where}: {exc}") from None
-            if not (0 <= t < T and 0 <= i < n):
-                raise LqnetError(f"{where}: period/agent out of range")
-            if (t, i) in seen:
-                raise LqnetError(f"{where}: period {t + 1} agent {i + 1} appears twice")
-            seen[t, i] = None
-            for text in row[4:6]:
-                if text not in parsed:
-                    parsed[text] = _ids_split(text, n, where)
-            cells.append(row[4:6])
+    reader = csv.reader(io.StringIO(_read_text(csv_path, "record file", LqnetError)))
+    header = next(reader, None)
+    if header != CSV_COLUMNS:
+        raise LqnetError(f"{csv_path}: unexpected header {header}")
+    for rownum, row in enumerate(reader, start=2):
+        where = f"{name} row {rownum}"
+        if len(row) != len(CSV_COLUMNS):
+            raise LqnetError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        try:
+            t = int(row[1]) - 1
+            i = int(row[2]) - 1
+            values.append((float(row[3]), *map(float, row[6:11])))
+        except ValueError as exc:
+            raise LqnetError(f"{where}: {exc}") from None
+        if not (0 <= t < T and 0 <= i < n):
+            raise LqnetError(f"{where}: period/agent out of range")
+        if (t, i) in seen:
+            raise LqnetError(f"{where}: period {t + 1} agent {i + 1} appears twice")
+        seen[t, i] = None
+        for text in row[4:6]:
+            if text not in parsed:
+                parsed[text] = _ids_split(text, n, where)
+        cells.append(row[4:6])
     if len(seen) != T * n:
         raise LqnetError(
             f"{csv_path}: expected {T * n} agent-period rows, found {len(seen)}"

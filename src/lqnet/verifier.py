@@ -17,12 +17,12 @@ orientation is an equilibrium exactly when every agent's sponsored set is
 stable, and each set's stability condition is affine in the linking cost,
 so `_sponsor_tables` solves it once per network into a closed cost
 interval per set.  Those intervals are the one stability test: they give
-each agent's stable family at a cost (`_stable_sponsor_sets`), which the
-search uses to accept greedy warm starts and to constrain backtracking
-over per-edge sponsor assignments under a hard node budget, and their ends
-split the costs into stretches of constant verdict
-(`SupportSearch.intervals`).  `verify_nash` checks a whole profile on its
-own and shares only `kernels.deviation_sums` with the search.
+each agent's stable family at a cost (`_stable_sponsor_sets`), which
+constrains one backtracking search over per-edge sponsor assignments
+under a hard node budget, and their ends split the costs into stretches of
+constant verdict (`SupportSearch.intervals`).  `verify_nash` checks a
+whole profile on its own and shares only `kernels.deviation_sums` with the
+search.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .equilibria import balanced_sponsorship, nash_efforts
+from .equilibria import nash_efforts
 from .errors import LqnetError, OrientationBudgetError
 from .model import (
     EffortProfile,
@@ -111,14 +111,6 @@ def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport
 # --------------------------------------------------------------------------
 # sponsorship-orientation search
 # --------------------------------------------------------------------------
-
-def _orientation_intents(n: int, edges, sponsors) -> np.ndarray:
-    m = np.zeros((n, n), dtype=bool)
-    for (i, j), s in zip(edges, sponsors):
-        other = j if s == i else i
-        m[s, other] = True
-    return m
-
 
 def _br_value(params: GameParams, neighbor_sums: np.ndarray) -> np.ndarray:
     """Gross payoff of the best response to each neighbor-effort total."""
@@ -201,25 +193,19 @@ def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.n
 class SupportSearch:
     """One network's κ-free support state, queried at any linking cost.
 
-    Efforts are fixed at the network's equilibrium values, so they, the
-    distinct greedy warm starts (lower-degree endpoint sponsors; balanced
-    assignment) and the sponsor tables are built once.  `report` searches
-    the orientations at one κ; `intervals` gives every κ where the network
-    is supportable.
+    Efforts are fixed at the network's equilibrium values, so they, each
+    link's sponsor preference and the sponsor tables are built once.
+    `report` searches the orientations at one κ; `intervals` gives every κ
+    where the network is supportable.
     """
 
     def __init__(self, params: GameParams, network: Network) -> None:
         self.params = params
         self.network = network
         self.x = nash_efforts(params, network).efforts.efforts
-        self.edges = edges = network.edges()
-        self.deg = deg = network.degrees
-        self.warm: list[tuple[int, ...]] = [()]
-        if edges:
-            balanced = balanced_sponsorship(network).matrix
-            lower = tuple(i if (deg[i], i) <= (deg[j], j) else j for i, j in edges)
-            even = tuple(i if balanced[i, j] else j for i, j in edges)
-            self.warm = list(dict.fromkeys([lower, even]))
+        deg = network.degrees
+        # each link's endpoints, the lower-(degree, index) one first: the sponsor tried first
+        self.choices = [tuple(sorted(e, key=lambda v: (deg[v], v))) for e in network.edges()]
 
     @cached_property
     def tables(self) -> list[_SponsorTable]:
@@ -261,80 +247,69 @@ class SupportSearch:
         An orientation is an equilibrium exactly when each agent's sponsored
         set is in its stable family at κ (`_stable_sponsor_sets`, exact, see
         `_sponsor_tables`).  A κ where some agent has no stable set is
-        rejected at once.  Otherwise the distinct warm starts are tried
-        first; then each link is assigned a sponsor under the per-agent
-        family constraints, so negative verdicts never need all 2**links
-        orientations, and the first completed assignment is the witness.
-        ``orientations_tried`` counts the warm starts (also when rejected
-        at once) plus search-tree assignments; past ``ORIENTATION_BUDGET``
-        the search raises instead of guessing.
+        rejected at once.  Otherwise each link in turn is assigned a
+        sponsor, the lower-(degree, index) endpoint first.  A branch is cut
+        when some agent's assigned links fit none of its stable sets, or
+        when the agents' spare room (links each can still sponsor within
+        its largest fitting set) falls short of the links left; both are
+        necessary conditions, so no stable orientation is cut and the first
+        completed assignment is the witness.  ``orientations_tried`` counts
+        the sponsor assignments visited, 0 when κ is rejected at once or the
+        network has no links; past ``ORIENTATION_BUDGET`` the search raises
+        instead of guessing.
         """
-        network, n, edges, deg = self.network, self.network.n, self.edges, self.deg
-
-        def found(intents: np.ndarray, tried: int) -> NESupportReport:
-            witness = StrategyProfile(EffortProfile(self.x), IntentProfile(intents))
-            return NESupportReport(network, True, witness, tried)
-
+        network, n, choices = self.network, self.network.n, self.choices
         families = _stable_sponsor_sets(self.tables, kappa)
         if families is None:  # some agent has no stable set: every orientation fails
-            return NESupportReport(network, False, None, len(self.warm))
-        for tried, sponsors in enumerate(self.warm, 1):
-            intents = _orientation_intents(n, edges, sponsors)
-            own = intents.astype(np.int64) @ (np.int64(1) << np.arange(n))
-            if all(m in fam for fam, m in zip(families, own)):
-                return found(intents, tried)
-        tried = len(self.warm)
+            return NESupportReport(network, False, None, 0)
         family_sizes = [np.bitwise_count(fam) for fam in families]
-
         sponsored = [0] * n
         refused = [0] * n
 
-        def max_additional(agent: int) -> int:
-            """Most extra sponsorships this agent can still take on; -1 if none fits."""
-            fam, sp = families[agent], sponsored[agent]
-            ok = ((fam & sp) == sp) & ((fam & refused[agent]) == 0)
-            if not ok.any():
-                return -1
-            return int(family_sizes[agent][ok].max()) - sp.bit_count()
+        def room(agent: int) -> int:
+            """Most extra sponsorships this agent can still take on; -1 if no set fits.
 
-        def capacity_ok(assigned: int) -> bool:
-            total = 0
-            for agent in range(n):
-                extra = max_additional(agent)
-                if extra < 0:
-                    return False
-                total += extra
-            return total >= len(edges) - assigned
+            A stable set fits when it holds every link the agent sponsors and
+            none it was refused (links its neighbors sponsor).
+            """
+            sp = sponsored[agent]
+            sizes = family_sizes[agent][(families[agent] & (sp | refused[agent])) == sp]
+            return int(sizes.max()) - sp.bit_count() if sizes.size else -1
 
+        spare = [room(agent) for agent in range(n)]
         nodes = 0
 
-        def assignments(k: int):
+        def feasible(assigned: int) -> bool:
+            return min(spare) >= 0 and sum(spare) >= len(choices) - assigned
+
+        def search(k: int) -> bool:
             nonlocal nodes
-            if k == len(edges):
-                yield tuple(i if (sponsored[i] >> j) & 1 else j for i, j in edges)
-                return
-            i, j = edges[k]
-            for sponsor in sorted((i, j), key=lambda v: (deg[v], v)):
-                other = j if sponsor == i else i
+            if k == len(choices):
+                return True
+            for sponsor, other in (choices[k], choices[k][::-1]):
                 nodes += 1
                 if nodes > ORIENTATION_BUDGET:
                     raise OrientationBudgetError(
                         f"orientation search exceeded its budget of {ORIENTATION_BUDGET} "
-                        f"assignments on a {len(edges)}-link network"
+                        f"assignments on a {len(choices)}-link network"
                     )
                 sponsored[sponsor] |= 1 << other
                 refused[other] |= 1 << sponsor
-                if capacity_ok(k + 1):  # also fails when some agent has no set left
-                    yield from assignments(k + 1)
+                saved = spare[sponsor], spare[other]
+                spare[sponsor], spare[other] = room(sponsor), room(other)
+                if feasible(k + 1) and search(k + 1):
+                    return True
                 sponsored[sponsor] &= ~(1 << other)
                 refused[other] &= ~(1 << sponsor)
+                spare[sponsor], spare[other] = saved
+            return False
 
-        if not capacity_ok(0):
-            return NESupportReport(network, False, None, tried)
         # a completed assignment gives each agent exactly one of its stable sets
-        for sponsors in assignments(0):
-            return found(_orientation_intents(n, edges, sponsors), tried + nodes)
-        return NESupportReport(network, False, None, tried + nodes)
+        if not (feasible(0) and search(0)):
+            return NESupportReport(network, False, None, nodes)
+        intents = (np.array(sponsored, dtype=np.int64)[:, None] >> np.arange(n)) & 1 == 1
+        witness = StrategyProfile(EffortProfile(self.x), IntentProfile(intents))
+        return NESupportReport(network, True, witness, nodes)
 
 
 def ne_supportable(params: GameParams, network: Network) -> NESupportReport:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from lqnet.dynamics import (
 from lqnet.equilibria import balanced_sponsorship, nash_efforts
 from lqnet.errors import LqnetError, RankDeficientDataError
 from lqnet.model import Network, get_treatment, payoff_components
+from lqnet.session_io import read_records
 
+GOLDEN = Path(__file__).parent / "golden"
 T5 = get_treatment("N5_LowCost")
 P5 = T5.params
 
@@ -103,6 +107,16 @@ class TestEfficiencyReport:
         base = efficiency_report([rec], T5, "last10").relative_efficiency
         twice = efficiency_report([doubled], T5, "last10").relative_efficiency
         assert twice == pytest.approx(2 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("window", ["full", "last10", (3, 8)])
+    @pytest.mark.parametrize("name,treatment", [("n5", "N5_HighCost"), ("n9", "N9_HighCost")])
+    def test_equals_summary_overall_means(self, name, treatment, window):
+        # `analyze` prints both blocks; one reduction gives them the same bits
+        records = read_records(GOLDEN / f"sessions_{name}" / "records")
+        rep = efficiency_report(records, get_treatment(treatment), window)
+        means = treatment_summary(records, get_treatment(treatment), window).overall_means
+        for field in ("avg_effort", "avg_payoff", "relative_efficiency"):
+            assert getattr(rep, field) == means[field]
 
 
 class TestFrequencyReport:

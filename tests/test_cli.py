@@ -420,6 +420,11 @@ def _analyze_argv(rec):
             "--csv", str(rec.parent / "summary.csv")]
 
 
+def _record_csv_argv(csv_path):
+    """`analyze` on the record directory holding ``csv_path``."""
+    return _analyze_argv(Path(csv_path).parent)
+
+
 def _run_quiet(argv):
     """Exit code and stderr of one CLI call; a traceback propagates."""
     err = io.StringIO()
@@ -471,6 +476,30 @@ class TestBadInputFiles:
         assert code == 1
         assert out == ""
         assert err == f"error: {tmp_path}: cannot read {what}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (_solve_argv, "network file"),
+            (_profile_argv, "profile file"),
+            (_network_argv, "network file"),
+            (_policy_argv, "file"),
+            (_record_csv_argv, "record file"),
+        ],
+        ids=["solve", "verify", "classify", "simulate", "analyze"],
+    )
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path, argv, what):
+        if argv is _record_csv_argv:  # the golden record with a stray byte appended
+            rec = _record_dir(tmp_path, GOLDEN_RECORD.with_suffix(".json").read_text())
+            path = rec / GOLDEN_RECORD.name
+            path.write_bytes(path.read_bytes() + b"\xff\n")
+        else:
+            path = tmp_path / "in.json"
+            path.write_bytes(b"\xff{}")
+        code, out, err = run_cli(capsys, *argv(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: cannot read {what}: not UTF-8 text\n"
 
     @pytest.mark.parametrize(
         "sidecar,fragment",

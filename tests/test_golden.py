@@ -4,7 +4,10 @@ Each ``golden/{thresholds,enumerate}_<treatment>.json`` holds the stdout of
 ``lqnet thresholds`` or ``lqnet enumerate`` for one treatment.
 Witnesses, ``orientations_tried``, support intervals and threshold floats
 all show up here, so a change to search order or tie-breaking fails this
-test.
+test.  ``orientations_tried`` is the number of sponsor assignments the
+orientation search visited: the link count when its first choices give a
+witness, and 0 for the empty network or when some agent has no stable
+sponsored set.
 
 Each ``golden/solve_<objective>_<network>_<treatment>.json`` holds the
 stdout of ``lqnet solve`` on the empty, star or complete network, for the

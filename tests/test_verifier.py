@@ -20,6 +20,7 @@ from lqnet.structure import classify, is_nested_split
 from lqnet.verifier import (
     DEVIATION_TOL,
     SupportSearch,
+    _stable_sponsor_sets,
     canonical_form,
     enumerate_candidates,
     enumerate_ne_networks,
@@ -168,6 +169,34 @@ class TestNeSupportable:
         monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", 1)
         with pytest.raises(OrientationBudgetError):
             ne_supportable(p, net)
+
+    @pytest.mark.parametrize("treatment", ["N5_HighCost", "N9_HighCost"])
+    def test_search_needs_no_balanced_sponsorship(self, monkeypatch, treatment):
+        # the backtracking search is the only route to a witness
+        import lqnet.equilibria as equilibria_mod
+        import lqnet.verifier as verifier_mod
+
+        def refuse(network):
+            raise AssertionError("balanced_sponsorship called by the support search")
+
+        monkeypatch.setattr(equilibria_mod, "balanced_sponsorship", refuse)
+        monkeypatch.setattr(verifier_mod, "balanced_sponsorship", refuse, raising=False)
+        p = get_treatment(treatment).params
+        assert equilibria_mod.cost_thresholds(p).kappa2 > 0
+        assert any(r.supportable for r in enumerate_ne_networks(p))
+
+    def test_orientations_tried_counts_assignments_visited(self):
+        p_low = get_treatment("N5_LowCost").params
+        star = SupportSearch(p_low, Network.star(5, center=0))
+        assert _stable_sponsor_sets(star.tables, 1.0) is None  # no leaf has a stable set
+        assert star.report(1.0).orientations_tried == 0
+        # no link to assign; the empty network is supportable at the high cost
+        p_high = get_treatment("N5_HighCost").params
+        empty = ne_supportable(p_high, Network.empty(5))
+        assert empty.supportable and empty.orientations_tried == 0
+        # the first sponsor choice of each of the 10 links completes a witness
+        complete = SupportSearch(p_low, Network.complete(5)).report(1.0)
+        assert complete.supportable and complete.orientations_tried == 10
 
     def test_matches_exhaustive_orientation_search_small(self):
         # independent oracle: try every orientation through verify_nash
