@@ -8,8 +8,8 @@ estimation of the effort-adjustment rule, and a per-group summary table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,28 +22,24 @@ from .structure import ARCHITECTURES, architecture_distances, period_stats
 Window = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     avg_effort: float
     avg_payoff: float
     relative_efficiency: float
     window: Window
 
 
-@dataclass(frozen=True)
-class ArchitectureFrequency:
+class ArchitectureFrequency(NamedTuple):
     exact: float
     within_two: float
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(NamedTuple):
     per_architecture: dict[str, ArchitectureFrequency]
     window: Window
 
 
-@dataclass(frozen=True)
-class LinkDiagnostics:
+class LinkDiagnostics(NamedTuple):
     avg_profitable_missing: float
     profitable_missing_share: float
     avg_unprofitable_existing: float
@@ -52,8 +48,7 @@ class LinkDiagnostics:
     window: Window
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     b0: float
     b1: float
     b2: float
@@ -61,15 +56,13 @@ class FitResult:
     observation_count: int
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(NamedTuple):
     session_id: str
     means: dict[str, float]
     stds: dict[str, float]
 
 
-@dataclass(frozen=True)
-class TreatmentSummary:
+class TreatmentSummary(NamedTuple):
     treatment: str
     window: Window
     per_group: list[GroupSummary]

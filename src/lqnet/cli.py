@@ -9,7 +9,6 @@ invocations with the same inputs and seed are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -29,10 +28,11 @@ _WINDOW_HELP = "analysis window: 'full', 'last10', or 'start:end' (1-based, incl
 def _parse_window(text: str):
     if text in ("full", "last10"):
         return text
-    if ":" in text:
-        a, b = text.split(":", 1)
+    a, _, b = text.partition(":")
+    try:
         return (int(a), int(b))
-    raise argparse.ArgumentTypeError(f"bad window {text!r}; {_WINDOW_HELP}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad window {text!r}; {_WINDOW_HELP}") from None
 
 
 def _usage_error(message: str) -> int:
@@ -158,7 +158,7 @@ def _cmd_classify(args) -> int:
                 "periphery": sorted(v + 1 for v in label.periphery)
                 if label.periphery is not None
                 else None,
-                "stats": dataclasses.asdict(structure.stats(network)),
+                "stats": structure.stats(network)._asdict(),
             }
         )
     )
@@ -214,9 +214,9 @@ def _cmd_analyze(args) -> int:
                     for name, f in freq.per_architecture.items()
                 },
                 "link_diagnostics": {
-                    f.name: float(np.mean([getattr(d, f.name) for d in diags]))
-                    for f in dataclasses.fields(analysis.LinkDiagnostics)
-                    if f.name != "window"
+                    name: float(np.mean([getattr(d, name) for d in diags]))
+                    for name in analysis.LinkDiagnostics._fields
+                    if name != "window"
                 },
                 "summary": {
                     "overall_means": summary.overall_means,

@@ -18,7 +18,8 @@ once, and its batched draws consume the stream as one draw per agent would.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ EFFORT_PRESETS: dict[str, tuple[float, float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class LogisticCoefficients:
+class LogisticCoefficients(NamedTuple):
     """Log-odds coefficients of the logistic linking rule.
 
     Stored as natural logs of the fitted odds ratios.  The rank dummies
@@ -162,8 +162,7 @@ class LinkRule:
         return cls(kind="fixed_targets", targets=targets)
 
 
-@dataclass(frozen=True)
-class AgentPolicy:
+class AgentPolicy(NamedTuple):
     effort_rule: EffortRule
     link_rule: LinkRule
 
@@ -241,7 +240,7 @@ class GroupRules:
         self.logistic = np.flatnonzero(kinds == "logistic")
         coefs = [links[i].coefficients for i in self.logistic]
         #: the five `LogisticCoefficients` fields, each as a (logistic agents, 1) column
-        self.logit = np.array([astuple(c) for c in coefs], dtype=float).reshape(-1, 5).T[:, :, None]
+        self.logit = np.array(coefs, dtype=float).reshape(-1, 5).T[:, :, None]
         #: period-1 intercept-only probabilities, one per logistic agent
         self.cold_p = np.array([_logistic(c.intercept) for c in coefs]).reshape(-1, 1)
         self.fixed = np.zeros((n, n), dtype=bool)

@@ -12,7 +12,8 @@ condition at ``2 lam`` (see `efficient_efforts`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ SWEEP_TOL = 1e-12
 MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
-class EffortSolution:
+class EffortSolution(NamedTuple):
     efforts: EffortProfile
     converged: bool
     iterations: int
@@ -44,18 +44,16 @@ class EffortSolution:
     capped: bool
 
 
-@dataclass(frozen=True)
-class EquilibriumPayoffReport:
+class EquilibriumPayoffReport(NamedTuple):
     per_agent: np.ndarray
     group_average: float
     sponsorship: IntentProfile
 
 
-@dataclass(frozen=True)
-class CostThresholds:
+class CostThresholds(NamedTuple):
     kappa1: float
     kappa2: float
-    method_notes: dict = field(default_factory=dict)
+    method_notes: dict
 
 
 def spectral_radius(adjacency: np.ndarray) -> float:

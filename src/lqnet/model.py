@@ -21,6 +21,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,8 +258,7 @@ class StrategyProfile:
         return self.efforts.n
 
 
-@dataclass(frozen=True)
-class PayoffBreakdown:
+class PayoffBreakdown(NamedTuple):
     """One agent's payoff split into its four terms."""
 
     own_benefit: float
@@ -302,8 +302,7 @@ TREATMENT_PRESETS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class Treatment:
+class Treatment(NamedTuple):
     """Named parameterization bundled with its equilibrium architectures."""
 
     name: str

@@ -226,7 +226,7 @@ def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
     raw = _as_mapping(obj.get(source, {}), f"{path}.{source}")
     if not raw:
         raise ConfigError(f"{path}: logistic rule needs preset, coefficients or odds_ratios")
-    fields = ("intercept", "lagged_link", "partner_effort", "above_median", "below_median")
+    fields = LogisticCoefficients._fields
     for key in raw:
         if key not in fields:
             raise ConfigError(f"{path}.{source}.{key}: unknown field")
@@ -384,6 +384,18 @@ def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:
         raise LqnetError(f"{sidecar}: params.{exc}") from None
 
 
+def _csv_rows(text: str, name: str):
+    """The CSV rows of ``text``, each with its 1-based number; a row the CSV
+    reader rejects (say, a field over its size limit) is an `LqnetError`
+    naming file ``name`` and the row."""
+    rownum = 0
+    try:
+        for rownum, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            yield rownum, row
+    except csv.Error as exc:
+        raise LqnetError(f"{name} row {rownum + 1}: {exc}") from None
+
+
 def read_record(csv_path: str | Path) -> SessionRecord:
     """Read a session back; the inverse of `write_record`, bit-exact."""
     csv_path = Path(csv_path)
@@ -395,11 +407,11 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     cells: list[list[str]] = []  # initiated_ids and neighbor_ids text of each row
     parsed: dict[str, list[int]] = {}  # each distinct ID-cell text, parsed at its first row
     name = csv_path.name
-    reader = csv.reader(io.StringIO(_read_text(csv_path, "record file", LqnetError)))
-    header = next(reader, None)
+    rows = _csv_rows(_read_text(csv_path, "record file", LqnetError), name)
+    header = next(rows, (1, None))[1]
     if header != CSV_COLUMNS:
         raise LqnetError(f"{csv_path}: unexpected header {header}")
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in rows:
         where = f"{name} row {rownum}"
         if len(row) != len(CSV_COLUMNS):
             raise LqnetError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")

@@ -8,7 +8,7 @@ networks (used for near-equilibrium matching).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .model import Network
 ARCHITECTURES = ("Empty", "Star", "Complete")
 
 
-@dataclass(frozen=True)
-class NetworkStats:
+class NetworkStats(NamedTuple):
     link_count: int
     link_fraction: float
     avg_degree: float
@@ -27,8 +26,7 @@ class NetworkStats:
     clustering: float
 
 
-@dataclass(frozen=True)
-class ClassificationLabel:
+class ClassificationLabel(NamedTuple):
     """Architecture label plus the core-periphery partition when one exists.
 
     The attached partition requires the core to be a clique, the

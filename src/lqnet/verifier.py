@@ -28,7 +28,6 @@ search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -54,16 +53,14 @@ ORIENTATION_BUDGET = 1 << 20
 MAX_VERIFY_N = 62  # agent-id bitmasks (`_SponsorTable.masks`) are int64
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     agent: int
     targets: tuple[int, ...]
     effort: float
     gain: float
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Outcome of `verify_nash`.
 
     ``checked_deviations`` is ``n * 2**(n-1)``, the intent subsets the
@@ -76,8 +73,7 @@ class DeviationReport:
     checked_deviations: int
 
 
-@dataclass(frozen=True)
-class NESupportReport:
+class NESupportReport(NamedTuple):
     network: Network
     supportable: bool
     witness: StrategyProfile | None
@@ -224,7 +220,9 @@ class SupportSearch:
         tolerance is an artefact, not an equilibrium.  Adjacent supportable
         stretches join into one interval.
         """
-        ends = np.unique(np.concatenate([[0.0], *(np.r_[t.lo, t.hi] for t in self.tables)]))
+        # equal ends fall in one group below, so no `np.unique`: its first call
+        # imports `numpy.ma`, about 20 ms of a cold process
+        ends = np.sort(np.concatenate([[0.0], *(np.r_[t.lo, t.hi] for t in self.tables)]))
         ends = ends[np.isfinite(ends)]
         groups = np.split(ends, np.flatnonzero(np.diff(ends) >= DEVIATION_TOL) + 1)
         stretches = [(float(g[-1]), float(h[0])) for g, h in zip(groups, groups[1:])]
@@ -369,10 +367,11 @@ def graph_atlas(n: int) -> list[Network]:
     if n > 5:
         raise LqnetError(f"full graph atlas supported for n <= 5, got {n}")
     pairs = list(combinations(range(n), 2))
-    labels = np.unique(_canonical_labels(n, np.arange(1 << len(pairs), dtype=np.int64)))
+    # a set, not `np.unique`: its first call imports `numpy.ma`, about 20 ms of a cold process
+    labels = set(_canonical_labels(n, np.arange(1 << len(pairs), dtype=np.int64)).tolist())
     return [
         Network.from_edges(n, [pairs[idx] for idx in range(len(pairs)) if (canon >> idx) & 1])
-        for canon in sorted(labels.tolist(), key=lambda c: (c.bit_count(), c))
+        for canon in sorted(labels, key=lambda c: (c.bit_count(), c))
     ]
 
 

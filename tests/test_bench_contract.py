@@ -8,9 +8,11 @@ as it stands.  The harness times each command as a cold process, so what a
 bare ``import lqnet.cli`` loads is part of the contract too.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,16 +51,21 @@ def test_tracer_installs_and_uninstalls():
         assert getattr(importlib.import_module(f"lqnet.{module}"), func) is original
 
 
+def _fresh_modules(code: str) -> set[str]:
+    """Names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    src = Path(lqnet.cli.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules, file=sys.stderr)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    ).stderr
+    return set(out.split())
+
+
 @pytest.fixture(scope="module")
 def cold_cli_modules():
     """Names in ``sys.modules`` after ``import lqnet.cli`` in a fresh interpreter."""
-    src = Path(lqnet.cli.__file__).resolve().parent.parent
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, lqnet.cli; print(*sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True,
-    ).stdout
-    return set(out.split())
+    return _fresh_modules("import lqnet.cli")
 
 
 def test_cold_cli_import_loads_every_traced_module(cold_cli_modules):
@@ -68,3 +75,43 @@ def test_cold_cli_import_loads_every_traced_module(cold_cli_modules):
 
 def test_cold_cli_import_does_not_load_yaml(cold_cli_modules):
     assert "yaml" not in cold_cli_modules
+
+
+@pytest.mark.parametrize("command", ["thresholds", "enumerate"])
+def test_cold_support_command_does_not_load_numpy_ma(command):
+    # `np.unique` imports `numpy.ma` on its first call, about 20 ms of a cold process
+    modules = _fresh_modules(
+        f"import lqnet.cli; lqnet.cli.main(['{command}', '--treatment', 'N5_HighCost'])"
+    )
+    assert "lqnet.verifier" in modules
+    assert "numpy.ma" not in modules
+
+
+#: the types whose ``__post_init__`` validates or normalises its fields; every
+#: other record is a `typing.NamedTuple`, which a cold process builds in about
+#: half the time
+VALIDATED_DATACLASSES = {
+    "model.GameParams",
+    "model.IntentProfile",
+    "model.Network",
+    "model.EffortProfile",
+    "model.StrategyProfile",
+    "dynamics.EffortRule",
+    "dynamics.LinkRule",
+    "dynamics.SessionRecord",
+}
+
+
+def test_only_validated_types_are_dataclasses():
+    modules = [
+        importlib.import_module(f"lqnet.{info.name}")
+        for info in pkgutil.iter_modules(importlib.import_module("lqnet").__path__)
+    ]
+    found = {
+        f"{module.__name__.removeprefix('lqnet.')}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj)
+    }
+    assert found == VALIDATED_DATACLASSES

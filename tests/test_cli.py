@@ -1,5 +1,4 @@
 import copy
-import fcntl
 import io
 import json
 import os
@@ -21,6 +20,11 @@ from lqnet.model import PARAM_KEYS, Network
 from lqnet.session_io import network_to_obj
 
 from helpers import oracle_nested_split
+
+try:
+    import fcntl
+except ImportError:  # not on every platform; only the closed-pipe test needs it
+    fcntl = None
 
 GOLDEN_RECORD = Path(__file__).parent / "golden" / "sessions_n5" / "records" / "s7.csv"
 
@@ -372,6 +376,16 @@ class TestUsageErrors:
             main(["solve", "--nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("window", ["a:b", "1:x", "3"])
+    def test_bad_window_names_the_accepted_forms(self, capsys, window):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--in", str(GOLDEN_RECORD.parent), "--treatment", "N5_HighCost",
+                  "--window", window])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --window: bad window {window!r}; analysis window: 'full'" in err
+        assert "_parse_window" not in err
+
 
 def _network_argv(path):
     return ["classify", "--network", str(path)]
@@ -518,6 +532,19 @@ class TestBadInputFiles:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
+
+    def test_oversized_record_field_is_one_error_line(self, capsys, tmp_path):
+        # a field past the CSV reader's 131,072-character limit on the third data row
+        rec = _record_dir(tmp_path, GOLDEN_RECORD.with_suffix(".json").read_text())
+        csv_path = rec / GOLDEN_RECORD.name
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rstrip("\n") + ',"' + "x" * 200_000 + '"\n'
+        csv_path.write_text("".join(lines))
+        code, out, err = run_cli(capsys, *_analyze_argv(rec))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: s7.csv row 4: field larger than field limit")
+        assert err.count("\n") == 1
 
     def test_zero_period_record_is_one_error_line(self, capsys, tmp_path):
         rec = _record_dir(tmp_path, json.dumps(_sidecar_meta(periods=0)))
