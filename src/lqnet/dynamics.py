@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -169,45 +170,54 @@ class AgentPolicy(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SessionRecord:
-    """Per-period decisions and outcomes for one group over T periods.
+    """One group's decisions over T periods, and the outcomes they determine.
 
-    Arrays are indexed [period, agent(, agent)]; payoff columns are
-    (own_benefit, effort_cost, spillover, link_cost, total).
+    Only the decisions are stored; ``T``, the realized ``networks`` and the
+    ``payoffs`` derive from them, so a record cannot disagree with itself.
+    Arrays are indexed [period, agent(, agent)] and read-only; payoff
+    columns are (own_benefit, effort_cost, spillover, link_cost, total).
     """
 
     session_id: str
     params: GameParams
-    T: int
     seed: int
     intents: np.ndarray
-    networks: np.ndarray
     efforts: np.ndarray
-    payoffs: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.params.n
-        expect = {
-            "intents": (self.T, n, n),
-            "networks": (self.T, n, n),
-            "efforts": (self.T, n),
-            "payoffs": (self.T, n, 5),
-        }
-        for name, shape in expect.items():
+        periods = self.efforts.shape[:1]  # (T,); () for a 0-d efforts array
+        for name, shape in (("efforts", (*periods, n)), ("intents", (*periods, n, n))):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
             arr.setflags(write=False)
-        realized = self.intents | self.intents.transpose(0, 2, 1)
-        if not np.array_equal(realized, self.networks):
-            raise LqnetError("stored networks do not match realization of stored intents")
+
+    @property
+    def T(self) -> int:
+        return self.efforts.shape[0]
 
     @property
     def n(self) -> int:
         return self.params.n
 
+    @cached_property
+    def networks(self) -> np.ndarray:
+        """Each period's realized network: a link forms when either end initiates it."""
+        return _read_only(self.intents | self.intents.transpose(0, 2, 1))
+
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        return _read_only(payoff_components(self.params, self.efforts, self.intents))
+
     def network_at(self, period: int) -> Network:
         """1-based period accessor."""
         return Network(self.networks[period - 1])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _logistic(z: float) -> float:
@@ -395,16 +405,8 @@ def run_session(
         efforts[t] = step_effort(rules, prev_x, neighbor_sums, non_neighbor_sums, params, rng)
         intents[t] = step_links(rules, prev_x, intents[t - 1], params, rng)
 
-    return SessionRecord(
-        session_id=session_id if session_id is not None else f"s{seed}",
-        params=params,
-        T=T,
-        seed=seed,
-        intents=intents,
-        networks=intents | intents.transpose(0, 2, 1),
-        efforts=efforts,
-        payoffs=payoff_components(params, efforts, intents),
-    )
+    session_id = session_id if session_id is not None else f"s{seed}"
+    return SessionRecord(session_id, params, seed, intents=intents, efforts=efforts)
 
 
 def batch_run(

@@ -56,6 +56,11 @@ CSV_COLUMNS = [
     "spillover",
     "link_cost",
 ]
+#: the CSV's payoff cells (``CSV_COLUMNS[6:]``) as columns of `SessionRecord.payoffs`
+PAYOFF_CELLS = [4, 0, 1, 2, 3]
+#: how far a payoff cell may sit from its derived value, relative to max(1, |value|),
+#: so a record whose payoffs were summed in another order still loads
+PAYOFF_TOL = 1e-9
 
 def _id_cells(mask: np.ndarray) -> list[str]:
     """The 1-based ID-list cell of each row of a (rows, n) mask, e.g. "2:5"."""
@@ -109,7 +114,7 @@ def _id_pairs(obj: dict, key: str, n: int) -> list[tuple[int, int]]:
 
 
 def _object_size(obj, what: str) -> int:
-    """Group size ``n`` of a network, intent or profile object."""
+    """Group size ``n`` of a network or profile object."""
     return _group_size(_as_mapping(obj, what).get("n"), f"{what}.n")
 
 
@@ -120,15 +125,6 @@ def network_to_obj(network: Network) -> dict:
 def network_from_obj(obj: dict) -> Network:
     n = _object_size(obj, "network")
     return Network.from_edges(n, _id_pairs(obj, "edges", n))
-
-
-def intents_to_obj(intents: IntentProfile) -> dict:
-    return {"n": intents.n, "intents": [[i + 1, j + 1] for i, j in intents.pairs()]}
-
-
-def intents_from_obj(obj: dict) -> IntentProfile:
-    n = _object_size(obj, "intents")
-    return IntentProfile.from_pairs(n, _id_pairs(obj, "intents", n))
 
 
 def profile_to_obj(profile: StrategyProfile) -> dict:
@@ -312,11 +308,8 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
     csv_path = directory / f"{record.session_id}.csv"
     sidecar = directory / f"{record.session_id}.json"
     T, n = record.T, record.n
-    payoffs = record.payoffs.reshape(T * n, 5).T
-    floats = [
-        map(repr, column.tolist())
-        for column in (record.efforts.ravel(), *payoffs[[4, 0, 1, 2, 3]])
-    ]
+    payoffs = record.payoffs.reshape(T * n, 5)[:, PAYOFF_CELLS].T
+    floats = [map(repr, column.tolist()) for column in (record.efforts.ravel(), *payoffs)]
     rows = zip(
         repeat(record.session_id),
         np.repeat(np.arange(1, T + 1), n).tolist(),
@@ -397,13 +390,17 @@ def _csv_rows(text: str, name: str):
 
 
 def read_record(csv_path: str | Path) -> SessionRecord:
-    """Read a session back; the inverse of `write_record`, bit-exact."""
+    """Read a session back; the inverse of `write_record`, bit-exact.
+
+    The record is its efforts and initiated_ids.  The first row, in file order, whose
+    effort is not finite and in the box, or whose neighbor_ids or payoff cells disagree
+    with the record, is named in a one-line error."""
     csv_path = Path(csv_path)
     meta, params = _read_sidecar(csv_path.with_suffix(".json"))
     T = meta["periods"]
     n = params.n
     seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
-    values: list[tuple[float, ...]] = []  # effort, then the payoff columns in file order
+    values: list[tuple[float, ...]] = []  # effort, then the payoff cells
     cells: list[list[str]] = []  # initiated_ids and neighbor_ids text of each row
     parsed: dict[str, list[int]] = {}  # each distinct ID-cell text, parsed at its first row
     name = csv_path.name
@@ -436,40 +433,41 @@ def read_record(csv_path: str | Path) -> SessionRecord:
         )
     t, i = np.fromiter(chain.from_iterable(seen), np.int64, count=2 * len(seen)).reshape(-1, 2).T
     columns = np.fromiter(chain.from_iterable(values), float, count=6 * len(values)).reshape(-1, 6)
+
+    def reject(bad: np.ndarray, what: str) -> None:
+        """Raise naming the first row flagged in ``bad`` (rows in file order)."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise LqnetError(f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: {what}")
+
+    x = columns[:, 0]
+    reject(
+        ~(np.isfinite(x) & (params.effort_min <= x) & (x <= params.effort_max)),
+        f"effort is not a finite number in [{params.effort_min!r}, {params.effort_max!r}]",
+    )
     efforts = np.zeros((T, n), dtype=float)
-    efforts[t, i] = columns[:, 0]
-    payoffs = np.zeros((T, n, 5), dtype=float)
-    payoffs[t, i] = columns[:, [2, 3, 4, 5, 1]]
+    efforts[t, i] = x
     initiated, claimed = ([parsed[text] for text in column] for column in zip(*cells))
     intents, _ = _id_mask(t, i, initiated, T, n)
-    self_links = intents[t, i, i]
-    if self_links.any():
-        k = int(np.argmax(self_links))
-        raise LqnetError(
-            f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: initiated_ids names the agent itself"
-        )
-    networks = intents | intents.transpose(0, 2, 1)
-    claims, claim_counts = _id_mask(t, i, claimed, T, n)
-    # a repeated ID leaves the mask equal but the count too large
-    mismatch = (claims != networks).any(axis=2)[t, i] | (
-        claim_counts != networks.sum(axis=2)[t, i]
-    )
-    if mismatch.any():
-        k = int(np.argmax(mismatch))
-        raise LqnetError(
-            f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: neighbor_ids do not "
-            "match the realization of the stored intents"
-        )
-    return SessionRecord(
+    reject(intents[t, i, i], "initiated_ids names the agent itself")
+    record = SessionRecord(
         session_id=str(meta["session_id"]),
         params=params,
-        T=T,
         seed=meta["seed"],
         intents=intents,
-        networks=networks,
         efforts=efforts,
-        payoffs=payoffs,
     )
+    networks = record.networks
+    claims, claim_counts = _id_mask(t, i, claimed, T, n)
+    # a repeated ID leaves the mask equal but the count too large
+    reject(
+        (claims != networks).any(axis=2)[t, i] | (claim_counts != networks.sum(axis=2)[t, i]),
+        "neighbor_ids do not match the realization of the stored intents",
+    )
+    expect = record.payoffs[t, i][:, PAYOFF_CELLS]
+    close = np.abs(columns[:, 1:] - expect) <= PAYOFF_TOL * np.maximum(1.0, np.abs(expect))
+    reject(~close.all(axis=1), "payoff cells do not match the stored efforts and intents")
+    return record
 
 
 def read_records(directory: str | Path) -> list[SessionRecord]:

@@ -50,7 +50,7 @@ from .model import (
 #: payoff gains at or below this value count as non-improving
 DEVIATION_TOL = 1e-9
 ORIENTATION_BUDGET = 1 << 20
-MAX_VERIFY_N = 62  # agent-id bitmasks (`_SponsorTable.masks`) are int64
+MAX_SUPPORT_N = 62  # the support search's agent-id bitmasks (`_SponsorTable.masks`) are int64
 
 
 class Deviation(NamedTuple):
@@ -85,8 +85,6 @@ def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport
     intent set and effort (see `kernels.deviation_scan`)."""
     if profile.n != params.n:
         raise LqnetError(f"profile has n={profile.n}, params expect n={params.n}")
-    if params.n > MAX_VERIFY_N:
-        raise LqnetError(f"verification supports n <= {MAX_VERIFY_N}, got {params.n}")
     best_gain, best_targets, best_effort = kernels.deviation_scan(
         profile.efforts.efforts, profile.intents.matrix, params
     )
@@ -171,19 +169,13 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
     return tables
 
 
-def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.ndarray] | None:
+def _stable_sponsor_sets(tables: list[_SponsorTable], kappa: float) -> list[np.ndarray]:
     """Per agent, every sponsored-neighbor set admitting no profitable deviation at κ.
 
     Returns one int64 array of stable sets per agent (as agent-id
-    bitmasks), or None as soon as some agent has no stable set.
+    bitmasks); an agent with no stable set gets an empty array.
     """
-    families: list[np.ndarray] = []
-    for t in tables:
-        stable = t.masks[(t.lo <= kappa) & (kappa <= t.hi)]
-        if not len(stable):
-            return None
-        families.append(stable)
-    return families
+    return [t.masks[(t.lo <= kappa) & (kappa <= t.hi)] for t in tables]
 
 
 class SupportSearch:
@@ -196,6 +188,8 @@ class SupportSearch:
     """
 
     def __init__(self, params: GameParams, network: Network) -> None:
+        if network.n > MAX_SUPPORT_N:
+            raise LqnetError(f"the support search handles up to {MAX_SUPPORT_N} agents, got {network.n}")
         self.params = params
         self.network = network
         self.x = nash_efforts(params, network).efforts.efforts
@@ -244,22 +238,20 @@ class SupportSearch:
 
         An orientation is an equilibrium exactly when each agent's sponsored
         set is in its stable family at κ (`_stable_sponsor_sets`, exact, see
-        `_sponsor_tables`).  A κ where some agent has no stable set is
-        rejected at once.  Otherwise each link in turn is assigned a
-        sponsor, the lower-(degree, index) endpoint first.  A branch is cut
-        when some agent's assigned links fit none of its stable sets, or
-        when the agents' spare room (links each can still sponsor within
-        its largest fitting set) falls short of the links left; both are
-        necessary conditions, so no stable orientation is cut and the first
-        completed assignment is the witness.  ``orientations_tried`` counts
-        the sponsor assignments visited, 0 when κ is rejected at once or the
-        network has no links; past ``ORIENTATION_BUDGET`` the search raises
+        `_sponsor_tables`).  Each link in turn is assigned a sponsor, the
+        lower-(degree, index) endpoint first.  A branch is cut when some
+        agent's assigned links fit none of its stable sets, or when the
+        agents' spare room (links each can still sponsor within its largest
+        fitting set) falls short of the links left; both are necessary
+        conditions, so no stable orientation is cut and the first completed
+        assignment is the witness.  ``orientations_tried`` counts the sponsor
+        assignments visited: 0 when the network has no links, or when some
+        agent has no stable set at all, which cuts the search before its
+        first assignment.  Past ``ORIENTATION_BUDGET`` the search raises
         instead of guessing.
         """
         network, n, choices = self.network, self.network.n, self.choices
         families = _stable_sponsor_sets(self.tables, kappa)
-        if families is None:  # some agent has no stable set: every orientation fails
-            return NESupportReport(network, False, None, 0)
         family_sizes = [np.bitwise_count(fam) for fam in families]
         sponsored = [0] * n
         refused = [0] * n

@@ -51,6 +51,24 @@ def test_tracer_installs_and_uninstalls():
         assert getattr(importlib.import_module(f"lqnet.{module}"), func) is original
 
 
+def test_traced_read_record_counts_its_rows():
+    # the tracer's hook reads ``T`` and ``n`` off the record `read_record` returns
+    from lqnet import session_io
+
+    golden = Path(__file__).parent / "golden" / "sessions_n9" / "records"
+    csv_path = sorted(golden.glob("*.csv"))[0]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        record = session_io.read_record(csv_path)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["session_io.read_record.calls"] == 1
+    assert metrics["session_io.read_record.rows"] == record.T * record.n == 12 * 9
+    assert metrics["model.payoff_components.calls"] == 1
+
+
 def _fresh_modules(code: str) -> set[str]:
     """Names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
     src = Path(lqnet.cli.__file__).resolve().parent.parent

@@ -546,6 +546,27 @@ class TestBadInputFiles:
         assert err.startswith("error: s7.csv row 4: field larger than field limit")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "column,cell,message",
+        [
+            (6, "1000000.0", "payoff cells do not match the stored efforts and intents"),
+            (3, "nan", "effort is not a finite number in [0.0, 20.0]"),
+        ],
+        ids=["payoff_total", "nan-effort"],
+    )
+    def test_edited_record_cell_is_one_error_line(self, capsys, tmp_path, column, cell, message):
+        rec = _record_dir(tmp_path, GOLDEN_RECORD.with_suffix(".json").read_text())
+        csv_path = rec / GOLDEN_RECORD.name
+        lines = csv_path.read_text().splitlines(keepends=True)
+        fields = lines[3].rstrip("\n").split(",")  # period 1 agent 3
+        fields[column] = cell
+        lines[3] = ",".join(fields) + "\n"
+        csv_path.write_text("".join(lines))
+        code, out, err = run_cli(capsys, *_analyze_argv(rec))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {csv_path}: period 1 agent 3: {message}\n"
+
     def test_zero_period_record_is_one_error_line(self, capsys, tmp_path):
         rec = _record_dir(tmp_path, json.dumps(_sidecar_meta(periods=0)))
         csv_path = rec / GOLDEN_RECORD.name

@@ -19,7 +19,7 @@ from lqnet.dynamics import (
     _rank_band,
 )
 from lqnet.equilibria import nash_efforts, spectral_radius
-from lqnet.errors import LqnetError
+from lqnet.errors import DimensionMismatchError, LqnetError
 from lqnet.model import GameParams, Network, get_treatment
 
 from helpers import oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
@@ -300,16 +300,26 @@ class TestBatchRun:
 
 
 class TestSessionRecord:
-    def test_rejects_inconsistent_networks(self):
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(2))
-        rec = run_session(P5, pol, 3, seed=0)
-        bad = rec.networks.copy()
-        bad[0, 0, 1] = ~bad[0, 0, 1]
-        with pytest.raises(LqnetError):
+    def test_derived_arrays_are_read_only_and_match_the_decisions(self):
+        pol = AgentPolicy(EffortRule.from_preset("N5_LowCost", noise_sd=0.5), LinkRule.rank_top(2))
+        rec = run_session(P5, pol, 6, seed=4)
+        assert rec.T == 6
+        assert np.array_equal(rec.networks, rec.intents | rec.intents.transpose(0, 2, 1))
+        assert np.array_equal(rec.payoffs, oracle_replay_payoffs(rec))
+        for name in ("networks", "payoffs"):
+            arr = getattr(rec, name)
+            assert getattr(rec, name) is arr  # derived once
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = arr[0, 0, 1]
+            with pytest.raises(AttributeError):
+                setattr(rec, name, arr.copy())
+
+    @pytest.mark.parametrize("T_intents", [2, 4])
+    def test_rejects_decisions_of_different_lengths(self, T_intents):
+        with pytest.raises(DimensionMismatchError, match="intents has shape"):
             SessionRecord(
-                session_id="x", params=P5, T=3, seed=0,
-                intents=rec.intents.copy(), networks=bad,
-                efforts=rec.efforts.copy(), payoffs=rec.payoffs.copy(),
+                session_id="x", params=P5, seed=0,
+                intents=np.zeros((T_intents, 5, 5), dtype=bool), efforts=np.zeros((3, 5)),
             )
 
 

@@ -5,10 +5,8 @@ import pytest
 
 from lqnet.dynamics import LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, batch_run, run_session
 from lqnet.errors import ConfigError, LqnetError, SchemaVersionError
-from lqnet.model import GameParams, IntentProfile, Network, get_treatment
+from lqnet.model import GameParams, Network, get_treatment
 from lqnet.session_io import (
-    intents_from_obj,
-    intents_to_obj,
     load_network,
     load_policies,
     network_from_obj,
@@ -39,12 +37,6 @@ class TestJsonObjects:
         obj = network_to_obj(net)
         assert obj == {"n": 5, "edges": [[1, 2], [3, 5]]}
         assert np.array_equal(network_from_obj(obj).adjacency, net.adjacency)
-
-    def test_intents_round_trip(self):
-        intents = IntentProfile.from_pairs(4, [(0, 3), (3, 0), (2, 1)])
-        obj = intents_to_obj(intents)
-        assert {"n": 4, "intents": [[1, 4], [3, 2], [4, 1]]} == obj
-        assert np.array_equal(intents_from_obj(obj).matrix, intents.matrix)
 
     def test_profile_from_obj_validates_length(self):
         with pytest.raises(LqnetError):
@@ -219,6 +211,73 @@ class TestNeighborIdCheck:
         path, _ = _write_edited(tmp_path, duplicate)
         with pytest.raises(LqnetError, match="row 3: period 1 agent 1 appears twice"):
             read_record(path)
+
+
+def _add(cell, delta):
+    return repr(float(cell) + delta)
+
+
+class TestDecisionChecks:
+    """`read_record` rejects efforts outside the box and payoff cells the decisions do not give."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-0.5", "20.5"])
+    def test_effort_outside_box_named(self, tmp_path, cell):
+        def put(rows):
+            rows[7][3] = cell  # period 2 agent 3
+
+        path, _ = _write_edited(tmp_path, put)
+        with pytest.raises(
+            LqnetError, match=r"period 2 agent 3: effort is not a finite number in \[0\.0, 20\.0\]"
+        ):
+            read_record(path)
+
+    def test_efforts_on_the_box_ends_load(self, tmp_path):
+        box = (P5.effort_min, P5.effort_max)
+        policies = [
+            AgentPolicy(EffortRule(b0=1.0, b1=0.0, b2=0.0, initial_effort=box[i % 2]),
+                        LinkRule.benefit_threshold())
+            for i in range(5)
+        ]
+        rec = run_session(P5, policies, 3, seed=0)
+        back = read_record(write_record(rec, tmp_path))
+        assert set(back.efforts.ravel().tolist()) == set(box)
+        assert np.array_equal(back.payoffs, rec.payoffs)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{6: "1000000.0"}, {6: "nan"}, {6: 1e-3}, {6: 1.0, 7: 1.0}],
+        # the last two: total != own - cost + spill - link, and a row that adds
+        # up but disagrees with its effort
+        ids=["total-1e6", "total-nan", "total-only", "row-adds-up"],
+    )
+    def test_payoff_cells_off_the_decisions_named(self, tmp_path, changes):
+        def put(rows):
+            for column, change in changes.items():
+                cell = rows[7][column]
+                rows[7][column] = change if isinstance(change, str) else _add(cell, change)
+
+        path, _ = _write_edited(tmp_path, put)
+        with pytest.raises(LqnetError, match="period 2 agent 3: payoff cells do not match"):
+            read_record(path)
+
+    def test_first_payoff_mismatch_in_file_order_is_named(self, tmp_path):
+        def tamper_two(rows):
+            rows[0][10] = _add(rows[0][10], 1.0)  # period 1 agent 1
+            rows[-1][10] = _add(rows[-1][10], 1.0)  # period 12 agent 5, then moved to the top
+            rows.insert(0, rows.pop())
+
+        path, _ = _write_edited(tmp_path, tamper_two)
+        with pytest.raises(LqnetError, match="period 12 agent 5: payoff cells"):
+            read_record(path)
+
+    def test_payoffs_within_tolerance_load(self, tmp_path):
+        # another summation order moves the last bits; the record keeps its own payoffs
+        def nudge(rows):
+            for row in rows:
+                row[6:11] = [_add(cell, 1e-12) for cell in row[6:11]]
+
+        path, rec = _write_edited(tmp_path, nudge)
+        assert np.array_equal(read_record(path).payoffs, rec.payoffs)
 
 
 class TestScenarioLoading:

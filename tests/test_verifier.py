@@ -102,10 +102,20 @@ class TestVerifyNash:
                 assert not report.is_nash
                 assert report.worst_deviation.gain >= 0.5 * p.beta * 0.25 - 1e-9
 
-    def test_rejects_oversized_group(self):
-        p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=63)
-        with pytest.raises(LqnetError):
-            verify_nash(p, make_profile([2.5] * 63, [], 63))
+    def test_checks_groups_past_the_support_limit(self):
+        # the deviation scan keeps no agent bitmask, so no group-size cap applies
+        n = 70
+        p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=n)
+        rng = np.random.default_rng(70)
+        intents = rng.random((n, n)) < 0.1
+        np.fill_diagonal(intents, False)
+        profile = StrategyProfile(EffortProfile(rng.uniform(0.0, 5.0, n)), IntentProfile(intents))
+        report = verify_nash(p, profile)
+        assert not report.is_nash
+        dev = report.worst_deviation
+        gain, effort = oracle_deviation_gain(p, profile, dev.agent, dev.targets)
+        assert dev.gain == pytest.approx(gain, abs=1e-9)
+        assert dev.effort == pytest.approx(effort, abs=1e-12)
 
     def test_empty_n40_best_deviation_links_to_everyone(self):
         # from the empty network at x0 = theta/beta, the all-links deviation
@@ -125,6 +135,12 @@ class TestVerifyNash:
 
 
 class TestNeSupportable:
+    def test_rejects_oversized_group(self):
+        # its agent-id bitmasks are int64, so it stops short of bit 63, the sign bit
+        p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=63)
+        with pytest.raises(LqnetError, match="up to 62 agents, got 63"):
+            ne_supportable(p, Network.empty(63))
+
     def test_star_high_cost_supported_by_periphery(self):
         p = get_treatment("N5_HighCost").params
         report = ne_supportable(p, Network.star(5, center=0))
@@ -188,7 +204,8 @@ class TestNeSupportable:
     def test_orientations_tried_counts_assignments_visited(self):
         p_low = get_treatment("N5_LowCost").params
         star = SupportSearch(p_low, Network.star(5, center=0))
-        assert _stable_sponsor_sets(star.tables, 1.0) is None  # no leaf has a stable set
+        families = _stable_sponsor_sets(star.tables, 1.0)
+        assert any(len(f) == 0 for f in families[1:])  # some leaf has no stable set
         assert star.report(1.0).orientations_tried == 0
         # no link to assign; the empty network is supportable at the high cost
         p_high = get_treatment("N5_HighCost").params
