@@ -130,8 +130,10 @@ class LinkRule:
     def __post_init__(self) -> None:
         if self.kind not in LINK_RULE_KINDS:
             raise ValueError(f"unknown link rule kind {self.kind!r}")
-        if self.kind == "rank_top" and (self.k is None or self.k < 0):
-            raise ValueError("rank_top needs a non-negative cutoff k")
+        if self.kind == "rank_top" and not (
+            isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool) and self.k >= 0
+        ):
+            raise ValueError(f"rank_top needs a non-negative integer cutoff k, got {self.k!r}")
         if self.kind == "logistic" and self.coefficients is None:
             raise ValueError("logistic rule needs coefficients")
         if self.kind == "fixed_targets" and self.targets is None:
@@ -176,6 +178,8 @@ class SessionRecord:
     ``payoffs`` derive from them, so a record cannot disagree with itself.
     Arrays are indexed [period, agent(, agent)] and read-only; payoff
     columns are (own_benefit, effort_cost, spillover, link_cost, total).
+    Intents with a self-link are refused, naming the first such period and
+    agent 1-based, as the record files number them.
     """
 
     session_id: str
@@ -192,6 +196,10 @@ class SessionRecord:
             if arr.shape != shape:
                 raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
             arr.setflags(write=False)
+        loops = np.argwhere(self.intents.diagonal(axis1=1, axis2=2))
+        if loops.size:
+            t, i = loops[0] + 1
+            raise LqnetError(f"period {t} agent {i}: initiates a link to itself")
 
     @property
     def T(self) -> int:

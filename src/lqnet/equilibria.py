@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatchError, LqnetError, NonContractionError
+from .errors import DimensionMismatchError, NonContractionError
 from .model import (
     EffortProfile,
     GameParams,
@@ -130,80 +130,50 @@ def efficient_efforts(params: GameParams, network: Network) -> EffortSolution:
 # sponsorship construction
 # --------------------------------------------------------------------------
 
-def _orientation_feasible(edges: list[tuple[int, int]], spare: list[int]) -> bool:
-    """Can each edge be assigned to an endpoint without exceeding the spare counts?
+def preferred_sponsors(network: Network) -> list[tuple[int, int]]:
+    """Each link as (sponsor, other), the lower-(degree, index) endpoint sponsoring.
 
-    Bipartite b-matching feasibility by augmenting paths: an agent at
-    capacity may free a slot by pushing one of its edges to the opposite
-    endpoint, recursively.
-    """
-    load = [0] * len(spare)
-    owned: list[set[int]] = [set() for _ in spare]
-
-    def make_room(agent: int, visited: set[int]) -> bool:
-        if load[agent] < spare[agent]:
-            return True
-        for e in list(owned[agent]):
-            if e in visited:
-                continue
-            visited.add(e)
-            i, j = edges[e]
-            alt = j if agent == i else i
-            if make_room(alt, visited):
-                owned[agent].discard(e)
-                load[agent] -= 1
-                owned[alt].add(e)
-                load[alt] += 1
-                return True
-        return False
-
-    for e, (i, j) in enumerate(edges):
-        placed = False
-        for agent in (i, j):
-            if make_room(agent, set()):
-                owned[agent].add(e)
-                load[agent] += 1
-                placed = True
-                break
-        if not placed:
-            return False
-    return True
+    Ordered by the sponsor's then the other's degree, then by their indices, so
+    labels matter only among agents of equal degree.  The support search tries
+    these sponsors first, in this order; `balanced_sponsorship` starts from them."""
+    deg = network.degrees.tolist()
+    links = [(j, i) if deg[j] < deg[i] else (i, j) for i, j in network.edges()]  # i < j
+    return sorted(links, key=lambda link: (deg[link[0]], deg[link[1]], *link))
 
 
 def balanced_sponsorship(network: Network) -> IntentProfile:
     """Single-sponsor intent profile minimizing the maximum initiation count.
 
-    Among minimizers, each link prefers the endpoint with (current count,
-    network degree, index) smallest - so star links are sponsored by the
-    periphery, matching the payoff convention of the equilibrium tables.
+    Starts from `preferred_sponsors`, so star links are sponsored by the
+    periphery.  While the lowest-index busiest agent has a sponsored path
+    (each link leading from its sponsor) to an agent sponsoring at least two
+    fewer links, every link on the shortest such path turns around: the
+    first count falls by one, the last rises by one.  With no such path,
+    each of the R agents the busiest one reaches sponsors at least
+    ``max - 1`` links, all inside R, so R holds more than ``R (max - 1)``
+    links and every orientation gives one of its agents ``max`` (Hakimi 1965).
     """
     n = network.n
-    edges = network.edges()
     intents = np.zeros((n, n), dtype=bool)
-    if not edges:
-        return IntentProfile(intents)
-    deg = network.degrees
-    lo = (len(edges) + n - 1) // n
-    cap = lo
-    while not _orientation_feasible(edges, [cap] * n):
-        cap += 1
-    counts = [0] * n
-    for idx, (i, j) in enumerate(edges):
-        remaining = edges[idx + 1 :]
-        placed = False
-        for cand, other in sorted(
-            [(i, j), (j, i)], key=lambda p: (counts[p[0]], deg[p[0]], p[0])
-        ):
-            counts[cand] += 1
-            spare = [cap - c for c in counts]
-            if min(spare) >= 0 and _orientation_feasible(remaining, spare):
-                intents[cand, other] = True
-                placed = True
-                break
-            counts[cand] -= 1
-        if not placed:  # pragma: no cover - cap was verified feasible
-            raise LqnetError("sponsorship assignment failed unexpectedly")
-    return IntentProfile(intents)
+    for sponsor, other in preferred_sponsors(network):
+        intents[sponsor, other] = True
+    counts = intents.sum(axis=1)
+    while True:
+        start = int(np.argmax(counts))
+        layers = [np.array([start])]  # agents by their distance from ``start``
+        seen = np.arange(n) == start
+        while not (slack := counts[layers[-1]] <= counts[start] - 2).any():
+            reached = intents[layers[-1]].any(axis=0) & ~seen
+            if not reached.any():
+                return IntentProfile(intents)
+            seen |= reached
+            layers.append(np.flatnonzero(reached))
+        end = int(layers[-1][np.argmax(slack)])
+        counts[[start, end]] += (-1, 1)
+        for layer in reversed(layers[:-1]):  # back along the path, one link per layer
+            sponsor = int(layer[np.argmax(intents[layer, end])])
+            intents[sponsor, end], intents[end, sponsor] = False, True
+            end = sponsor
 
 
 def equilibrium_payoffs(

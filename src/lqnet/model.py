@@ -276,8 +276,9 @@ class PayoffBreakdown(NamedTuple):
 #: lambda: complementarity (spillover) coefficient
 #: kappa:  cost per initiated link
 #: n:      group size
-#: equilibrium_networks: architectures supportable as a Nash equilibrium
-#:   under these parameters (used by `enumerate` as the documented target set).
+#: equilibrium_networks: architectures documented as supportable as a Nash
+#:   equilibrium under these parameters; `enumerate` does not read it, but
+#:   decides support itself with the support search.
 TREATMENT_PRESETS: dict[str, dict] = {
     "N5_LowCost": {
         "n": 5, "theta": 10.0, "beta": 4.0, "lambda": 0.4, "kappa": 1.0,

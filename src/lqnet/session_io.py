@@ -394,7 +394,8 @@ def read_record(csv_path: str | Path) -> SessionRecord:
 
     The record is its efforts and initiated_ids.  The first row, in file order, whose
     effort is not finite and in the box, or whose neighbor_ids or payoff cells disagree
-    with the record, is named in a one-line error."""
+    with the record, is named in a one-line error; so is the first period and agent
+    whose initiated_ids name the agent itself, which `SessionRecord` refuses."""
     csv_path = Path(csv_path)
     meta, params = _read_sidecar(csv_path.with_suffix(".json"))
     T = meta["periods"]
@@ -449,14 +450,16 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     efforts[t, i] = x
     initiated, claimed = ([parsed[text] for text in column] for column in zip(*cells))
     intents, _ = _id_mask(t, i, initiated, T, n)
-    reject(intents[t, i, i], "initiated_ids names the agent itself")
-    record = SessionRecord(
-        session_id=str(meta["session_id"]),
-        params=params,
-        seed=meta["seed"],
-        intents=intents,
-        efforts=efforts,
-    )
+    try:
+        record = SessionRecord(
+            session_id=str(meta["session_id"]),
+            params=params,
+            seed=meta["seed"],
+            intents=intents,
+            efforts=efforts,
+        )
+    except LqnetError as exc:
+        raise LqnetError(f"{csv_path}: {exc}") from None
     networks = record.networks
     claims, claim_counts = _id_mask(t, i, claimed, T, n)
     # a repeated ID leaves the mask equal but the count too large

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .equilibria import nash_efforts
+from .equilibria import nash_efforts, preferred_sponsors
 from .errors import LqnetError, OrientationBudgetError
 from .model import (
     EffortProfile,
@@ -51,6 +51,7 @@ from .model import (
 DEVIATION_TOL = 1e-9
 ORIENTATION_BUDGET = 1 << 20
 MAX_SUPPORT_N = 62  # the support search's agent-id bitmasks (`_SponsorTable.masks`) are int64
+MAX_SPONSOR_DEGREE = 14  # `_sponsor_tables` builds 2**degree rows per agent: ~130 MB at n = 62
 
 
 class Deviation(NamedTuple):
@@ -190,12 +191,15 @@ class SupportSearch:
     def __init__(self, params: GameParams, network: Network) -> None:
         if network.n > MAX_SUPPORT_N:
             raise LqnetError(f"the support search handles up to {MAX_SUPPORT_N} agents, got {network.n}")
+        if (degree := int(network.degrees.max())) > MAX_SPONSOR_DEGREE:
+            raise LqnetError(
+                f"the support search tabulates 2**degree sponsored sets per agent and takes "
+                f"degrees up to {MAX_SPONSOR_DEGREE}, got an agent with {degree} links"
+            )
         self.params = params
         self.network = network
         self.x = nash_efforts(params, network).efforts.efforts
-        deg = network.degrees
-        # each link's endpoints, the lower-(degree, index) one first: the sponsor tried first
-        self.choices = [tuple(sorted(e, key=lambda v: (deg[v], v))) for e in network.edges()]
+        self.choices = preferred_sponsors(network)  # each link as (sponsor tried first, other)
 
     @cached_property
     def tables(self) -> list[_SponsorTable]:
@@ -238,9 +242,9 @@ class SupportSearch:
 
         An orientation is an equilibrium exactly when each agent's sponsored
         set is in its stable family at κ (`_stable_sponsor_sets`, exact, see
-        `_sponsor_tables`).  Each link in turn is assigned a sponsor, the
-        lower-(degree, index) endpoint first.  A branch is cut when some
-        agent's assigned links fit none of its stable sets, or when the
+        `_sponsor_tables`).  Each link in turn, in `preferred_sponsors` order,
+        is assigned a sponsor, the preferred one first.  A branch is cut when
+        some agent's assigned links fit none of its stable sets, or when the
         agents' spare room (links each can still sponsor within its largest
         fitting set) falls short of the links left; both are necessary
         conditions, so no stable orientation is cut and the first completed

@@ -13,6 +13,7 @@ from lqnet.dynamics import _effort_ranks, _initial_effort, _normalize_policies, 
 from lqnet.model import (
     EffortProfile,
     IntentProfile,
+    Network,
     StrategyProfile,
     best_response,
 )
@@ -113,6 +114,32 @@ def oracle_nested_split(adj):
                 if deg[k] >= deg[l] and not adj[i, k]:
                     return False
     return True
+
+
+def nested_split_graphs(n):
+    """The 2**(n-1) nested split (threshold) graphs on n agents, in creation-sequence labels.
+
+    Agent k joins agents 0..k-1 either isolated or linked to all of them, as
+    bit k-1 of the graph's code says.
+    """
+    for code in range(1 << (n - 1)):
+        a = np.zeros((n, n), dtype=bool)
+        for k in range(1, n):
+            if code >> (k - 1) & 1:
+                a[k, :k] = a[:k, k] = True
+        yield Network(a)
+
+
+def oracle_least_max_sponsorship(network):
+    """Least possible largest initiation count over all orientations of the network.
+
+    Hakimi (1965): the max over agent sets S of ceil(e(S) / |S|), e(S) the
+    links inside S, here by brute force over every nonempty S.
+    """
+    n = network.n
+    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    links = ((member @ network.adjacency.astype(int)) * member).sum(axis=1) // 2
+    return int((-(-links // member.sum(axis=1))).max())
 
 
 def oracle_link_distance(a, b):

@@ -274,6 +274,17 @@ class TestRunSession:
             run_session(P5, pol, 0, seed=0)
 
 
+class TestLinkRule:
+    @pytest.mark.parametrize("k", [2.5, True, False, -1, None, "2"])
+    def test_rank_top_needs_a_non_negative_integer(self, k):
+        with pytest.raises(ValueError, match="rank_top needs a non-negative integer cutoff k"):
+            LinkRule.rank_top(k)
+
+    def test_rank_top_takes_numpy_integers(self):
+        policy = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(np.int64(2)))
+        assert GroupRules([policy] * 5).rank_k.ravel().tolist() == [2] * 5
+
+
 class TestBatchRun:
     def test_seeds_offset_by_replication(self):
         pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(2))
@@ -313,6 +324,13 @@ class TestSessionRecord:
                 arr[0, 0, 0] = arr[0, 0, 1]
             with pytest.raises(AttributeError):
                 setattr(rec, name, arr.copy())
+
+    def test_rejects_a_self_link(self):
+        intents = np.zeros((2, 5, 5), dtype=bool)
+        intents[1, 3, [2, 3]] = True  # period 2: agent 4 initiates to agent 3 and itself
+        with pytest.raises(LqnetError, match="^period 2 agent 4: initiates a link to itself$"):
+            SessionRecord(session_id="x", params=P5, seed=0, intents=intents,
+                          efforts=np.full((2, 5), 2.0))
 
     @pytest.mark.parametrize("T_intents", [2, 4])
     def test_rejects_decisions_of_different_lengths(self, T_intents):

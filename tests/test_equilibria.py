@@ -9,6 +9,7 @@ from lqnet.equilibria import (
     efficient_efforts,
     equilibrium_payoffs,
     nash_efforts,
+    preferred_sponsors,
     single_link_deviation_threshold,
     spectral_radius,
 )
@@ -24,6 +25,7 @@ from lqnet.verifier import SupportSearch
 from helpers import (
     oracle_complete_nash,
     oracle_gross_welfare,
+    oracle_least_max_sponsorship,
     oracle_spectral_radius,
     oracle_star_efficient,
     oracle_star_nash,
@@ -248,6 +250,20 @@ class TestBalancedSponsorship:
             if net.link_count() == 0:
                 continue
             assert int(sp.initiation_counts().max()) == brute_min_max_orientation(net)
+
+    def test_meets_hakimi_bound(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            net = random_network(rng, int(rng.integers(2, 12)), p=float(rng.uniform(0.1, 0.9)))
+            counts = balanced_sponsorship(net).initiation_counts()
+            assert int(counts.max()) == oracle_least_max_sponsorship(net)
+
+    def test_reverses_a_path_from_the_busiest_agent(self):
+        # triangle 0-1-2 plus agent 3 on agent 2; agent 0 starts with two links and
+        # agent 2 with none, so the link 0-2 turns around
+        net = Network.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert preferred_sponsors(net) == [(3, 2), (0, 1), (0, 2), (1, 2)]
+        assert balanced_sponsorship(net).pairs() == [(0, 1), (1, 2), (2, 0), (3, 2)]
 
 
 class TestEquilibriumPayoffs:

@@ -201,7 +201,7 @@ class TestNeighborIdCheck:
                 rows[3][column] = ":".join(str(v) for v in sorted(ids))
 
         path, _ = _write_edited(tmp_path, link_to_self)
-        with pytest.raises(LqnetError, match="agent 4: initiated_ids names the agent itself"):
+        with pytest.raises(LqnetError, match="s31.csv: period 1 agent 4: initiates a link to itself$"):
             read_record(path)
 
     def test_repeated_agent_period_row_detected(self, tmp_path):

@@ -19,6 +19,7 @@ from lqnet.model import (
 from lqnet.structure import classify, is_nested_split
 from lqnet.verifier import (
     DEVIATION_TOL,
+    MAX_SPONSOR_DEGREE,
     SupportSearch,
     _stable_sponsor_sets,
     canonical_form,
@@ -29,7 +30,7 @@ from lqnet.verifier import (
     verify_nash,
 )
 
-from helpers import make_profile, oracle_complete_nash, oracle_deviation_gain
+from helpers import make_profile, nested_split_graphs, oracle_complete_nash, oracle_deviation_gain
 
 
 def nash_profile(params, network, sponsorship=None):
@@ -140,6 +141,24 @@ class TestNeSupportable:
         p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=63)
         with pytest.raises(LqnetError, match="up to 62 agents, got 63"):
             ne_supportable(p, Network.empty(63))
+
+    def test_rejects_oversized_tables_before_building_anything(self, monkeypatch):
+        import lqnet.verifier as verifier_mod
+
+        p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=MAX_SPONSOR_DEGREE + 1)
+        SupportSearch(p, Network.star(p.n))  # a centre at the limit passes
+
+        def refuse(*args):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(verifier_mod, "nash_efforts", refuse)
+        monkeypatch.setattr(verifier_mod, "_subset_table", refuse)
+        # a 30-agent star's centre would need 2**29 sponsored sets, about 124 GB
+        for n in (MAX_SPONSOR_DEGREE + 2, 30):
+            with pytest.raises(LqnetError, match=(
+                f"^the support search .* up to {MAX_SPONSOR_DEGREE}, got an agent with {n - 1} links$"
+            )):
+                SupportSearch(replace(p, n=n), Network.star(n))
 
     def test_star_high_cost_supported_by_periphery(self):
         p = get_treatment("N5_HighCost").params
@@ -350,6 +369,49 @@ class TestSupportSearch:
         assert intervals
         for k in 0.037 + 0.1 * np.arange(1600):
             assert search.report(float(k)).supportable == in_union(k, intervals), k
+
+
+class TestLabelling:
+    """The search takes the links in `preferred_sponsors` order, which depends on
+    labels only among agents of equal degree."""
+
+    def test_k8_plus_pendant_in_both_labellings(self):
+        # K8 on agents 0-7 plus agent 8 linked to 7: taken in label order, this
+        # labelling exhausted 2**20 assignments at this cost, its mirror image 2
+        p = replace(get_treatment("N9_HighCost").params, kappa=4.25)
+        edges = [(i, j) for i in range(8) for j in range(i + 1, 8)] + [(7, 8)]
+        for label in (lambda v: v, lambda v: 8 - v):
+            report = ne_supportable(p, Network.from_edges(9, [(label(i), label(j)) for i, j in edges]))
+            assert (report.supportable, report.orientations_tried) == (False, 2)
+
+    def test_nested_split_sweep_under_relabelling(self, monkeypatch):
+        # every n = 9 NSG against a seeded relabelling: the same node count over
+        # all probes of `intervals`, and the same intervals within the tolerance;
+        # not bitwise, as LU pivoting gives twin agents efforts a last bit apart
+        import lqnet.verifier as verifier_mod
+
+        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", 1 << 16)
+        nodes = []
+        report = SupportSearch.report
+
+        def counted(self, kappa):
+            out = report(self, kappa)
+            nodes.append(out.orientations_tried)
+            return out
+
+        monkeypatch.setattr(SupportSearch, "report", counted)
+        p = get_treatment("N9_HighCost").params
+        rng = np.random.default_rng(9)
+        for net in nested_split_graphs(9):
+            perm = rng.permutation(9)
+            runs = []
+            for g in (net, Network(net.adjacency[np.ix_(perm, perm)])):
+                nodes.clear()
+                runs.append((SupportSearch(p, g).intervals(), sum(nodes)))
+            (ours, our_nodes), (theirs, their_nodes) = runs
+            assert our_nodes == their_nodes, net.edges()
+            assert len(ours) == len(theirs)
+            assert np.allclose(ours, theirs, rtol=0.0, atol=DEVIATION_TOL), net.edges()
 
 
 class TestEnumerate:
