@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import SessionRecord
-from .equilibria import equilibrium_payoffs, nash_efforts
+from .equilibria import equilibrium_payoffs, interior_nash_efforts, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
 from .model import GameParams, Network, Treatment, best_response, link_benefit
 from .structure import ARCHITECTURES, architecture_distances, period_stats
@@ -253,6 +253,15 @@ def fit_effort_model(records: list[SessionRecord]) -> FitResult:
     )
 
 
+def _nash_stack(params: GameParams, networks: np.ndarray) -> np.ndarray:
+    """Nash efforts on each network of a (k, n, n) stack, as `nash_efforts` gives
+    them: the interior ones from one stacked solve, the rest one at a time."""
+    efforts, interior = interior_nash_efforts(params, networks)
+    for r in np.flatnonzero(~interior):
+        efforts[r] = nash_efforts(params, Network(networks[r])).efforts.efforts
+    return efforts
+
+
 def treatment_summary(
     records: list[SessionRecord],
     treatment: Treatment | GameParams,
@@ -268,16 +277,20 @@ def treatment_summary(
     params = _params_of(treatment)
     windows = _windows(records, window)
     denominator = complete_equilibrium_average(params)
-    # realized networks repeat across periods and groups: one Nash solve each
+    # realized networks repeat across periods and groups: one Nash solve each,
+    # and the networks new in a record solved in one stacked call
     index: dict[bytes, int] = {}
     solved: list[np.ndarray] = []
     for rec, (start, end) in zip(records, windows):
+        fresh = []
         for adj in rec.networks[start - 1 : end]:
             key = adj.tobytes()
             if key not in index:
-                index[key] = len(solved)
-                solved.append(nash_efforts(params, Network(adj)).efforts.efforts)
-    nash_means = np.array(solved).mean(axis=1)
+                index[key] = len(index)
+                fresh.append(adj)
+        if fresh:
+            solved.append(_nash_stack(params, np.array(fresh)))
+    nash_means = np.concatenate(solved).mean(axis=1)
     groups = []
     for rec, (start, end) in zip(records, windows):
         networks = rec.networks[start - 1 : end]

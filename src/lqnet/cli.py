@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     treatment = get_treatment(args.treatment)
-    records = session_io.read_records(args.in_dir)
+    records = session_io.read_records(args.in_dir, treatment.params)
     window = args.window
     eff = analysis.efficiency_report(records, treatment, window)
     freq = analysis.frequency_report(records, window)

@@ -13,11 +13,14 @@ Sessions are deterministic given their seed: a counter-based generator is
 created per session and consumed in a fixed order (efforts by agent
 index, then intent rows by agent index).  Each period steps every agent at
 once, and its batched draws consume the stream as one draw per agent would.
+Replications step together, period by period, each on its own generator,
+so a session's record does not depend on how many run beside it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -272,11 +275,14 @@ def step_effort(
     neighbor_lag_sum: np.ndarray,
     non_neighbor_lag_sum: np.ndarray,
     params: GameParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Every agent's effort update from the previous period's state, clipped to the box.
 
-    The noisy agents' shocks come from one draw, in agent order.
+    The state is (n,) for one group with one generator ``rng``, or (R, n)
+    for R replications stepped together with a sequence of R generators.
+    Each replication's noisy agents draw their shocks from its own
+    generator in one draw, in agent order.
     """
     value = (
         rules.b0 * own_lag
@@ -286,9 +292,18 @@ def step_effort(
     if rules.noisy.size:
         if rng is None:
             raise ValueError("noise_sd > 0 requires a random generator")
+        shocks = _draws(rng, lambda g: g.standard_normal(rules.noisy.size))
         # the draws and sums of rng.normal(0.0, sd), without its broadcasting cost
-        value[rules.noisy] += 0.0 + rules.noise_sd[rules.noisy] * rng.standard_normal(rules.noisy.size)
+        value[..., rules.noisy] += 0.0 + rules.noise_sd[rules.noisy] * shocks
     return np.clip(value, params.effort_min, params.effort_max)
+
+
+def _draws(rng, draw) -> np.ndarray:
+    """``draw(rng)`` for one generator, or ``draw(g)`` for each of a sequence of
+    them, stacked: one row per replication."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.stack([draw(g) for g in rng])
 
 
 def _rank_band(n: int) -> tuple[int, int]:
@@ -302,9 +317,9 @@ def _rank_band(n: int) -> tuple[int, int]:
 
 
 def _effort_ranks(lagged_efforts: np.ndarray) -> np.ndarray:
-    """Competition ranks within the group: 1 + number of strictly higher efforts."""
+    """Competition ranks within each group (last axis): 1 + number of strictly higher efforts."""
     x = np.asarray(lagged_efforts)
-    return 1 + (x[None, :] > x[:, None]).sum(axis=1)
+    return 1 + (x[..., None, :] > x[..., :, None]).sum(axis=-1)
 
 
 def step_links(
@@ -312,27 +327,33 @@ def step_links(
     lagged_efforts: np.ndarray,
     lagged_intents: np.ndarray | None,
     params: GameParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Every agent's intent row computed from the previous period's state.
 
-    ``lagged_intents`` None is the period-1 cold start: threshold, rank and
-    fixed rules read the initial efforts, and the logistic rule falls back
-    to intercept-only probabilities.  The logistic agents' rows come from
+    Efforts are (n,) and intents (n, n) for one group with one generator
+    ``rng``, or (R, n) and (R, n, n) for R replications with a sequence of
+    R generators.  ``lagged_intents`` None is the period-1 cold start:
+    threshold, rank and fixed rules read the initial efforts, and the
+    logistic rule falls back to intercept-only probabilities.  Each
+    replication's logistic agents draw their rows from its own generator in
     one uniform draw, in agent order.
     """
     n = params.n
     x = np.asarray(lagged_efforts, dtype=float)
-    out = np.zeros((n, n), dtype=bool)
+    out = np.zeros((*x.shape, n), dtype=bool)
+    cols = x[..., None, :]  # each agent's row of partner efforts
     if rules.threshold.size:
-        out[rules.threshold] = link_benefit(params, x[rules.threshold, None], x) > 0
+        out[..., rules.threshold, :] = link_benefit(params, x[..., rules.threshold, None], cols) > 0
     if rules.rank.size:
         # position of each agent in the order (-effort, index); agent i targets
         # the first k others in that order, skipping its own position
-        pos = np.empty(n, dtype=np.intp)
-        pos[np.lexsort((np.arange(n), -x))] = np.arange(n)
-        own = pos[rules.rank][:, None]
-        out[rules.rank] = pos - (own < pos) < rules.rank_k
+        order = np.lexsort((np.broadcast_to(np.arange(n), x.shape), -x), axis=-1)
+        pos = np.empty_like(order)
+        np.put_along_axis(pos, order, np.arange(n), axis=-1)
+        own = pos[..., rules.rank, None]
+        pos = pos[..., None, :]
+        out[..., rules.rank, :] = pos - (own < pos) < rules.rank_k
     if rules.logistic.size:
         if rng is None:
             raise ValueError("logistic link rule requires a random generator")
@@ -340,21 +361,23 @@ def step_links(
             probs = rules.cold_p
         else:
             c = rules.logit
-            ranks = _effort_ranks(x)
+            ranks = _effort_ranks(x)[..., None, :]
             above_max, below_min = _rank_band(n)
             # huge coefficients overflow to a saturated probability; a NaN logit never links
             with np.errstate(over="ignore", invalid="ignore"):
                 logits = (
                     c[0]
-                    + c[1] * lagged_intents[rules.logistic].astype(float)
-                    + c[2] * x
+                    + c[1] * lagged_intents[..., rules.logistic, :].astype(float)
+                    + c[2] * cols
                     + c[3] * (ranks <= above_max)
                     + c[4] * (ranks >= below_min)
                 )
                 probs = 1.0 / (1.0 + np.exp(-logits))
-        out[rules.logistic] = rng.random((rules.logistic.size, n)) < probs
+        draws = _draws(rng, lambda g: g.random((rules.logistic.size, n)))
+        out[..., rules.logistic, :] = draws < probs
     out |= rules.fixed
-    np.fill_diagonal(out, False)
+    diagonal = np.arange(n)
+    out[..., diagonal, diagonal] = False
     return out
 
 
@@ -378,6 +401,42 @@ def _normalize_policies(params: GameParams, policies) -> list[AgentPolicy]:
     return policies
 
 
+def _lockstep(
+    params: GameParams, policies, T: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Efforts (R, T, n) and intents (R, T, n, n) of one session per seed, all
+    R stepped together on (R, n) efforts and (R, n, n) intents.
+
+    Session r draws from its own ``Philox(seeds[r])`` stream in the order it
+    would alone: initial efforts, cold-start links, then each period's
+    effort noise and link draws.  So no session depends on the others.
+    """
+    if T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
+    policy_list = _normalize_policies(params, policies)
+    rules = GroupRules(policy_list)
+    n = params.n
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+
+    # period-major, so that each period's (R, ...) block is contiguous
+    intents = np.zeros((T, len(rngs), n, n), dtype=bool)
+    efforts = np.zeros((T, len(rngs), n), dtype=float)
+
+    efforts[0] = [[_initial_effort(p.effort_rule, params, g) for p in policy_list] for g in rngs]
+    intents[0] = step_links(rules, efforts[0], None, params, rngs)
+
+    for t in range(1, T):
+        prev_adj = intents[t - 1] | intents[t - 1].transpose(0, 2, 1)
+        prev_x = efforts[t - 1]
+        neighbor_sums = (prev_adj @ prev_x[:, :, None])[:, :, 0]
+        non_neighbor_sums = prev_x.sum(axis=1, keepdims=True) - prev_x - neighbor_sums
+        efforts[t] = step_effort(rules, prev_x, neighbor_sums, non_neighbor_sums, params, rngs)
+        intents[t] = step_links(rules, prev_x, intents[t - 1], params, rngs)
+
+    # replication-major copies, so that each record's arrays are contiguous
+    return tuple(np.ascontiguousarray(a.swapaxes(0, 1)) for a in (efforts, intents))
+
+
 def run_session(
     params: GameParams,
     policies,
@@ -390,31 +449,12 @@ def run_session(
     ``policies`` is either one AgentPolicy shared by all agents or a
     per-agent sequence.  Period 1 uses the cold-start rules; later periods
     apply the effort and linking rules to the previous period's state,
-    simultaneously for all agents.
+    simultaneously for all agents.  `batch_run` gives the same record for
+    the replication that runs with this seed.
     """
-    if T < 1:
-        raise ValueError(f"T must be at least 1, got {T}")
-    policy_list = _normalize_policies(params, policies)
-    rules = GroupRules(policy_list)
-    n = params.n
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    intents = np.zeros((T, n, n), dtype=bool)
-    efforts = np.zeros((T, n), dtype=float)
-
-    efforts[0] = [_initial_effort(p.effort_rule, params, rng) for p in policy_list]
-    intents[0] = step_links(rules, efforts[0], None, params, rng)
-
-    for t in range(1, T):
-        prev_adj = intents[t - 1] | intents[t - 1].T
-        prev_x = efforts[t - 1]
-        neighbor_sums = prev_adj @ prev_x
-        non_neighbor_sums = prev_x.sum() - prev_x - neighbor_sums
-        efforts[t] = step_effort(rules, prev_x, neighbor_sums, non_neighbor_sums, params, rng)
-        intents[t] = step_links(rules, prev_x, intents[t - 1], params, rng)
-
+    efforts, intents = _lockstep(params, policies, T, [seed])
     session_id = session_id if session_id is not None else f"s{seed}"
-    return SessionRecord(session_id, params, seed, intents=intents, efforts=efforts)
+    return SessionRecord(session_id, params, seed, intents=intents[0], efforts=efforts[0])
 
 
 def batch_run(
@@ -424,11 +464,13 @@ def batch_run(
     replications: int,
     base_seed: int,
 ) -> list[SessionRecord]:
-    """Independent replications; replication r runs with seed base_seed + r."""
+    """Independent replications, stepped in lockstep; replication r runs with
+    seed base_seed + r and is the record `run_session` makes with that seed."""
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    seeds = range(base_seed, base_seed + replications)
+    efforts, intents = _lockstep(params, policies, T, seeds)
     return [
-        run_session(params, policies, T, base_seed + r, session_id=f"s{base_seed + r}")
-        for r in range(replications)
+        SessionRecord(f"s{seed}", params, seed, intents=intents[r], efforts=efforts[r])
+        for r, seed in enumerate(seeds)
     ]
-

@@ -56,16 +56,15 @@ class CostThresholds(NamedTuple):
     method_notes: dict
 
 
-def spectral_radius(adjacency: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric adjacency matrix, floored at 0."""
-    return max(float(np.linalg.eigvalsh(adjacency.astype(float))[-1]), 0.0)
+def spectral_radius(adjacency: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of a symmetric adjacency matrix, floored at 0; for a
+    (k, n, n) stack, an array of k."""
+    return np.maximum(np.linalg.eigvalsh(adjacency.astype(float))[..., -1], 0.0)
 
 
-def _check_network(params: GameParams, network: Network) -> None:
-    if network.n != params.n:
-        raise DimensionMismatchError(
-            f"network has n={network.n}, params expect n={params.n}"
-        )
+def _check_size(params: GameParams, n: int) -> None:
+    if n != params.n:
+        raise DimensionMismatchError(f"network has n={n}, params expect n={params.n}")
 
 
 def _at_bounds(params: GameParams, x: np.ndarray) -> bool:
@@ -76,27 +75,39 @@ def _br_residual(params: GameParams, adj: np.ndarray, x: np.ndarray) -> float:
     return float(np.max(np.abs(x - best_response(params, adj @ x))))
 
 
+def interior_nash_efforts(
+    params: GameParams, adjacency: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior Nash efforts on each network of a (k, n, n) adjacency stack.
+
+    Network r passes when ``lam/beta rho(G_r) < 1 - 1e-12`` and the solution of
+    ``[I - (lam/beta) G_r] x = (theta/beta) 1`` lies in the effort box (within
+    1e-12); its row is that solution clipped to the box.  Returns the (k, n)
+    efforts and the (k,) mask of networks that pass; the other rows are 0.
+    Each row has the bits of its own one-network call.
+    """
+    k, n = adjacency.shape[:2]
+    _check_size(params, n)
+    ratio = params.lam / params.beta * spectral_radius(adjacency)
+    passed = ratio < 1.0 - 1e-12
+    x = np.zeros((k, n))
+    if passed.any():
+        # only the passing rows: one singular matrix would make the whole stacked solve raise
+        a = np.eye(n) - (params.lam / params.beta) * adjacency[passed].astype(float)
+        x[passed] = np.linalg.solve(a, np.full((n, 1), params.theta / params.beta))[..., 0]
+        passed &= ((x >= params.effort_min - 1e-12) & (x <= params.effort_max + 1e-12)).all(axis=1)
+    return np.clip(x, params.effort_min, params.effort_max), passed
+
+
 def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     """Nash equilibrium effort vector on a fixed network."""
-    _check_network(params, network)
     adj = network.adjacency
-    rho = spectral_radius(adj)
-    ratio = params.lam / params.beta * rho
-    if ratio < 1.0 - 1e-12:
-        a = np.eye(params.n) - (params.lam / params.beta) * adj.astype(float)
-        x = np.linalg.solve(a, np.full(params.n, params.theta / params.beta))
-        if np.all(x >= params.effort_min - 1e-12) and np.all(x <= params.effort_max + 1e-12):
-            x = np.clip(x, params.effort_min, params.effort_max)
-            residual = _br_residual(params, adj, x)
-            return EffortSolution(
-                efforts=EffortProfile(x),
-                converged=residual <= SOLVER_TOL,
-                iterations=0,
-                residual=residual,
-                capped=_at_bounds(params, x),
-            )
-    x0 = np.full(params.n, params.effort_min, dtype=float)
-    x, iters, change = kernels.br_iteration(adj, x0, params, tol=SWEEP_TOL, max_iter=MAX_ITER)
+    interior, passed = interior_nash_efforts(params, adj[None])
+    if passed[0]:
+        x, iters, change = interior[0], 0, 0.0
+    else:
+        x0 = np.full(params.n, params.effort_min, dtype=float)
+        x, iters, change = kernels.br_iteration(adj, x0, params, tol=SWEEP_TOL, max_iter=MAX_ITER)
     residual = _br_residual(params, adj, x)
     if change >= SWEEP_TOL and residual > SOLVER_TOL:
         raise NonContractionError(
@@ -183,7 +194,7 @@ def equilibrium_payoffs(
 
     Each link is paid by one endpoint, as `balanced_sponsorship` assigns it.
     """
-    _check_network(params, network)
+    _check_size(params, network.n)
     if efforts.n != params.n:
         raise DimensionMismatchError(f"efforts have n={efforts.n}, expected {params.n}")
     sponsorship = balanced_sponsorship(network)

@@ -284,7 +284,11 @@ def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
     try:
         data = _as_mapping(yaml.safe_load(text), str(p))
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{p}: malformed file: {exc}") from None
+        # PyYAML's message quotes the offending lines; keep the position and the problem
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        detail = problem or str(exc).partition("\n")[0]
+        raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
     if "policies" in data:
         raw = data["policies"]
         if not isinstance(raw, list) or len(raw) != n:
@@ -310,19 +314,17 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
     T, n = record.T, record.n
     payoffs = record.payoffs.reshape(T * n, 5)[:, PAYOFF_CELLS].T
     floats = [map(repr, column.tolist()) for column in (record.efforts.ravel(), *payoffs)]
-    rows = zip(
-        repeat(record.session_id),
-        np.repeat(np.arange(1, T + 1), n).tolist(),
-        np.tile(np.arange(1, n + 1), T).tolist(),
+    rows = map(",".join, zip(
+        repeat(_csv_field(record.session_id)),
+        map(str, np.repeat(np.arange(1, T + 1), n).tolist()),
+        map(str, np.tile(np.arange(1, n + 1), T).tolist()),
         floats[0],
         _id_cells(record.intents.reshape(T * n, n)),
         _id_cells(record.networks.reshape(T * n, n)),
         *floats[1:],
-    )
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+    ))
+    # csv.writer's dialect: "\r\n" line ends; no other field can need quoting
+    csv_path.write_text("\r\n".join([",".join(CSV_COLUMNS), *rows, ""]), newline="")
     sidecar.write_text(
         json.dumps(
             {
@@ -338,6 +340,15 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
         + "\n"
     )
     return csv_path
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a multi-field row, quoted as `csv.writer` quotes it."""
+    if not text:
+        return text  # the writer quotes only a lone empty field, as ""
+    out = io.StringIO()
+    csv.writer(out).writerow([text])
+    return out.getvalue()[: -len("\r\n")]
 
 
 def _id_mask(
@@ -394,10 +405,12 @@ def read_record(csv_path: str | Path) -> SessionRecord:
 
     The record is its efforts and initiated_ids.  The first row, in file order, whose
     effort is not finite and in the box, or whose neighbor_ids or payoff cells disagree
-    with the record, is named in a one-line error; so is the first period and agent
-    whose initiated_ids name the agent itself, which `SessionRecord` refuses."""
+    with the record, or whose initiated_ids repeat an ID, is named in a one-line error;
+    so is the first period and agent whose initiated_ids name the agent itself, which
+    `SessionRecord` refuses."""
     csv_path = Path(csv_path)
-    meta, params = _read_sidecar(csv_path.with_suffix(".json"))
+    # the sidecar `write_record` wrote beside it, also for the session ID ""
+    meta, params = _read_sidecar(csv_path.with_name(csv_path.name.removesuffix(".csv") + ".json"))
     T = meta["periods"]
     n = params.n
     seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
@@ -449,7 +462,9 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     efforts = np.zeros((T, n), dtype=float)
     efforts[t, i] = x
     initiated, claimed = ([parsed[text] for text in column] for column in zip(*cells))
-    intents, _ = _id_mask(t, i, initiated, T, n)
+    intents, initiated_counts = _id_mask(t, i, initiated, T, n)
+    # a repeated ID leaves the mask equal but the count too large
+    reject(initiated_counts != intents.sum(axis=2)[t, i], "initiated_ids name an agent twice")
     try:
         record = SessionRecord(
             session_id=str(meta["session_id"]),
@@ -462,7 +477,6 @@ def read_record(csv_path: str | Path) -> SessionRecord:
         raise LqnetError(f"{csv_path}: {exc}") from None
     networks = record.networks
     claims, claim_counts = _id_mask(t, i, claimed, T, n)
-    # a repeated ID leaves the mask equal but the count too large
     reject(
         (claims != networks).any(axis=2)[t, i] | (claim_counts != networks.sum(axis=2)[t, i]),
         "neighbor_ids do not match the realization of the stored intents",
@@ -473,10 +487,22 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     return record
 
 
-def read_records(directory: str | Path) -> list[SessionRecord]:
-    """Read every session CSV in a directory, sorted by file name (not `SUMMARY_CSV`)."""
+def read_records(directory: str | Path, params: GameParams | None = None) -> list[SessionRecord]:
+    """Read every session CSV in a directory, sorted by file name (not `SUMMARY_CSV`).
+
+    With ``params``, the first record whose sidecar parameters differ from them
+    is refused, naming its file and the first differing parameter."""
     directory = Path(directory)
     paths = sorted(p for p in directory.glob("*.csv") if p.name != SUMMARY_CSV)
     if not paths:
         raise LqnetError(f"no session CSV files in {directory}")
-    return [read_record(p) for p in paths]
+    records = []
+    for path in paths:
+        records.append(read_record(path))
+        if params is not None and records[-1].params != params:
+            have, want = records[-1].params.to_mapping(), params.to_mapping()
+            key = next(k for k in PARAM_KEYS if have[k] != want[k])
+            raise LqnetError(
+                f"{path}: params.{key} is {have[key]!r}, but the treatment has {want[key]!r}"
+            )
+    return records

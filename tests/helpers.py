@@ -130,6 +130,18 @@ def nested_split_graphs(n):
         yield Network(a)
 
 
+def block_adjacency(n, sizes):
+    """Adjacency on ``n`` agents with a complete block on each consecutive run of
+    ``sizes`` agents; agents past the blocks are isolated."""
+    a = np.zeros((n, n), dtype=bool)
+    start = 0
+    for size in sizes:
+        a[start : start + size, start : start + size] = True
+        start += size
+    np.fill_diagonal(a, False)
+    return a
+
+
 def oracle_least_max_sponsorship(network):
     """Least possible largest initiation count over all orientations of the network.
 

@@ -22,8 +22,10 @@ from lqnet.dynamics import (
 )
 from lqnet.equilibria import balanced_sponsorship, nash_efforts
 from lqnet.errors import LqnetError, RankDeficientDataError
-from lqnet.model import Network, get_treatment
+from lqnet.model import GameParams, Network, get_treatment
 from lqnet.session_io import read_records
+
+from helpers import block_adjacency
 
 GOLDEN = Path(__file__).parent / "golden"
 T5 = get_treatment("N5_LowCost")
@@ -283,6 +285,23 @@ class TestTreatmentSummary:
         rec = complete_equilibrium_record(P5)
         s = treatment_summary([rec], T5, (4, 4))
         assert all(v == 0.0 for v in s.per_group[0].stds.values())
+
+    def test_stacked_benchmark_has_the_bits_of_one_network_calls(self):
+        # lam/beta = 0.15 on 9 agents: K9 fails the spectral test and K7's interior
+        # solution lies above the box, so both take `nash_efforts`' fallback
+        params = GameParams(theta=10.0, beta=4.0, lam=0.6, kappa=1.0, n=9)
+        blocks = {sizes: block_adjacency(9, sizes) for sizes in ((9,), (7, 2), (5, 4), (2,) * 4)}
+        plays = [[(9,), (5, 4), (7, 2), (5, 4)], [(2,) * 4, (9,), (7, 2)]]
+        records = [
+            record_from_play(params, [[3.0] * 9] * len(play), [np.triu(blocks[s]) for s in play], f"g{k}")
+            for k, play in enumerate(plays)
+        ]
+        summary = treatment_summary(records, params, "full")
+        for rec, group in zip(records, summary.per_group):
+            per_period = [nash_efforts(params, rec.network_at(t)).efforts.efforts.mean()
+                          for t in range(1, rec.T + 1)]
+            assert group.means["nash_effort_on_network"] == np.mean(per_period)
+            assert group.stds["nash_effort_on_network"] == np.std(per_period)
 
     def test_nash_benchmark_consistent_with_solver(self):
         pol = AgentPolicy(

@@ -69,6 +69,40 @@ def test_traced_read_record_counts_its_rows():
     assert metrics["model.payoff_components.calls"] == 1
 
 
+def test_traced_sessions_round_prints_what_an_untraced_one_prints(tmp_path, capsys):
+    # ``--trace 1`` runs the sessions workload's simulate and analyze under the tracer
+    from lqnet import cli
+
+    policy = Path(__file__).parent / "golden" / "sessions_n9" / "policy.yaml"
+
+    def run(name: str) -> list[str]:
+        work = tmp_path / name
+        outputs = []
+        for argv in (
+            ["simulate", "--treatment", "N9_LowCost1", "--policy", str(policy), "--periods", "6",
+             "--reps", "3", "--seed", "2", "--out", str(work / "records")],
+            ["analyze", "--in", str(work / "records"), "--treatment", "N9_LowCost1",
+             "--csv", str(work / "summary.csv")],
+        ):
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out.replace(str(work), "WORK"))
+        return outputs
+
+    untraced = run("untraced")
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        traced = run("traced")
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    metrics = tracer.metrics()
+    # the three replications step together: one call per period
+    assert metrics["dynamics.step_links.calls"] == 6
+    assert metrics["dynamics.step_effort.calls"] == 5
+    assert metrics["session_io.write_record.calls"] == metrics["session_io.read_record.calls"] == 3
+
+
 def _fresh_modules(code: str) -> set[str]:
     """Names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
     src = Path(lqnet.cli.__file__).resolve().parent.parent

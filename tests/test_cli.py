@@ -293,8 +293,12 @@ class TestSimulateAnalyze:
             ("effort: {preset: N5_LowCost}\n"
              "links: {kind: fixed_targets, targets: [[2], [9], [], [], []]}",
              "policy.links.targets[1]: expected IDs in 1..5, got [9]"),
+            ("policy: {effort: [1, 2",
+             "PATH: malformed file: line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+            ("effort: {preset: N5_LowCost}\nlinks: kind: best_response",
+             "PATH: malformed file: line 2, column 12: mapping values are not allowed here"),
         ],
-        ids=["effort-list", "rank-k-list", "target-out-of-range"],
+        ids=["effort-list", "rank-k-list", "target-out-of-range", "unclosed-flow", "nested-mapping"],
     )
     def test_bad_policy_field_is_one_error_line(self, capsys, tmp_path, policy, message):
         policy_path = tmp_path / "policy.yaml"
@@ -305,7 +309,7 @@ class TestSimulateAnalyze:
         )
         assert code == 1
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {message.replace('PATH', str(policy_path))}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_saturated_logistic_runs_without_warnings(self, capsys, tmp_path):
@@ -566,6 +570,22 @@ class TestBadInputFiles:
         assert code == 1
         assert out == ""
         assert err == f"error: {csv_path}: period 1 agent 3: {message}\n"
+
+    @pytest.mark.parametrize(
+        "treatment,message",
+        [("N5_LowCost", "params.kappa is 3.9, but the treatment has 1.0"),
+         # the first parameter that differs is named, here before n
+         ("N9_HighCost", "params.lambda is 0.4, but the treatment has 0.25")],
+        ids=["N5_LowCost", "N9_HighCost"],
+    )
+    def test_records_of_another_treatment_are_one_error_line(self, capsys, tmp_path, treatment, message):
+        rec = _record_dir(tmp_path, GOLDEN_RECORD.with_suffix(".json").read_text())
+        argv = _analyze_argv(rec)
+        argv[argv.index("--treatment") + 1] = treatment
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {rec / GOLDEN_RECORD.name}: {message}\n"
 
     def test_zero_period_record_is_one_error_line(self, capsys, tmp_path):
         rec = _record_dir(tmp_path, json.dumps(_sidecar_meta(periods=0)))

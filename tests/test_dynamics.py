@@ -394,6 +394,26 @@ class TestBatchedMatchesPerAgent:
         assert np.array_equal(rec.intents, intents)
         assert np.array_equal(rec.payoffs, payoffs)
 
+    @pytest.mark.parametrize("n,T,seed", MIXES)
+    def test_lockstep_replications_bit_equal_to_per_agent_loop(self, n, T, seed):
+        params, policies = mix_params(n), policy_mix(n, seed)
+        records = batch_run(params, policies, T, replications=3, base_seed=seed)
+        for r, rec in enumerate(records):
+            efforts, intents, payoffs = oracle_run_session(params, policies, T, seed + r)
+            assert rec.seed == seed + r
+            assert np.array_equal(rec.efforts, efforts)
+            assert np.array_equal(rec.intents, intents)
+            assert np.array_equal(rec.payoffs, payoffs)
+
+    @pytest.mark.parametrize("seed", [1, 6, 11, 21])
+    def test_a_replication_does_not_depend_on_how_many_run(self, seed):
+        params, policies = mix_params(9), policy_mix(9, seed)
+        alone = [run_session(params, policies, 7, seed + r) for r in range(5)]
+        for replications in (1, 2, 5):
+            for rec, single in zip(batch_run(params, policies, 7, replications, seed), alone):
+                assert np.array_equal(rec.efforts, single.efforts)
+                assert np.array_equal(rec.intents, single.intents)
+
     def test_mixes_cover_every_case(self):
         kinds, starts, noise, ties = set(), set(), set(), 0
         for n, T, seed in MIXES:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lqnet.equilibria import (
     cost_thresholds,
     efficient_efforts,
     equilibrium_payoffs,
+    interior_nash_efforts,
     nash_efforts,
     preferred_sponsors,
     single_link_deviation_threshold,
@@ -20,9 +22,11 @@ from lqnet.model import (
     get_treatment,
     realize_network,
 )
+from lqnet.session_io import read_records
 from lqnet.verifier import SupportSearch
 
 from helpers import (
+    block_adjacency,
     oracle_complete_nash,
     oracle_gross_welfare,
     oracle_least_max_sponsorship,
@@ -117,6 +121,38 @@ class TestNashEfforts:
         p = GameParams(theta=1e-4, beta=4.0, lam=0.5000005, kappa=1.0, n=9)
         with pytest.raises(NonContractionError):
             nash_efforts(p, Network.complete(9))
+
+
+class TestInteriorNashEfforts:
+    """The stacked interior solve gives each network the bits of its own `nash_efforts`."""
+
+    @pytest.mark.parametrize("name", ["sessions_n5", "sessions_n9"])
+    def test_matches_one_network_calls_on_golden_records(self, name):
+        golden = Path(__file__).parent / "golden" / name / "records"
+        for rec in read_records(golden):
+            efforts, interior = interior_nash_efforts(rec.params, rec.networks)
+            assert interior.shape == (rec.T,)
+            for adj, x, passed in zip(rec.networks, efforts, interior):
+                one = nash_efforts(rec.params, Network(adj))
+                assert passed == (one.iterations == 0)
+                if passed:
+                    assert np.array_equal(x, one.efforts.efforts)
+
+    def test_rows_failing_either_test_are_flagged(self):
+        # lam/beta = 0.15: K9 fails the spectral test (8 * 0.15 > 1); K7 passes it
+        # (0.9) but its interior solution, 25, lies above the box
+        params = GameParams(theta=10.0, beta=4.0, lam=0.6, kappa=1.0, n=9)
+        blocks = [block_adjacency(9, sizes) for sizes in ([5, 4], [9], [7, 2], [3, 3, 3])]
+        stack = np.array([Network.star(9).adjacency, *blocks])
+        efforts, interior = interior_nash_efforts(params, stack)
+        assert interior.tolist() == [True, True, False, False, True]
+        for adj, x, passed in zip(stack, efforts, interior):
+            one = nash_efforts(params, Network(adj))
+            assert passed == (one.iterations == 0)
+            if passed:
+                assert np.array_equal(x, one.efforts.efforts)
+            else:
+                assert one.efforts.efforts.max() == params.effort_max
 
 
 class TestEfficientEfforts:

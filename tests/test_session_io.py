@@ -69,7 +69,9 @@ class TestRecordRoundTrip:
             assert np.array_equal(back.networks, rec.networks)
             assert np.array_equal(back.payoffs, rec.payoffs)
 
-    @pytest.mark.parametrize("n,T,session_id", [(5, 12, "s31"), (2, 1, "a,b"), (12, 7, 'q"x')])
+    @pytest.mark.parametrize(
+        "n,T,session_id", [(5, 12, "s31"), (2, 1, "a,b"), (12, 7, 'q"x'), (3, 2, "")]
+    )
     def test_csv_bytes_match_row_by_row_writer(self, tmp_path, n, T, session_id):
         params = GameParams.from_mapping({**P5.to_mapping(), "n": n})
         policies = [
@@ -89,6 +91,15 @@ class TestRecordRoundTrip:
             write_record(rec, tmp_path)
         back = read_records(tmp_path)
         assert [r.session_id for r in back] == [r.session_id for r in recs]
+
+    def test_read_records_refuses_other_params(self, tmp_path):
+        recs = noisy_records(reps=2)
+        for rec in recs:
+            write_record(rec, tmp_path)
+        assert len(read_records(tmp_path, P5)) == 2
+        other = GameParams.from_mapping({**P5.to_mapping(), "kappa": 2.5, "n": 9})
+        with pytest.raises(LqnetError, match=r"s31.csv: params.kappa is 1.0, but the treatment has 2.5$"):
+            read_records(tmp_path, other)
 
     def test_truncated_csv_names_row(self, tmp_path):
         rec = noisy_records(reps=1)[0]
@@ -161,6 +172,16 @@ class TestNeighborIdCheck:
 
         path, _ = _write_edited(tmp_path, repeat_first)
         with pytest.raises(LqnetError, match="period 1 agent 1: neighbor_ids"):
+            read_record(path)
+
+    def test_repeated_initiated_id_detected(self, tmp_path):
+        def repeat_first(rows):
+            ids = rows[0][4].split(":")
+            rows[0][4] = ":".join(ids + [ids[0]])
+
+        path, rec = _write_edited(tmp_path, repeat_first)
+        assert rec.intents[0, 0].any()
+        with pytest.raises(LqnetError, match="s31.csv: period 1 agent 1: initiated_ids name an agent twice$"):
             read_record(path)
 
     @pytest.mark.parametrize(
