@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import SessionRecord
+from .dynamics import SessionRecord, effort_regressors
 from .equilibria import equilibrium_payoffs, interior_nash_efforts, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
-from .model import GameParams, Network, Treatment, best_response, link_benefit
+from .model import GameParams, Network, Treatment, link_benefit
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -208,14 +208,8 @@ def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
 
 def _fit_rows(record: SessionRecord) -> tuple[np.ndarray, np.ndarray]:
     """The effort rule's regressors and target for every agent-period after the first."""
-    rows = []
-    for prev_adj, prev_x in zip(record.networks[:-1], record.efforts[:-1]):
-        neighbor_sums = prev_adj @ prev_x
-        non_neighbor_sums = prev_x.sum() - prev_x - neighbor_sums
-        rows.append(np.column_stack(
-            [prev_x, best_response(record.params, neighbor_sums), non_neighbor_sums]
-        ))
-    return np.vstack(rows), record.efforts[1:].ravel()
+    rows = effort_regressors(record.params, record.efforts[:-1], record.intents[:-1])
+    return rows.reshape(-1, 3), record.efforts[1:].ravel()
 
 
 def fit_effort_model(records: list[SessionRecord]) -> FitResult:

@@ -193,7 +193,6 @@ def _cmd_analyze(args) -> int:
     treatment = get_treatment(args.treatment)
     records = session_io.read_records(args.in_dir, treatment.params)
     window = args.window
-    eff = analysis.efficiency_report(records, treatment, window)
     freq = analysis.frequency_report(records, window)
     diags = [analysis.link_diagnostics(rec, window) for rec in records]
     summary = analysis.treatment_summary(records, treatment, window)
@@ -204,11 +203,8 @@ def _cmd_analyze(args) -> int:
             {
                 "treatment": treatment.name,
                 "window": list(summary.window),
-                "efficiency": {
-                    "avg_effort": eff.avg_effort,
-                    "avg_payoff": eff.avg_payoff,
-                    "relative_efficiency": eff.relative_efficiency,
-                },
+                "efficiency": {f: summary.overall_means[f]
+                               for f in ("avg_effort", "avg_payoff", "relative_efficiency")},
                 "frequency": {
                     name: {"exact": f.exact, "within_two": f.within_two}
                     for name, f in freq.per_architecture.items()

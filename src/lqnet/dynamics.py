@@ -13,8 +13,11 @@ Sessions are deterministic given their seed: a counter-based generator is
 created per session and consumed in a fixed order (efforts by agent
 index, then intent rows by agent index).  Each period steps every agent at
 once, and its batched draws consume the stream as one draw per agent would.
-Replications step together, period by period, each on its own generator,
-so a session's record does not depend on how many run beside it.
+Replications step together: `step_effort` and `step_links` read the previous
+period's (R, n) efforts and (R, n, n) intents of R replications, with one
+generator per replication, so a session's record does not depend on how many
+run beside it.  `analysis.fit_effort_model` fits the effort rule on
+`effort_regressors`, the regressors `step_effort` reads.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, LqnetError
-from .model import GameParams, Network, best_response, link_benefit, payoff_components
+from .model import (GameParams, Network, best_response, link_benefit, neighbor_sums,
+                    payoff_components, realized_adjacency)
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
 #: estimated per treatment from the experimental sessions
@@ -74,13 +78,7 @@ LOGIT_PRESETS: dict[str, LogisticCoefficients] = {
     ),
 }
 
-LINK_RULE_KINDS = (
-    "best_response",
-    "benefit_threshold",
-    "rank_top",
-    "logistic",
-    "fixed_targets",
-)
+LINK_RULE_KINDS = ("best_response", "benefit_threshold", "rank_top", "logistic", "fixed_targets")
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,11 @@ class EffortRule:
         return cls(b0=0.0, b1=1.0, b2=0.0, noise_sd=noise_sd)
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative integer, Python or NumPy, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class LinkRule:
     """Linking rule: which partners an agent initiates links to each period."""
@@ -133,9 +136,7 @@ class LinkRule:
     def __post_init__(self) -> None:
         if self.kind not in LINK_RULE_KINDS:
             raise ValueError(f"unknown link rule kind {self.kind!r}")
-        if self.kind == "rank_top" and not (
-            isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool) and self.k >= 0
-        ):
+        if self.kind == "rank_top" and not _is_count(self.k):
             raise ValueError(f"rank_top needs a non-negative integer cutoff k, got {self.k!r}")
         if self.kind == "logistic" and self.coefficients is None:
             raise ValueError("logistic rule needs coefficients")
@@ -215,7 +216,7 @@ class SessionRecord:
     @cached_property
     def networks(self) -> np.ndarray:
         """Each period's realized network: a link forms when either end initiates it."""
-        return _read_only(self.intents | self.intents.transpose(0, 2, 1))
+        return _read_only(realized_adjacency(self.intents))
 
     @cached_property
     def payoffs(self) -> np.ndarray:
@@ -244,7 +245,8 @@ class GroupRules:
 
     Agents are grouped by link-rule kind, each group in agent order, so one
     batched draw over a group consumes the generator exactly as one draw per
-    agent in agent order would.
+    agent in agent order would.  A `ValueError` names the first agent whose
+    `fixed_targets` rule does not give n rows of 0-based agent indices.
     """
 
     def __init__(self, policies: list[AgentPolicy]) -> None:
@@ -266,44 +268,41 @@ class GroupRules:
         self.cold_p = np.array([_logistic(c.intercept) for c in coefs]).reshape(-1, 1)
         self.fixed = np.zeros((n, n), dtype=bool)
         for i in np.flatnonzero(kinds == "fixed_targets"):
-            self.fixed[i, list(links[i].targets[i])] = True
+            targets = links[i].targets
+            if len(targets) != n or not all(_is_count(j) and j < n for j in targets[i]):
+                raise ValueError(
+                    f"agent {i}: fixed_targets needs {n} rows of indices in 0..{n - 1}, got {targets}"
+                )
+            self.fixed[i, list(targets[i])] = True
+
+
+def effort_regressors(params: GameParams, efforts: np.ndarray, intents: np.ndarray) -> np.ndarray:
+    """The effort rule's regressors, (..., n, 3), on (..., n) efforts and (..., n, n)
+    intents: each agent's own effort, its best response to its neighbors' effort
+    total in the realized network, and its non-neighbors' effort total."""
+    x = np.asarray(efforts, dtype=float)
+    s = neighbor_sums(realized_adjacency(intents), x)
+    others = x.sum(axis=-1, keepdims=True) - x - s
+    return np.stack([x, best_response(params, s), others], axis=-1)
 
 
 def step_effort(
     rules: GroupRules,
-    own_lag: np.ndarray,
-    neighbor_lag_sum: np.ndarray,
-    non_neighbor_lag_sum: np.ndarray,
+    lagged_efforts: np.ndarray,
+    lagged_intents: np.ndarray,
     params: GameParams,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Every agent's effort update from the previous period's state, clipped to the box.
-
-    The state is (n,) for one group with one generator ``rng``, or (R, n)
-    for R replications stepped together with a sequence of R generators.
-    Each replication's noisy agents draw their shocks from its own
-    generator in one draw, in agent order.
-    """
-    value = (
-        rules.b0 * own_lag
-        + rules.b1 * best_response(params, neighbor_lag_sum)
-        + rules.b2 * non_neighbor_lag_sum
-    )
+    """Every agent's effort update from the previous period's (R, n) efforts and
+    (R, n, n) intents, clipped to the box; each replication's noisy agents draw
+    their shocks from its own generator in ``rngs`` in one draw, in agent order."""
+    own, br, others = np.moveaxis(effort_regressors(params, lagged_efforts, lagged_intents), -1, 0)
+    value = rules.b0 * own + rules.b1 * br + rules.b2 * others
     if rules.noisy.size:
-        if rng is None:
-            raise ValueError("noise_sd > 0 requires a random generator")
-        shocks = _draws(rng, lambda g: g.standard_normal(rules.noisy.size))
+        shocks = np.stack([g.standard_normal(rules.noisy.size) for g in rngs])
         # the draws and sums of rng.normal(0.0, sd), without its broadcasting cost
         value[..., rules.noisy] += 0.0 + rules.noise_sd[rules.noisy] * shocks
     return np.clip(value, params.effort_min, params.effort_max)
-
-
-def _draws(rng, draw) -> np.ndarray:
-    """``draw(rng)`` for one generator, or ``draw(g)`` for each of a sequence of
-    them, stacked: one row per replication."""
-    if isinstance(rng, np.random.Generator):
-        return draw(rng)
-    return np.stack([draw(g) for g in rng])
 
 
 def _rank_band(n: int) -> tuple[int, int]:
@@ -327,17 +326,15 @@ def step_links(
     lagged_efforts: np.ndarray,
     lagged_intents: np.ndarray | None,
     params: GameParams,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Every agent's intent row computed from the previous period's state.
+    """Every agent's intent row from the previous period's (R, n) efforts and
+    (R, n, n) intents; each replication's logistic agents draw their rows from
+    its own generator in ``rngs`` in one uniform draw, in agent order.
 
-    Efforts are (n,) and intents (n, n) for one group with one generator
-    ``rng``, or (R, n) and (R, n, n) for R replications with a sequence of
-    R generators.  ``lagged_intents`` None is the period-1 cold start:
-    threshold, rank and fixed rules read the initial efforts, and the
-    logistic rule falls back to intercept-only probabilities.  Each
-    replication's logistic agents draw their rows from its own generator in
-    one uniform draw, in agent order.
+    ``lagged_intents`` None is the period-1 cold start: threshold, rank and
+    fixed rules read the initial efforts, and the logistic rule falls back
+    to intercept-only probabilities.
     """
     n = params.n
     x = np.asarray(lagged_efforts, dtype=float)
@@ -348,15 +345,11 @@ def step_links(
     if rules.rank.size:
         # position of each agent in the order (-effort, index); agent i targets
         # the first k others in that order, skipping its own position
-        order = np.lexsort((np.broadcast_to(np.arange(n), x.shape), -x), axis=-1)
-        pos = np.empty_like(order)
-        np.put_along_axis(pos, order, np.arange(n), axis=-1)
+        pos = np.argsort(np.argsort(-x, axis=-1, kind="stable"), axis=-1)
         own = pos[..., rules.rank, None]
         pos = pos[..., None, :]
         out[..., rules.rank, :] = pos - (own < pos) < rules.rank_k
     if rules.logistic.size:
-        if rng is None:
-            raise ValueError("logistic link rule requires a random generator")
         if lagged_intents is None:
             probs = rules.cold_p
         else:
@@ -373,7 +366,7 @@ def step_links(
                     + c[4] * (ranks >= below_min)
                 )
                 probs = 1.0 / (1.0 + np.exp(-logits))
-        draws = _draws(rng, lambda g: g.random((rules.logistic.size, n)))
+        draws = np.stack([g.random((rules.logistic.size, n)) for g in rngs])
         out[..., rules.logistic, :] = draws < probs
     out |= rules.fixed
     diagonal = np.arange(n)
@@ -426,12 +419,8 @@ def _lockstep(
     intents[0] = step_links(rules, efforts[0], None, params, rngs)
 
     for t in range(1, T):
-        prev_adj = intents[t - 1] | intents[t - 1].transpose(0, 2, 1)
-        prev_x = efforts[t - 1]
-        neighbor_sums = (prev_adj @ prev_x[:, :, None])[:, :, 0]
-        non_neighbor_sums = prev_x.sum(axis=1, keepdims=True) - prev_x - neighbor_sums
-        efforts[t] = step_effort(rules, prev_x, neighbor_sums, non_neighbor_sums, params, rngs)
-        intents[t] = step_links(rules, prev_x, intents[t - 1], params, rngs)
+        efforts[t] = step_effort(rules, efforts[t - 1], intents[t - 1], params, rngs)
+        intents[t] = step_links(rules, efforts[t - 1], intents[t - 1], params, rngs)
 
     # replication-major copies, so that each record's arrays are contiguous
     return tuple(np.ascontiguousarray(a.swapaxes(0, 1)) for a in (efforts, intents))

@@ -26,6 +26,7 @@ from .model import (
     Network,
     best_response,
     br_payoff,
+    neighbor_sums,
     payoff_components,
 )
 
@@ -71,10 +72,6 @@ def _at_bounds(params: GameParams, x: np.ndarray) -> bool:
     return bool(np.any(x <= params.effort_min + 1e-12) or np.any(x >= params.effort_max - 1e-12))
 
 
-def _br_residual(params: GameParams, adj: np.ndarray, x: np.ndarray) -> float:
-    return float(np.max(np.abs(x - best_response(params, adj @ x))))
-
-
 def interior_nash_efforts(
     params: GameParams, adjacency: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +105,7 @@ def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     else:
         x0 = np.full(params.n, params.effort_min, dtype=float)
         x, iters, change = kernels.br_iteration(adj, x0, params, tol=SWEEP_TOL, max_iter=MAX_ITER)
-    residual = _br_residual(params, adj, x)
+    residual = float(np.max(np.abs(x - best_response(params, neighbor_sums(adj, x)))))
     if change >= SWEEP_TOL and residual > SOLVER_TOL:
         raise NonContractionError(
             f"best-response iteration did not converge in {MAX_ITER} steps "

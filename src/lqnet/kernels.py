@@ -15,15 +15,15 @@
   the direct equilibrium solve does not apply.
 
 All are pure functions of their arguments and state the game only
-through `model.best_response` and `model.br_payoff`.  Per-layer timings
-come from the benchmark harness, ``lqbench/run.py --trace 1``.
+through `model.best_response`, `model.br_payoff` and `model.neighbor_sums`.
+Per-layer timings come from the benchmark harness, ``lqbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import GameParams, best_response, br_payoff
+from .model import GameParams, best_response, br_payoff, neighbor_sums, realized_adjacency
 
 __all__ = ["deviation_sums", "deviation_scan", "br_iteration", "backend_name"]
 
@@ -72,7 +72,8 @@ def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams)
     intents = np.asarray(intents, dtype=bool)
     n = len(x)
     rows = np.arange(n)
-    current = br_payoff(params, x, (intents | intents.T) @ x) - params.kappa * intents.sum(axis=1)
+    s = neighbor_sums(realized_adjacency(intents), x)
+    current = br_payoff(params, x, s) - params.kappa * intents.sum(axis=1)
     order = np.lexsort((rows, -x))
     member = (order[None, :] != rows[:, None]) & ~intents[order].T
     sums, counts = deviation_sums(intents.T @ x, x[order], member)
@@ -99,7 +100,7 @@ def br_iteration(
     change = np.inf
     it = 0
     while it < max_iter:
-        new = best_response(params, adj_f @ x)
+        new = best_response(params, neighbor_sums(adj_f, x))
         change = float(np.max(np.abs(new - x)))
         x = new
         it += 1

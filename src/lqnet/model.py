@@ -332,10 +332,19 @@ def get_treatment(name: str) -> Treatment:
         raise UnknownTreatmentError(f"unknown treatment {name!r}; known: {known}") from None
 
 
+def realized_adjacency(intents: np.ndarray) -> np.ndarray:
+    """Adjacency realized by (..., N, N) intents: a link exists if either side initiates it."""
+    return intents | np.swapaxes(intents, -1, -2)
+
+
+def neighbor_sums(adjacency: np.ndarray, efforts: np.ndarray) -> np.ndarray:
+    """Each agent's neighbor-effort total, for (..., N, N) adjacency and (..., N) efforts."""
+    return (adjacency @ efforts[..., None])[..., 0]
+
+
 def realize_network(intents: IntentProfile) -> Network:
     """Realize the undirected network: a link exists if either side initiates it."""
-    m = intents.matrix
-    return Network(m | m.T)
+    return Network(realized_adjacency(intents.matrix))
 
 
 def best_response(params: GameParams, s):
@@ -374,14 +383,13 @@ def payoff_components(
     (..., N) efforts and (..., N, N) intents give (..., N, 5), each period
     with the same bits as its own call.
     """
-    adjacency = intents_matrix | np.swapaxes(intents_matrix, -1, -2)
     x = np.asarray(efforts, dtype=float)
-    neighbor_sums = (adjacency @ x[..., None])[..., 0]
+    s = neighbor_sums(realized_adjacency(intents_matrix), x)
     own = params.theta * x
     cost = 0.5 * params.beta * x**2
-    spill = params.lam * x * neighbor_sums
+    spill = params.lam * x * s
     links = params.kappa * intents_matrix.sum(axis=-1).astype(float)
-    total = br_payoff(params, x, neighbor_sums) - links
+    total = br_payoff(params, x, s) - links
     return np.stack([own, cost, spill, links, total], axis=-1)
 
 

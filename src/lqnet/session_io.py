@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    LINK_RULE_KINDS,
     LOGIT_PRESETS,
     AgentPolicy,
     EffortRule,
@@ -183,23 +182,43 @@ def load_network(spec: str, n: int | None = None) -> Network:
 # policy files
 # --------------------------------------------------------------------------
 
+#: the fields of an effort rule, and of each kind of link rule besides ``kind``; a
+#: link rule takes at most one of its fields, so a logistic rule has one source
+EFFORT_FIELDS = ("preset", "b0", "b1", "b2", "noise_sd", "initial")
+LINK_FIELDS = {"best_response": (), "benefit_threshold": (), "rank_top": ("k",),
+               "logistic": ("preset", "coefficients", "odds_ratios"), "fixed_targets": ("targets",)}
+
+
 def _as_mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
     return obj
 
 
-def _parse_effort_rule(obj, path: str) -> EffortRule:
+def _fields(obj, path: str, known, *sources) -> dict:
+    """``obj`` as a mapping whose keys are all ``known`` and that gives keys of at
+    most one of the ``sources``; a `ConfigError` names the first field that is not."""
     obj = _as_mapping(obj, path)
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in known:
+            name = key if isinstance(key, str) and key.isprintable() else repr(key)
+            raise ConfigError(f"{prefix}{name}: unknown field (known: {', '.join(known)})")
+    given = [next(k for k in src if k in obj) for src in sources if not obj.keys().isdisjoint(src)]
+    if len(given) > 1:
+        raise ConfigError(f"{prefix}{given[1]}: cannot be given with {prefix}{given[0]}")
+    return obj
+
+
+def _parse_effort_rule(obj, path: str) -> EffortRule:
+    obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
     noise_sd = finite_float(f"{path}.noise_sd", obj.get("noise_sd", 0.0))
     initial = obj.get("initial", None)
     if initial is not None and not isinstance(initial, str):
         initial = finite_float(f"{path}.initial", initial)
     try:
         if "preset" in obj:
-            return EffortRule.from_preset(
-                str(obj["preset"]), noise_sd=noise_sd, initial_effort=initial
-            )
+            return EffortRule.from_preset(str(obj["preset"]), noise_sd, initial)
         b0, b1, b2 = (finite_float(f"{path}.{key}", obj[key]) for key in ("b0", "b1", "b2"))
         return EffortRule(b0=b0, b1=b1, b2=b2, noise_sd=noise_sd, initial_effort=initial)
     except ConfigError:
@@ -219,13 +238,10 @@ def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
             )
         return LOGIT_PRESETS[name]
     source = "coefficients" if "coefficients" in obj else "odds_ratios"
-    raw = _as_mapping(obj.get(source, {}), f"{path}.{source}")
+    fields = LogisticCoefficients._fields
+    raw = _fields(obj.get(source, {}), f"{path}.{source}", fields)
     if not raw:
         raise ConfigError(f"{path}: logistic rule needs preset, coefficients or odds_ratios")
-    fields = LogisticCoefficients._fields
-    for key in raw:
-        if key not in fields:
-            raise ConfigError(f"{path}.{source}.{key}: unknown field")
     if "intercept" not in raw:
         raise ConfigError(f"{path}.{source}.intercept: required")
     default = 1.0 if source == "odds_ratios" else 0.0
@@ -241,37 +257,35 @@ def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
 def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
     obj = _as_mapping(obj, path)
     kind = obj.get("kind")
-    try:
-        if kind in ("benefit_threshold", "best_response"):
-            return LinkRule(kind=kind)
-        if kind == "rank_top":
-            if not _is_int(obj.get("k")):
-                raise ConfigError(f"{path}.k: rank_top needs an integer, got {obj.get('k')!r}")
-            return LinkRule.rank_top(obj["k"])
-        if kind == "logistic":
-            return LinkRule.logistic(_parse_logistic(obj, path))
-        if kind == "fixed_targets":
-            raw = obj.get("targets")
-            if not (isinstance(raw, list) and len(raw) == n):
-                raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
-            for k, row in enumerate(raw):
-                if not (isinstance(row, list) and all(_is_int(j) and 1 <= j <= n for j in row)):
-                    raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
-            targets = tuple(tuple(j - 1 for j in row) for row in raw)
-            return LinkRule(kind="fixed_targets", targets=targets)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: unknown link rule {kind!r} (known: {', '.join(LINK_RULE_KINDS)})")
+    if kind not in LINK_FIELDS:
+        known = ", ".join(LINK_FIELDS)
+        raise ConfigError(f"{path}.kind: unknown link rule {kind!r} (known: {known})")
+    _fields(obj, path, ("kind", *LINK_FIELDS[kind]), *((key,) for key in LINK_FIELDS[kind]))
+    if kind == "rank_top":
+        try:
+            return LinkRule.rank_top(obj.get("k"))
+        except ValueError as exc:
+            raise ConfigError(f"{path}.k: {exc}") from None
+    if kind == "logistic":
+        return LinkRule.logistic(_parse_logistic(obj, path))
+    if kind == "fixed_targets":
+        raw = obj.get("targets")
+        if not (isinstance(raw, list) and len(raw) == n):
+            raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
+        for k, row in enumerate(raw):
+            if not (isinstance(row, list) and all(_is_int(j) and 1 <= j <= n for j in row)):
+                raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
+        targets = tuple(tuple(j - 1 for j in row) for row in raw)
+        return LinkRule(kind="fixed_targets", targets=targets)
+    return LinkRule(kind=kind)
 
 
 def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
-    obj = _as_mapping(obj, path)
+    obj = _fields(obj, path, ("effort", "links"))
     if "effort" not in obj or "links" not in obj:
         raise ConfigError(f"{path}: needs 'effort' and 'links' sections")
-    return AgentPolicy(
-        effort_rule=_parse_effort_rule(obj["effort"], f"{path}.effort"),
-        link_rule=_parse_link_rule(obj["links"], f"{path}.links", n),
-    )
+    return AgentPolicy(_parse_effort_rule(obj["effort"], f"{path}.effort"),
+                       _parse_link_rule(obj["links"], f"{path}.links", n))
 
 
 def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
@@ -282,23 +296,22 @@ def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
     p = Path(path)
     text = _read_text(p, "file", ConfigError)
     try:
-        data = _as_mapping(yaml.safe_load(text), str(p))
+        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         # PyYAML's message quotes the offending lines; keep the position and the problem
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
         detail = problem or str(exc).partition("\n")[0]
         raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
+    _fields(_as_mapping(data, str(p)), "", ("policy", "policies", "effort", "links"),
+            ("policy",), ("policies",), ("effort", "links"))
     if "policies" in data:
         raw = data["policies"]
         if not isinstance(raw, list) or len(raw) != n:
             raise ConfigError(f"policies: expected a list of {n} entries")
         return [_parse_policy(entry, f"policies[{k}]", n) for k, entry in enumerate(raw)]
-    if "policy" in data:
-        return [_parse_policy(data["policy"], "policy", n)] * n
-    if "effort" in data and "links" in data:
-        return [_parse_policy(data, "policy", n)] * n
-    raise ConfigError("policy: missing (give 'policy' or per-agent 'policies')")
+    # a shared policy, in a `policy` section or at the top level
+    return [_parse_policy(data.get("policy", data), "policy", n)] * n
 
 
 # --------------------------------------------------------------------------

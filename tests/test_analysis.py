@@ -240,6 +240,18 @@ class TestFitEffortModel:
         assert fit.b2 == pytest.approx(gen.b2, abs=1e-8)
         assert fit.observation_count == 5 * 14
 
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("sessions_n5", (0.3047670166556535, 0.6221260999557585, -0.07501456079038758,
+                             170.42361062746156, 220)),
+            ("sessions_n9", (0.297308039508934, 0.46146042129819786, 0.0026333559201592396,
+                             278.2962181024009, 198)),
+        ],
+    )
+    def test_golden_records_fit_to_the_bit(self, name, expected):
+        assert tuple(fit_effort_model(read_records(GOLDEN / name / "records"))) == expected
+
     def test_constant_play_rank_deficient(self):
         rec = complete_equilibrium_record(P5, T=8)
         with pytest.raises(RankDeficientDataError):

@@ -289,7 +289,7 @@ class TestSimulateAnalyze:
             ("effort: {b0: [1], b1: 1, b2: 0}\nlinks: {kind: best_response}",
              "policy.effort.b0: expected a number, got [1]"),
             ("effort: {preset: N5_LowCost}\nlinks: {kind: rank_top, k: [1]}",
-             "policy.links.k: rank_top needs an integer, got [1]"),
+             "policy.links.k: rank_top needs a non-negative integer cutoff k, got [1]"),
             ("effort: {preset: N5_LowCost}\n"
              "links: {kind: fixed_targets, targets: [[2], [9], [], [], []]}",
              "policy.links.targets[1]: expected IDs in 1..5, got [9]"),

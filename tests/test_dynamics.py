@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lqnet.dynamics import (
     LogisticCoefficients,
     SessionRecord,
     batch_run,
+    effort_regressors,
     run_session,
     step_effort,
     step_links,
@@ -20,7 +23,7 @@ from lqnet.dynamics import (
 )
 from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import DimensionMismatchError, LqnetError
-from lqnet.model import GameParams, Network, get_treatment
+from lqnet.model import GameParams, Network, best_response, get_treatment
 
 from helpers import oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
 
@@ -40,44 +43,61 @@ def group(effort=None, links=None, n=1):
     return GroupRules([policy] * n)
 
 
-def col(*values):
-    return np.array(values, dtype=float)
+def lagged(efforts, intents=None):
+    """One replication's previous period: (1, n) efforts and (1, n, n) intents."""
+    x = np.array(efforts, dtype=float)[None]
+    n = x.shape[1]
+    m = np.zeros((n, n), dtype=bool) if intents is None else np.asarray(intents, dtype=bool)
+    return x, m[None]
 
 
 class TestStepEffort:
     def test_pure_best_response_one_step(self):
-        out = step_effort(group(EffortRule.myopic_best_response()), own_lag=col(10.0),
-                          neighbor_lag_sum=col(40.0), non_neighbor_lag_sum=col(0.0), params=P5)
-        assert out[0] == pytest.approx(6.5)
+        # every agent at 10 on the complete network: best reply to a neighbor total of 40
+        x, m = lagged([10.0] * 5, Network.complete(5).adjacency)
+        out = step_effort(group(EffortRule.myopic_best_response(), n=5), x, m, P5, [rng_of()])
+        assert out.shape == (1, 5)
+        assert out[0] == pytest.approx(np.full(5, 6.5))
 
     def test_pure_inertia(self):
-        rules = group(EffortRule(b0=1.0, b1=0.0, b2=0.0))
-        assert step_effort(rules, col(7.0), col(12.0), col(3.0), P5)[0] == 7.0
+        rules = group(EffortRule(b0=1.0, b1=0.0, b2=0.0), n=5)
+        x, m = lagged([7.0, 12.0, 3.0, 0.0, 1.5], Network.star(5).adjacency)
+        assert np.array_equal(step_effort(rules, x, m, P5, [rng_of()]), x)
+
+    def test_regressors_on_a_star(self):
+        # agent 0 initiates the star; the regressors read the realized network
+        intents = np.zeros((5, 5), dtype=bool)
+        intents[0, 1:] = True
+        x, m = lagged([1.0, 2.0, 3.0, 4.0, 5.0], intents)
+        z = effort_regressors(P5, x, m)
+        assert z.shape == (1, 5, 3)
+        assert z[0, 0].tolist() == [1.0, best_response(P5, 14.0), 0.0]
+        assert z[0, 1].tolist() == [2.0, best_response(P5, 1.0), 12.0]
 
     def test_preset_pushes_above_equilibrium_on_complete(self):
         x = oracle_complete_nash(10.0, 4.0, 0.4, 5)
-        lag = np.full(5, x)
-        out = step_effort(group(EffortRule.from_preset("N5_LowCost"), n=5), lag, 4 * lag,
-                          np.zeros(5), P5)
+        lag, m = lagged([x] * 5, Network.complete(5).adjacency)
+        out = step_effort(group(EffortRule.from_preset("N5_LowCost"), n=5), lag, m, P5, [rng_of()])
         expected = (0.090 + 0.966) * x
-        assert out == pytest.approx(np.full(5, expected), abs=1e-12)
-        assert out == pytest.approx(np.full(5, 4.400), abs=1e-3)
+        assert out[0] == pytest.approx(np.full(5, expected), abs=1e-12)
+        assert out[0] == pytest.approx(np.full(5, 4.400), abs=1e-3)
         assert np.all(out > x)
 
     def test_clipping_to_box(self):
-        rules = group(EffortRule(b0=0.0, b1=0.0, b2=1.0))
-        assert step_effort(rules, col(0.0), col(0.0), col(500.0), P5)[0] == P5.effort_max
-
-    def test_noise_requires_rng(self):
-        rules = group(EffortRule(b0=1.0, b1=0.0, b2=0.0, noise_sd=1.0))
-        with pytest.raises(ValueError):
-            step_effort(rules, col(5.0), col(0.0), col(0.0), P5)
+        # agent 0's non-neighbor total is 80 on the empty network
+        rules = group(EffortRule(b0=0.0, b1=0.0, b2=1.0), n=5)
+        x, m = lagged([0.0] + [P5.effort_max] * 4)
+        assert step_effort(rules, x, m, P5, [rng_of()])[0, 0] == P5.effort_max
 
     def test_conformity_term_dominates_pointwise(self):
         # with non-negative lags, adding b2 > 0 never lowers the update
-        own, nsum, nnsum = np.random.default_rng(2).uniform(0.0, 20.0, (3, 100))
-        lo = step_effort(group(EffortRule(b0=0.1, b1=0.9, b2=0.0), n=100), own, nsum, nnsum, P5)
-        hi = step_effort(group(EffortRule(b0=0.1, b1=0.9, b2=0.05), n=100), own, nsum, nnsum, P5)
+        gen = np.random.default_rng(2)
+        x = gen.uniform(0.0, 20.0, (20, 5))
+        m = gen.random((20, 5, 5)) < 0.3
+        m[:, range(5), range(5)] = False
+        rngs = [rng_of(r) for r in range(20)]
+        lo = step_effort(group(EffortRule(b0=0.1, b1=0.9, b2=0.0), n=5), x, m, P5, rngs)
+        hi = step_effort(group(EffortRule(b0=0.1, b1=0.9, b2=0.05), n=5), x, m, P5, rngs)
         assert np.all(hi >= lo)
 
     def test_each_agent_uses_its_own_rule(self):
@@ -85,8 +105,9 @@ class TestStepEffort:
             AgentPolicy(EffortRule.myopic_best_response(), LinkRule.best_response()),
             AgentPolicy(EffortRule(b0=1.0, b1=0.0, b2=0.0), LinkRule.best_response()),
         ])
-        out = step_effort(rules, col(10.0, 7.0), col(40.0, 12.0), col(0.0, 3.0), P5)
-        assert list(out) == [pytest.approx(6.5), 7.0]
+        x, m = lagged([10.0, 7.0], [[False, True], [False, False]])
+        out = step_effort(rules, x, m, P5, [rng_of()])
+        assert list(out[0]) == [pytest.approx((10.0 + 0.4 * 7.0) / 4.0), 7.0]
 
     def test_presets_match_estimates(self):
         assert EFFORT_PRESETS["N5_LowCost"] == (0.090, 0.966, 0.085)
@@ -98,22 +119,21 @@ class TestStepEffort:
 class TestStepLinks:
     def test_benefit_threshold_initiates_all_positive(self):
         p = get_treatment("N9_LowCost1").params
-        lagged = np.array([6.1, 10.6, 2.1] + [0.0] * 6)
-        out = step_links(group(links=LinkRule.benefit_threshold(), n=9), lagged,
-                         np.zeros((9, 9), bool), p)
+        x, m = lagged([6.1, 10.6, 2.1] + [0.0] * 6)
+        out = step_links(group(links=LinkRule.benefit_threshold(), n=9), x, m, p, [rng_of()])
         # benefits 15.16 and 2.20 are both positive: initiate to both partners
-        row = out[0]
+        row = out[0, 0]
         assert row[1] and row[2]
         assert not row[3:].any() and not row[0]
 
     def test_benefit_threshold_all_zero_efforts(self):
-        out = step_links(group(links=LinkRule.benefit_threshold(), n=5), np.zeros(5),
-                         np.zeros((5, 5), bool), P5)
+        x, m = lagged(np.zeros(5))
+        out = step_links(group(links=LinkRule.benefit_threshold(), n=5), x, m, P5, [rng_of()])
         assert not out.any()
 
     def test_rank_top_tie_breaks_to_lower_index(self):
-        lagged = np.array([2.0, 5.0, 3.0, 3.0, 1.0])
-        out = step_links(group(links=LinkRule.rank_top(2), n=5), lagged, np.zeros((5, 5), bool), P5)
+        x, m = lagged([2.0, 5.0, 3.0, 3.0, 1.0])
+        out = step_links(group(links=LinkRule.rank_top(2), n=5), x, m, P5, [rng_of()])[0]
         assert list(np.nonzero(out[0])[0]) == [1, 2]
         # agent 2 skips itself and takes the other 3.0 after the 5.0
         assert list(np.nonzero(out[2])[0]) == [1, 3]
@@ -125,20 +145,20 @@ class TestStepLinks:
 
     def test_logistic_deterministic_given_seed(self):
         rules = group(links=LinkRule.logistic(LOGIT_PRESETS["rank"]), n=9)
-        lagged = np.arange(9, dtype=float)
-        a = step_links(rules, lagged, np.zeros((9, 9), bool), P9, rng_of(5))
-        b = step_links(rules, lagged, np.zeros((9, 9), bool), P9, rng_of(5))
+        x, m = lagged(np.arange(9))
+        a = step_links(rules, x, m, P9, [rng_of(5)])
+        b = step_links(rules, x, m, P9, [rng_of(5)])
         assert np.array_equal(a, b)
-        assert not a.diagonal().any()
+        assert not a[0].diagonal().any()
 
     def test_logistic_favors_above_median_partners(self):
         rules = group(links=LinkRule.logistic(LOGIT_PRESETS["rank"]), n=9)
-        lagged = np.arange(9, dtype=float)
-        rng = rng_of(11)
+        x, m = lagged(np.arange(9))
+        rngs = [rng_of(11)]
         hits_top = hits_bottom = 0
         trials = 4000
         for _ in range(trials):
-            row = step_links(rules, lagged, np.zeros((9, 9), bool), P9, rng)[4]
+            row = step_links(rules, x, m, P9, rngs)[0, 4]
             hits_top += row[8]
             hits_bottom += row[0]
         # logit gap: rank dummies ln(1.281) - ln(0.926) plus 8 * ln(1.047)
@@ -279,6 +299,24 @@ class TestLinkRule:
     def test_rank_top_needs_a_non_negative_integer(self, k):
         with pytest.raises(ValueError, match="rank_top needs a non-negative integer cutoff k"):
             LinkRule.rank_top(k)
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            ((), (), (-1,), (), ()),
+            ((), (), (1, 7), (), ()),
+            ((), (), (1,)),
+        ],
+        ids=["negative", "past-n", "short"],
+    )
+    def test_group_refuses_targets_outside_the_group(self, targets):
+        policies = [AgentPolicy(EffortRule.myopic_best_response(), LinkRule.best_response())] * 5
+        policies[2] = policies[2]._replace(link_rule=LinkRule(kind="fixed_targets", targets=targets))
+        message = f"agent 2: fixed_targets needs 5 rows of indices in 0..4, got {targets}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupRules(policies)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_session(P5, policies, 3, seed=0)
 
     def test_rank_top_takes_numpy_integers(self):
         policy = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(np.int64(2)))

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,14 +329,51 @@ class TestScenarioLoading:
             ("policy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: teleport}\n", "policy.links.kind"),
             ("policy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top}\n", "policy.links.k"),
             ("policy:\n  effort: {b0: 0, b2: 0}\n  links: {kind: rank_top, k: 1}\n", "policy.effort.b1"),
+            ("policy:\n  effort: {b0: 0, b1: 1, b2: 0}\n  links: {kind: rank_top, k: -1}\n",
+             "policy.links.k: rank_top needs a non-negative integer"),
+            ("policy:\n  effort: {preset: N5_LowCost, noise_s: 0.5}\n  links: {kind: best_response}\n",
+             "policy.effort.noise_s: unknown field"),
+            ("policy:\n  effort: {preset: N5_LowCost, b1: 0.5}\n  links: {kind: best_response}\n",
+             "policy.effort.b1: cannot be given with policy.effort.preset"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n  links: {kind: best_response, k: 2}\n",
+             "policy.links.k: unknown field"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n"
+             "  links: {kind: logistic, preset: benefit, coefficients: {intercept: 0}}\n",
+             "policy.links.coefficients: cannot be given with policy.links.preset"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n  links:\n    kind: logistic\n"
+             "    coefficients: {intercept: 0}\n    odds_ratios: {intercept: 0.5}\n",
+             "policy.links.odds_ratios: cannot be given with policy.links.coefficients"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n  links: {kind: best_response}\n"
+             "policies: []\n",
+             "policies: cannot be given with policy"),
+            ("polices:\n  effort: {preset: N5_LowCost}\n  links: {kind: best_response}\n",
+             "polices: unknown field"),
         ],
-        ids=["policy.links.kind", "policy.links.k", "policy.effort.b1"],
+        ids=[
+            "policy.links.kind", "policy.links.k", "policy.effort.b1", "negative-k",
+            "misspelled-effort-field", "preset-and-coefficient", "field-of-another-kind",
+            "logistic-preset-and-coefficients", "coefficients-and-odds-ratios",
+            "policy-and-policies", "misspelled-section",
+        ],
     )
     def test_errors_carry_field_paths(self, tmp_path, body, fragment):
         path = tmp_path / "bad.yaml"
         path.write_text(body)
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
             load_policies(path, 5)
+
+    def test_every_benchmark_policy_file_loads(self, tmp_path, monkeypatch):
+        # the sessions workload simulates from policy_doc(seed); a refused file
+        # would fail every one of its rounds
+        bench = Path(__file__).resolve().parent.parent / "lqbench"
+        monkeypatch.syspath_prepend(str(bench))  # workloads imports its sibling `checks`
+        spec = importlib.util.spec_from_file_location("lqbench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        for seed in range(50):
+            path = workloads._write_json(tmp_path / f"policy{seed}.json", workloads.policy_doc(seed))
+            assert len(load_policies(path, 9)) == 9
 
     def test_per_agent_policies(self, tmp_path):
         path = tmp_path / "s.yaml"
