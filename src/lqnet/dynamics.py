@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, LqnetError
-from .model import (GameParams, Network, best_response, link_benefit, neighbor_sums,
-                    payoff_components, realized_adjacency)
+from .model import (GameParams, Network, best_response, effort_order, is_int, link_benefit,
+                    neighbor_sums, payoff_components, realized_adjacency)
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
 #: estimated per treatment from the experimental sessions
@@ -98,10 +98,10 @@ class EffortRule:
 
     def __post_init__(self) -> None:
         if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be non-negative, got {self.noise_sd}")
+            raise ValueError(f"noise_sd: must be non-negative, got {self.noise_sd}")
         if isinstance(self.initial_effort, str) and self.initial_effort != "uniform":
             raise ValueError(
-                f"initial_effort must be a number, 'uniform' or None, got "
+                f"initial_effort: must be a number, 'uniform' or None, got "
                 f"{self.initial_effort!r}"
             )
 
@@ -110,18 +110,13 @@ class EffortRule:
                     initial_effort: float | str | None = None) -> "EffortRule":
         if name not in EFFORT_PRESETS:
             known = ", ".join(sorted(EFFORT_PRESETS))
-            raise LqnetError(f"unknown effort preset {name!r}; known: {known}")
+            raise LqnetError(f"preset: unknown effort preset {name!r}; known: {known}")
         b0, b1, b2 = EFFORT_PRESETS[name]
         return cls(b0=b0, b1=b1, b2=b2, noise_sd=noise_sd, initial_effort=initial_effort)
 
     @classmethod
     def myopic_best_response(cls, noise_sd: float = 0.0) -> "EffortRule":
         return cls(b0=0.0, b1=1.0, b2=0.0, noise_sd=noise_sd)
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is a non-negative integer, Python or NumPy, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,7 @@ class LinkRule:
     def __post_init__(self) -> None:
         if self.kind not in LINK_RULE_KINDS:
             raise ValueError(f"unknown link rule kind {self.kind!r}")
-        if self.kind == "rank_top" and not _is_count(self.k):
+        if self.kind == "rank_top" and not (is_int(self.k) and self.k >= 0):
             raise ValueError(f"rank_top needs a non-negative integer cutoff k, got {self.k!r}")
         if self.kind == "logistic" and self.coefficients is None:
             raise ValueError("logistic rule needs coefficients")
@@ -232,14 +227,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _logistic(z: float) -> float:
-    """1 / (1 + e^-z), and 0 where e^-z overflows."""
-    try:
-        return 1.0 / (1.0 + math.exp(-z))
-    except OverflowError:
-        return 0.0
-
-
 class GroupRules:
     """The group's effort and linking rules as per-agent arrays, built once per session.
 
@@ -264,12 +251,10 @@ class GroupRules:
         coefs = [links[i].coefficients for i in self.logistic]
         #: the five `LogisticCoefficients` fields, each as a (logistic agents, 1) column
         self.logit = np.array(coefs, dtype=float).reshape(-1, 5).T[:, :, None]
-        #: period-1 intercept-only probabilities, one per logistic agent
-        self.cold_p = np.array([_logistic(c.intercept) for c in coefs]).reshape(-1, 1)
         self.fixed = np.zeros((n, n), dtype=bool)
         for i in np.flatnonzero(kinds == "fixed_targets"):
             targets = links[i].targets
-            if len(targets) != n or not all(_is_count(j) and j < n for j in targets[i]):
+            if len(targets) != n or not all(is_int(j) and 0 <= j < n for j in targets[i]):
                 raise ValueError(
                     f"agent {i}: fixed_targets needs {n} rows of indices in 0..{n - 1}, got {targets}"
                 )
@@ -345,27 +330,26 @@ def step_links(
     if rules.rank.size:
         # position of each agent in the order (-effort, index); agent i targets
         # the first k others in that order, skipping its own position
-        pos = np.argsort(np.argsort(-x, axis=-1, kind="stable"), axis=-1)
+        pos = np.argsort(effort_order(x), axis=-1)
         own = pos[..., rules.rank, None]
         pos = pos[..., None, :]
         out[..., rules.rank, :] = pos - (own < pos) < rules.rank_k
     if rules.logistic.size:
-        if lagged_intents is None:
-            probs = rules.cold_p
-        else:
-            c = rules.logit
-            ranks = _effort_ranks(x)[..., None, :]
-            above_max, below_min = _rank_band(n)
-            # huge coefficients overflow to a saturated probability; a NaN logit never links
-            with np.errstate(over="ignore", invalid="ignore"):
+        c = rules.logit
+        # huge coefficients overflow to a saturated probability; a NaN logit never links
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = c[0]
+            if lagged_intents is not None:
+                ranks = _effort_ranks(x)[..., None, :]
+                above_max, below_min = _rank_band(n)
                 logits = (
-                    c[0]
+                    logits
                     + c[1] * lagged_intents[..., rules.logistic, :].astype(float)
                     + c[2] * cols
                     + c[3] * (ranks <= above_max)
                     + c[4] * (ranks >= below_min)
                 )
-                probs = 1.0 / (1.0 + np.exp(-logits))
+            probs = 1.0 / (1.0 + np.exp(-logits))
         draws = np.stack([g.random((rules.logistic.size, n)) for g in rngs])
         out[..., rules.logistic, :] = draws < probs
     out |= rules.fixed

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatchError, NonContractionError
+from .errors import NonContractionError
 from .model import (
     EffortProfile,
     GameParams,
@@ -26,6 +26,8 @@ from .model import (
     Network,
     best_response,
     br_payoff,
+    br_value,
+    check_size,
     neighbor_sums,
     payoff_components,
 )
@@ -63,11 +65,6 @@ def spectral_radius(adjacency: np.ndarray) -> float | np.ndarray:
     return np.maximum(np.linalg.eigvalsh(adjacency.astype(float))[..., -1], 0.0)
 
 
-def _check_size(params: GameParams, n: int) -> None:
-    if n != params.n:
-        raise DimensionMismatchError(f"network has n={n}, params expect n={params.n}")
-
-
 def _at_bounds(params: GameParams, x: np.ndarray) -> bool:
     return bool(np.any(x <= params.effort_min + 1e-12) or np.any(x >= params.effort_max - 1e-12))
 
@@ -84,7 +81,7 @@ def interior_nash_efforts(
     Each row has the bits of its own one-network call.
     """
     k, n = adjacency.shape[:2]
-    _check_size(params, n)
+    check_size(params, n, "network")
     ratio = params.lam / params.beta * spectral_radius(adjacency)
     passed = ratio < 1.0 - 1e-12
     x = np.zeros((k, n))
@@ -191,9 +188,8 @@ def equilibrium_payoffs(
 
     Each link is paid by one endpoint, as `balanced_sponsorship` assigns it.
     """
-    _check_size(params, network.n)
-    if efforts.n != params.n:
-        raise DimensionMismatchError(f"efforts have n={efforts.n}, expected {params.n}")
+    check_size(params, network.n, "network")
+    check_size(params, efforts.n, "effort profile")
     sponsorship = balanced_sponsorship(network)
     comps = payoff_components(params, efforts.efforts, sponsorship.matrix)
     per_agent = comps[:, 4].copy()
@@ -215,15 +211,13 @@ def single_link_deviation_threshold(params: GameParams) -> float:
     Everyone plays the empty-network effort ``b = best_response(0)``
     (``theta/beta`` clipped to the effort box); one agent initiates a single
     link and re-optimizes effort, gaining ``V(b) - br_payoff(b, 0) - kappa``
-    with ``V(s) = br_payoff(best_response(s), s)``, so the switch is the
+    with ``V`` the best-reply value `br_value`, so the switch is the
     kappa-free first two terms.  This is the one-link margin only -
     deviations adding several links at once stay profitable up to a higher
     cost (see `cost_thresholds` for the full-predicate switch).
     """
     base = float(best_response(params, 0.0))
-    return float(
-        br_payoff(params, best_response(params, base), base) - br_payoff(params, base, 0.0)
-    )
+    return float(br_value(params, base) - br_payoff(params, base, 0.0))
 
 
 def cost_thresholds(params: GameParams) -> CostThresholds:

@@ -1,12 +1,13 @@
 """Hot numeric kernels, in NumPy.
 
 * `deviation_sums` - the one statement of the best-deviation argument.
-  The best-reply payoff ``V(s) = max_x theta x - beta/2 x^2 + lam x s``
-  is a maximum of functions affine in the neighbor-effort total s, so it
-  is convex.  Among the m-target deviations from a candidate pool, the
-  neighbor total is largest for the m highest-effort candidates and
-  smallest for the m lowest, so one of those two sets is the best; the
-  2**(N-1) intent subsets reduce to 2N+1 prefix sums per agent.
+  The best-reply value ``V(s) = max_x theta x - beta/2 x^2 + lam x s``
+  (`model.br_value`) is a maximum of functions affine in the
+  neighbor-effort total s, so it is convex.  Among the m-target
+  deviations from a candidate pool, the neighbor total is largest for the
+  m highest-effort candidates and smallest for the m lowest, so one of
+  those two sets is the best; the 2**(N-1) intent subsets reduce to 2N+1
+  prefix sums per agent.
 * `deviation_scan` - every agent's best unilateral deviation (effort
   re-optimized per intent set), from `deviation_sums`.  This is the
   inner loop of Nash verification (`verifier.verify_nash`); the
@@ -15,7 +16,9 @@
   the direct equilibrium solve does not apply.
 
 All are pure functions of their arguments and state the game only
-through `model.best_response`, `model.br_payoff` and `model.neighbor_sums`.
+through `model`: `best_response` and `neighbor_sums` for the best reply,
+`br_value` for its payoff ``V(s)``, `payoff_components` for an agent's
+current net payoff, and `effort_order` for the candidates' order.
 Per-layer timings come from the benchmark harness, ``lqbench/run.py --trace 1``.
 """
 
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GameParams, best_response, br_payoff, neighbor_sums, realized_adjacency
+from .model import (GameParams, best_response, br_value, effort_order, neighbor_sums,
+                    payoff_components)
 
 __all__ = ["deviation_sums", "deviation_scan", "br_iteration", "backend_name"]
 
@@ -72,19 +76,17 @@ def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams)
     intents = np.asarray(intents, dtype=bool)
     n = len(x)
     rows = np.arange(n)
-    s = neighbor_sums(realized_adjacency(intents), x)
-    current = br_payoff(params, x, s) - params.kappa * intents.sum(axis=1)
-    order = np.lexsort((rows, -x))
+    current = payoff_components(params, x, intents)[:, 4]
+    order = effort_order(x)
     member = (order[None, :] != rows[:, None]) & ~intents[order].T
     sums, counts = deviation_sums(intents.T @ x, x[order], member)
-    x_dev = best_response(params, sums)
-    gains = br_payoff(params, x_dev, sums) - params.kappa * counts - current[:, None]
+    gains = br_value(params, sums) - params.kappa * counts - current[:, None]
     best = gains.max(axis=1)
     pick = np.argmin(np.where(gains == best[:, None], counts, n), axis=1)
     c = pick[:, None]
     best_targets = np.zeros((n, n), dtype=bool)
     best_targets[rows[:, None], order] = member & np.where(c <= n, rows < c, rows >= 2 * n - c)
-    return best, best_targets, x_dev[rows, pick]
+    return best, best_targets, best_response(params, sums[rows, pick])
 
 
 def br_iteration(

@@ -115,6 +115,11 @@ def finite_float(key: str, raw) -> float:
     return value
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python or NumPy, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen_bool_matrix(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=bool, copy=True)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
@@ -362,15 +367,29 @@ def br_payoff(params: GameParams, x, s):
     return params.theta * x - 0.5 * params.beta * x * x + params.lam * x * s
 
 
+def br_value(params: GameParams, s):
+    """Best-reply value ``V(s)``: the gross payoff of `best_response` to
+    neighbor-effort total(s) ``s``.  A maximum of functions affine in s, so
+    convex in s; works elementwise on arrays."""
+    return br_payoff(params, best_response(params, s), s)
+
+
 def link_benefit(params: GameParams, x_i, x_j):
     """Net gain ``lam x_i x_j - kappa`` of link {i, j} at the given efforts, to its
     payer; works elementwise on arrays."""
     return params.lam * x_i * x_j - params.kappa
 
 
-def _check_dims(params: GameParams, profile: StrategyProfile) -> None:
-    if profile.n != params.n:
-        raise DimensionMismatchError(f"profile has n={profile.n}, params expect n={params.n}")
+def effort_order(efforts: np.ndarray) -> np.ndarray:
+    """Agent indices by higher effort, then lower index, along the last axis
+    of (..., N) efforts."""
+    return np.argsort(-np.asarray(efforts), axis=-1, kind="stable")
+
+
+def check_size(params: GameParams, n: int, what: str) -> None:
+    """`DimensionMismatchError` unless ``what``, of ``n`` agents, fits the group size."""
+    if n != params.n:
+        raise DimensionMismatchError(f"{what} has n={n}, params expect n={params.n}")
 
 
 def payoff_components(
@@ -399,7 +418,7 @@ def payoff(params: GameParams, profile: StrategyProfile, i: int) -> PayoffBreakd
     Spillovers count all realized neighbors regardless of who sponsored the
     link; the link-cost term counts only i's own initiations.
     """
-    _check_dims(params, profile)
+    check_size(params, profile.n, "profile")
     if not (0 <= i < params.n):
         raise IndexError(f"agent index {i} out of range for n={params.n}")
     comps = payoff_components(params, profile.efforts.efforts, profile.intents.matrix)
@@ -411,6 +430,6 @@ def payoff(params: GameParams, profile: StrategyProfile, i: int) -> PayoffBreakd
 
 def total_welfare(params: GameParams, profile: StrategyProfile) -> float:
     """Sum of all agents' payoffs; each link's cost enters once per initiation."""
-    _check_dims(params, profile)
+    check_size(params, profile.n, "profile")
     comps = payoff_components(params, profile.efforts.efforts, profile.intents.matrix)
     return float(comps[:, 4].sum())

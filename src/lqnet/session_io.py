@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    LINK_RULE_KINDS,
     LOGIT_PRESETS,
     AgentPolicy,
     EffortRule,
@@ -34,6 +35,7 @@ from .model import (
     Network,
     StrategyProfile,
     finite_float,
+    is_int,
 )
 
 FORMAT_VERSION = 1
@@ -86,12 +88,8 @@ def _ids_split(text: str, n: int, where: str) -> list[int]:
 # network / profile JSON
 # --------------------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _group_size(n, what: str) -> int:
-    if not _is_int(n) or not 2 <= n <= MAX_FILE_N:
+    if not is_int(n) or not 2 <= n <= MAX_FILE_N:
         raise LqnetError(f"{what}: group size must be an integer in 2..{MAX_FILE_N}, got {n!r}")
     return n
 
@@ -103,7 +101,7 @@ def _id_pairs(obj: dict, key: str, n: int) -> list[tuple[int, int]]:
         raise LqnetError(f"{key}: expected a list of [i, j] pairs, got {type(raw).__name__}")
     pairs = []
     for pair in raw:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_int, pair))):
             raise LqnetError(f"{key}: bad pair {pair!r}; expected two integer IDs")
         i, j = pair
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -112,9 +110,9 @@ def _id_pairs(obj: dict, key: str, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _object_size(obj, what: str) -> int:
-    """Group size ``n`` of a network or profile object."""
-    return _group_size(_as_mapping(obj, what).get("n"), f"{what}.n")
+def _object_size(obj, what: str, known) -> int:
+    """Group size ``n`` of a network or profile object whose keys are all ``known``."""
+    return _group_size(_fields(obj, what, known).get("n"), f"{what}.n")
 
 
 def network_to_obj(network: Network) -> dict:
@@ -122,7 +120,7 @@ def network_to_obj(network: Network) -> dict:
 
 
 def network_from_obj(obj: dict) -> Network:
-    n = _object_size(obj, "network")
+    n = _object_size(obj, "network", ("n", "edges"))
     return Network.from_edges(n, _id_pairs(obj, "edges", n))
 
 
@@ -135,7 +133,7 @@ def profile_to_obj(profile: StrategyProfile) -> dict:
 
 
 def profile_from_obj(obj: dict) -> StrategyProfile:
-    n = _object_size(obj, "profile")
+    n = _object_size(obj, "profile", ("n", "efforts", "intents"))
     try:
         efforts = np.array(obj.get("efforts"), dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -182,11 +180,11 @@ def load_network(spec: str, n: int | None = None) -> Network:
 # policy files
 # --------------------------------------------------------------------------
 
-#: the fields of an effort rule, and of each kind of link rule besides ``kind``; a
-#: link rule takes at most one of its fields, so a logistic rule has one source
+#: the fields of an effort rule, and of each kind of link rule that has fields besides
+#: ``kind``; a link rule takes at most one of its fields, so a logistic rule has one source
 EFFORT_FIELDS = ("preset", "b0", "b1", "b2", "noise_sd", "initial")
-LINK_FIELDS = {"best_response": (), "benefit_threshold": (), "rank_top": ("k",),
-               "logistic": ("preset", "coefficients", "odds_ratios"), "fixed_targets": ("targets",)}
+LINK_FIELDS = {"rank_top": ("k",), "logistic": ("preset", "coefficients", "odds_ratios"),
+               "fixed_targets": ("targets",)}
 
 
 def _as_mapping(obj, path: str) -> dict:
@@ -214,7 +212,7 @@ def _parse_effort_rule(obj, path: str) -> EffortRule:
     obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
     noise_sd = finite_float(f"{path}.noise_sd", obj.get("noise_sd", 0.0))
     initial = obj.get("initial", None)
-    if initial is not None and not isinstance(initial, str):
+    if initial not in (None, "uniform"):
         initial = finite_float(f"{path}.initial", initial)
     try:
         if "preset" in obj:
@@ -226,7 +224,7 @@ def _parse_effort_rule(obj, path: str) -> EffortRule:
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: required") from None
     except (ValueError, LqnetError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
@@ -257,10 +255,11 @@ def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
 def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
     obj = _as_mapping(obj, path)
     kind = obj.get("kind")
-    if kind not in LINK_FIELDS:
-        known = ", ".join(LINK_FIELDS)
+    if kind not in LINK_RULE_KINDS:
+        known = ", ".join(LINK_RULE_KINDS)
         raise ConfigError(f"{path}.kind: unknown link rule {kind!r} (known: {known})")
-    _fields(obj, path, ("kind", *LINK_FIELDS[kind]), *((key,) for key in LINK_FIELDS[kind]))
+    fields = LINK_FIELDS.get(kind, ())
+    _fields(obj, path, ("kind", *fields), *((key,) for key in fields))
     if kind == "rank_top":
         try:
             return LinkRule.rank_top(obj.get("k"))
@@ -273,7 +272,7 @@ def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
         if not (isinstance(raw, list) and len(raw) == n):
             raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
         for k, row in enumerate(raw):
-            if not (isinstance(row, list) and all(_is_int(j) and 1 <= j <= n for j in row)):
+            if not (isinstance(row, list) and all(is_int(j) and 1 <= j <= n for j in row)):
                 raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
         targets = tuple(tuple(j - 1 for j in row) for row in raw)
         return LinkRule(kind="fixed_targets", targets=targets)
@@ -393,7 +392,7 @@ def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:
     if missing:
         raise LqnetError(f"{sidecar}: {missing[0]}: required")
     for key in ("seed", "periods"):
-        if not _is_int(meta[key]) or (key == "periods" and meta[key] < 1):
+        if not is_int(meta[key]) or (key == "periods" and meta[key] < 1):
             raise LqnetError(f"{sidecar}: {key}: bad value {meta[key]!r}")
     try:
         return meta, GameParams.from_mapping(raw)
@@ -416,11 +415,12 @@ def _csv_rows(text: str, name: str):
 def read_record(csv_path: str | Path) -> SessionRecord:
     """Read a session back; the inverse of `write_record`, bit-exact.
 
-    The record is its efforts and initiated_ids.  The first row, in file order, whose
-    effort is not finite and in the box, or whose neighbor_ids or payoff cells disagree
-    with the record, or whose initiated_ids repeat an ID, is named in a one-line error;
-    so is the first period and agent whose initiated_ids name the agent itself, which
-    `SessionRecord` refuses."""
+    The record is its efforts and initiated_ids; the rest of each row is checked
+    against it.  The checks run in a fixed order, and the first that fails names its
+    own first failing row, in file order, in a one-line error: the effort is finite
+    and in the box; initiated_ids repeat no ID; they do not name the agent itself
+    (`SessionRecord` refuses that, naming the first period and agent); neighbor_ids
+    are the realization of the intents; the payoff cells match the record."""
     csv_path = Path(csv_path)
     # the sidecar `write_record` wrote beside it, also for the session ID ""
     meta, params = _read_sidecar(csv_path.with_name(csv_path.name.removesuffix(".csv") + ".json"))

@@ -8,8 +8,8 @@ highest- or the lowest-effort candidates are best
 need no grid: own payoff is strictly concave in own effort, so the
 clipped best response (`model.best_response`) dominates every other
 effort at any intent set, making the joint effort-plus-link deviation
-search exact.  Every payoff here is `model.br_payoff` minus the link
-costs.
+search exact.  Every payoff here is `model.br_payoff` or the best-reply
+value `model.br_value`, minus the link costs.
 
 Support checks fix efforts at the network's equilibrium values and search
 sponsorship orientations (one sponsor per link).  With efforts fixed, an
@@ -43,8 +43,9 @@ from .model import (
     IntentProfile,
     Network,
     StrategyProfile,
-    best_response,
-    br_payoff,
+    br_value,
+    check_size,
+    effort_order,
 )
 
 #: payoff gains at or below this value count as non-improving
@@ -84,8 +85,7 @@ class NESupportReport(NamedTuple):
 def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport:
     """Unilateral-deviation check of a full strategy profile, exact over every
     intent set and effort (see `kernels.deviation_scan`)."""
-    if profile.n != params.n:
-        raise LqnetError(f"profile has n={profile.n}, params expect n={params.n}")
+    check_size(params, profile.n, "profile")
     best_gain, best_targets, best_effort = kernels.deviation_scan(
         profile.efforts.efforts, profile.intents.matrix, params
     )
@@ -106,11 +106,6 @@ def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport
 # --------------------------------------------------------------------------
 # sponsorship-orientation search
 # --------------------------------------------------------------------------
-
-def _br_value(params: GameParams, neighbor_sums: np.ndarray) -> np.ndarray:
-    """Gross payoff of the best response to each neighbor-effort total."""
-    return br_payoff(params, best_response(params, neighbor_sums), neighbor_sums)
-
 
 @lru_cache(maxsize=32)
 def _subset_table(m: int) -> np.ndarray:
@@ -146,7 +141,7 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
     """
     adj = network.adjacency
     n = network.n
-    ranked = np.lexsort((np.arange(n), -x))  # higher effort, then lower index
+    ranked = effort_order(x)
     tables: list[_SponsorTable] = []
     for i in range(n):
         nb = np.flatnonzero(adj[i])
@@ -159,7 +154,7 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
         member[:, is_nb] = table[:, np.searchsorted(nb, order[is_nb])]
         sums, dev_counts = kernels.deviation_sums(all_sum - s_sums, x[order], member)
         a = (table.sum(axis=1)[:, None] - dev_counts).astype(float)
-        b = _br_value(params, np.array(all_sum)) + DEVIATION_TOL - _br_value(params, sums)
+        b = br_value(params, np.array(all_sum)) + DEVIATION_TOL - br_value(params, sums)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = b / a
         lo = np.where(a < 0, ratio, 0.0).max(axis=1)

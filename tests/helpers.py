@@ -5,7 +5,6 @@ other test directory uses.
 """
 
 import csv
-import math
 
 import numpy as np
 
@@ -236,7 +235,7 @@ def _agent_links(rule, agent, lagged_efforts, lagged_intent_row, params, rng):
 def _agent_cold_start_links(rule, agent, initial_efforts, params, rng):
     n = params.n
     if rule.kind == "logistic":
-        p = 1.0 / (1.0 + math.exp(-rule.coefficients.intercept))
+        p = 1.0 / (1.0 + np.exp(-rule.coefficients.intercept))
         row = rng.random(n) < p
         row[agent] = False
         return row

@@ -297,8 +297,12 @@ class TestSimulateAnalyze:
              "PATH: malformed file: line 2, column 1: expected ',' or ']', but got '<stream end>'"),
             ("effort: {preset: N5_LowCost}\nlinks: kind: best_response",
              "PATH: malformed file: line 2, column 12: mapping values are not allowed here"),
+            ("effort: {preset: N5_LowCost}\nlinks: {kind: [1]}",
+             "policy.links.kind: unknown link rule [1] (known: best_response, benefit_threshold, "
+             "rank_top, logistic, fixed_targets)"),
         ],
-        ids=["effort-list", "rank-k-list", "target-out-of-range", "unclosed-flow", "nested-mapping"],
+        ids=["effort-list", "rank-k-list", "target-out-of-range", "unclosed-flow", "nested-mapping",
+             "kind-list"],
     )
     def test_bad_policy_field_is_one_error_line(self, capsys, tmp_path, policy, message):
         policy_path = tmp_path / "policy.yaml"
@@ -468,6 +472,13 @@ class TestBadInputFiles:
             (_network_argv, {"n": 1, "edges": []}, "network.n: group size"),
             (_network_argv, {"n": "x", "edges": []}, "network.n: group size"),
             (_network_argv, {"n": 10**9, "edges": []}, "network.n: group size"),
+            (_network_argv, {"n": 5, "edge": [[1, 2]]},
+             "network.edge: unknown field (known: n, edges)"),
+            (_solve_argv, {"n": 5, "edges": [], "label": "Empty"}, "network.label: unknown field"),
+            (_profile_argv, {"n": 5, "efforts": [1] * 5, "intent": [[1, 2]]},
+             "profile.intent: unknown field (known: n, efforts, intents)"),
+            (_profile_argv, {"n": 4, "efforts": [1] * 4, "intents": []},
+             "profile has n=4, params expect n=5"),
         ],
     )
     def test_bad_object_is_one_error_line(self, capsys, tmp_path, argv, content, fragment):

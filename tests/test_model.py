@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqnet
 from lqnet.errors import DimensionMismatchError, UnknownTreatmentError
 from lqnet.model import (
     EffortProfile,
@@ -11,6 +14,9 @@ from lqnet.model import (
     Network,
     StrategyProfile,
     best_response,
+    br_payoff,
+    br_value,
+    effort_order,
     get_treatment,
     link_benefit,
     payoff,
@@ -240,6 +246,59 @@ class TestBestResponse:
         p_lo = GameParams(theta=10.0, beta=4.0, lam=lo, kappa=1.0, n=5)
         p_hi = GameParams(theta=10.0, beta=4.0, lam=hi, kappa=1.0, n=5)
         assert best_response(p_lo, s) <= best_response(p_hi, s)
+
+
+class TestBrValue:
+    @pytest.mark.parametrize("s", [0.0, 3.7, 12.5, 190.0, 250.0])
+    def test_is_the_maximum_over_a_dense_grid(self, s):
+        grid = np.linspace(P5.effort_min, P5.effort_max, 200_001)
+        best = br_payoff(P5, grid, s).max()
+        # the grid step is 1e-4, so its maximum lies within beta/2 (5e-5)^2 of V(s)
+        assert best - 1e-12 <= br_value(P5, s) <= best + 1e-8
+
+    def test_negative_best_reply_is_clipped(self):
+        p = GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=5, effort_min=-5.0)
+        grid = np.linspace(p.effort_min, p.effort_max, 250_001)
+        for s in (-40.0, -100.0):
+            best = br_payoff(p, grid, s).max()
+            assert best - 1e-12 <= br_value(p, s) <= best + 1e-8
+
+    def test_elementwise_on_arrays(self):
+        s = np.array([[0.0, 3.7], [12.5, 250.0]])
+        expect = [[br_value(P5, float(v)) for v in row] for row in s]
+        assert np.array_equal(br_value(P5, s), expect)
+
+
+class TestEffortOrder:
+    def test_higher_effort_first_ties_to_the_lower_index(self):
+        x = np.array([3.0, 5.0, 3.0, 5.0, 1.0, 3.0, -0.0, 0.0])
+        assert effort_order(x).tolist() == [1, 3, 0, 2, 5, 4, 6, 7]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lexsort_row_by_row_on_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        # few distinct values, so most rows hold ties
+        x = rng.integers(0, 4, size=(7, n)) * 0.5
+        order = effort_order(x)
+        assert order.shape == x.shape
+        for row, got in zip(x, order):
+            assert np.array_equal(got, np.lexsort((np.arange(n), -row)))
+
+
+def test_no_other_module_restates_the_effort_order_or_the_logistic():
+    # the effort order is `model.effort_order`, and the link probability is
+    # one `np.exp` statement in `dynamics.step_links` for every period
+    paths = sorted(Path(lqnet.__file__).parent.glob("*.py"))
+    assert "model.py" in [path.name for path in paths]
+    found = [
+        f"{path.name}: {pattern}"
+        for path in paths
+        if path.name != "model.py"
+        for pattern in ("lexsort(", "argsort(-", "math.exp(")
+        if pattern in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
 
 
 class TestLinkBenefit:

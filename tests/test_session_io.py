@@ -348,12 +348,19 @@ class TestScenarioLoading:
              "policies: cannot be given with policy"),
             ("polices:\n  effort: {preset: N5_LowCost}\n  links: {kind: best_response}\n",
              "polices: unknown field"),
+            ("policy:\n  effort: {preset: N5_Nope}\n  links: {kind: best_response}\n",
+             "policy.effort.preset: unknown effort preset 'N5_Nope'"),
+            ("policy:\n  effort: {preset: N5_LowCost, noise_sd: -1}\n  links: {kind: best_response}\n",
+             "policy.effort.noise_sd: must be non-negative"),
+            ("policy:\n  effort: {preset: N5_LowCost, initial: middle}\n  links: {kind: best_response}\n",
+             "policy.effort.initial: expected a number"),
         ],
         ids=[
             "policy.links.kind", "policy.links.k", "policy.effort.b1", "negative-k",
             "misspelled-effort-field", "preset-and-coefficient", "field-of-another-kind",
             "logistic-preset-and-coefficients", "coefficients-and-odds-ratios",
-            "policy-and-policies", "misspelled-section",
+            "policy-and-policies", "misspelled-section", "unknown-effort-preset",
+            "negative-noise-sd", "initial-neither-number-nor-uniform",
         ],
     )
     def test_errors_carry_field_paths(self, tmp_path, body, fragment):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lqnet.equilibria import balanced_sponsorship, nash_efforts
-from lqnet.errors import LqnetError, OrientationBudgetError
+from lqnet.errors import DimensionMismatchError, LqnetError, OrientationBudgetError
 from lqnet.model import (
     EffortProfile,
     GameParams,
@@ -40,6 +40,11 @@ def nash_profile(params, network, sponsorship=None):
 
 
 class TestVerifyNash:
+    def test_profile_of_another_size_is_a_dimension_error(self):
+        p = get_treatment("N5_LowCost").params
+        with pytest.raises(DimensionMismatchError, match=r"^profile has n=4, params expect n=5$"):
+            verify_nash(p, make_profile([2.5] * 4, [], 4))
+
     def test_complete_n5_low_cost_is_nash(self):
         p = get_treatment("N5_LowCost").params
         report = verify_nash(p, nash_profile(p, Network.complete(5)))
