@@ -6,17 +6,15 @@ slack, per-period link-profitability diagnostics, pooled least-squares
 estimation of the effort-adjustment rule, and a per-group summary table.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import SessionRecord, effort_regressors
-from .equilibria import equilibrium_payoffs, interior_nash_efforts, nash_efforts
+from .equilibria import interior_nash_efforts, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
-from .model import GameParams, Network, Treatment, link_benefit
+from .model import GameParams, Network, Treatment, br_payoff, link_benefit, neighbor_sums
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -110,10 +108,14 @@ def _params_of(treatment: Treatment | GameParams) -> GameParams:
 @lru_cache(maxsize=32)
 def complete_equilibrium_average(params: GameParams) -> float:
     """Group-average equilibrium payoff on the complete network (the
-    relative-efficiency denominator)."""
+    relative-efficiency denominator).
+
+    Its n(n-1)/2 links cost each agent kappa (n-1)/2 on average, whoever
+    sponsors them, so the average needs no sponsorship."""
     complete = Network.complete(params.n)
-    efforts = nash_efforts(params, complete).efforts
-    return equilibrium_payoffs(params, complete, efforts).group_average
+    x = nash_efforts(params, complete).efforts.efforts
+    gross = br_payoff(params, x, neighbor_sums(complete.adjacency, x))
+    return float(gross.mean()) - params.kappa * (params.n - 1) / 2
 
 
 def _welfare_series(

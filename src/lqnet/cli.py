@@ -6,8 +6,6 @@ invocations with the same inputs and seed are byte-identical.  Exit codes:
 0 on success, 1 on domain errors, 2 on usage errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -20,8 +20,6 @@ run beside it.  `analysis.fit_effort_model` fits the effort rule on
 `effort_regressors`, the regressors `step_effort` reads.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LqnetError
-from .model import (GameParams, Network, best_response, effort_order, is_int, link_benefit,
-                    neighbor_sums, payoff_components, realized_adjacency)
+from .errors import ConfigError, DimensionMismatchError, LqnetError
+from .model import (GameParams, Network, best_response, effort_order, finite_float, is_int,
+                    link_benefit, neighbor_sums, payoff_components, realized_adjacency)
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
 #: estimated per treatment from the experimental sessions
@@ -88,6 +86,9 @@ class EffortRule:
     ``initial_effort`` may be a number (constant start), the string
     "uniform" (uniform draw over the effort box), or None for the
     empty-network best response, theta/beta clipped to the effort box.
+    The coefficients, ``noise_sd`` and a numeric ``initial_effort`` are
+    stored as finite floats, and ``noise_sd`` is non-negative; a field that
+    is not raises `ConfigError` starting with its name.
     """
 
     b0: float
@@ -97,20 +98,20 @@ class EffortRule:
     initial_effort: float | str | None = None
 
     def __post_init__(self) -> None:
+        names = ["b0", "b1", "b2", "noise_sd"]
+        if self.initial_effort is not None and self.initial_effort != "uniform":
+            names.append("initial_effort")
+        for name in names:
+            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
         if self.noise_sd < 0:
-            raise ValueError(f"noise_sd: must be non-negative, got {self.noise_sd}")
-        if isinstance(self.initial_effort, str) and self.initial_effort != "uniform":
-            raise ValueError(
-                f"initial_effort: must be a number, 'uniform' or None, got "
-                f"{self.initial_effort!r}"
-            )
+            raise ConfigError(f"noise_sd: must be non-negative, got {self.noise_sd}")
 
     @classmethod
     def from_preset(cls, name: str, noise_sd: float = 0.0,
                     initial_effort: float | str | None = None) -> "EffortRule":
         if name not in EFFORT_PRESETS:
             known = ", ".join(sorted(EFFORT_PRESETS))
-            raise LqnetError(f"preset: unknown effort preset {name!r}; known: {known}")
+            raise ConfigError(f"preset: unknown effort preset {name!r}; known: {known}")
         b0, b1, b2 = EFFORT_PRESETS[name]
         return cls(b0=b0, b1=b1, b2=b2, noise_sd=noise_sd, initial_effort=initial_effort)
 
@@ -177,8 +178,9 @@ class SessionRecord:
     ``payoffs`` derive from them, so a record cannot disagree with itself.
     Arrays are indexed [period, agent(, agent)] and read-only; payoff
     columns are (own_benefit, effort_cost, spillover, link_cost, total).
-    Intents with a self-link are refused, naming the first such period and
-    agent 1-based, as the record files number them.
+    Efforts that are not finite numbers in the effort box, then intents with
+    a self-link, are refused, naming the first such period and agent (in
+    period, then agent order) 1-based, as the record files number them.
     """
 
     session_id: str
@@ -195,10 +197,16 @@ class SessionRecord:
             if arr.shape != shape:
                 raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
             arr.setflags(write=False)
-        loops = np.argwhere(self.intents.diagonal(axis1=1, axis2=2))
-        if loops.size:
-            t, i = loops[0] + 1
-            raise LqnetError(f"period {t} agent {i}: initiates a link to itself")
+        lo, hi = self.params.effort_min, self.params.effort_max
+        x = self.efforts  # the box ends are finite, so NaN and +-inf fall outside it
+        for bad, what in (
+            (~((lo <= x) & (x <= hi)), f"effort is not a finite number in [{lo!r}, {hi!r}]"),
+            (self.intents.diagonal(axis1=1, axis2=2), "initiates a link to itself"),
+        ):
+            where = np.argwhere(bad)
+            if where.size:
+                t, i = where[0] + 1
+                raise LqnetError(f"period {t} agent {i}: {what}")
 
     @property
     def T(self) -> int:
@@ -271,12 +279,14 @@ def effort_regressors(params: GameParams, efforts: np.ndarray, intents: np.ndarr
     return np.stack([x, best_response(params, s), others], axis=-1)
 
 
+# The generator annotations are strings: evaluated, they would load `numpy.random`,
+# which NumPy imports lazily, into every process that imports this module.
 def step_effort(
     rules: GroupRules,
     lagged_efforts: np.ndarray,
     lagged_intents: np.ndarray,
     params: GameParams,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence["np.random.Generator"],
 ) -> np.ndarray:
     """Every agent's effort update from the previous period's (R, n) efforts and
     (R, n, n) intents, clipped to the box; each replication's noisy agents draw
@@ -311,7 +321,7 @@ def step_links(
     lagged_efforts: np.ndarray,
     lagged_intents: np.ndarray | None,
     params: GameParams,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence["np.random.Generator"],
 ) -> np.ndarray:
     """Every agent's intent row from the previous period's (R, n) efforts and
     (R, n, n) intents; each replication's logistic agents draw their rows from
@@ -358,7 +368,7 @@ def step_links(
     return out
 
 
-def _initial_effort(rule: EffortRule, params: GameParams, rng: np.random.Generator) -> float:
+def _initial_effort(rule: EffortRule, params: GameParams, rng: "np.random.Generator") -> float:
     spec = rule.initial_effort
     if spec is None:
         return float(best_response(params, 0.0))

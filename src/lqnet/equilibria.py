@@ -9,16 +9,14 @@ doubled: the planner's first-order condition for agent i is the Nash
 condition at ``2 lam`` (see `efficient_efforts`).
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .errors import NonContractionError
+from .kernels import MAX_ITER, SWEEP_TOL, br_iteration
 from .model import (
     EffortProfile,
     GameParams,
@@ -34,9 +32,6 @@ from .model import (
 
 #: residual below which a solver output counts as converged
 SOLVER_TOL = 1e-9
-#: per-sweep change threshold for the iterative solvers
-SWEEP_TOL = 1e-12
-MAX_ITER = 10_000
 
 
 class EffortSolution(NamedTuple):
@@ -100,8 +95,7 @@ def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     if passed[0]:
         x, iters, change = interior[0], 0, 0.0
     else:
-        x0 = np.full(params.n, params.effort_min, dtype=float)
-        x, iters, change = kernels.br_iteration(adj, x0, params, tol=SWEEP_TOL, max_iter=MAX_ITER)
+        x, iters, change = br_iteration(adj, params)
     residual = float(np.max(np.abs(x - best_response(params, neighbor_sums(adj, x)))))
     if change >= SWEEP_TOL and residual > SOLVER_TOL:
         raise NonContractionError(

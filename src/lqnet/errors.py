@@ -29,5 +29,6 @@ class UnknownTreatmentError(LqnetError):
     """Treatment name not found among the bundled presets."""
 
 
-class ConfigError(LqnetError):
-    """Policy file or parameter mapping is malformed; message carries the field path."""
+class ConfigError(LqnetError, ValueError):
+    """A value type refuses a field, or a policy file or parameter mapping is
+    malformed; the message starts with the field or its file path."""

@@ -22,14 +22,16 @@ current net payoff, and `effort_order` for the candidates' order.
 Per-layer timings come from the benchmark harness, ``lqbench/run.py --trace 1``.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .model import (GameParams, best_response, br_value, effort_order, neighbor_sums,
                     payoff_components)
 
 __all__ = ["deviation_sums", "deviation_scan", "br_iteration", "backend_name"]
+
+#: per-sweep change below which `br_iteration` stops, and its sweep budget
+SWEEP_TOL = 1e-12
+MAX_ITER = 10_000
 
 
 def backend_name() -> str:
@@ -89,23 +91,23 @@ def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams)
     return best, best_targets, best_response(params, sums[rows, pick])
 
 
-def br_iteration(
-    adjacency: np.ndarray, x0: np.ndarray, params: GameParams, tol: float, max_iter: int
-):
-    """Iterate the clipped best-response map until the sweep change is below tol.
+def br_iteration(adjacency: np.ndarray, params: GameParams):
+    """Iterate the clipped best-response map from the all-``effort_min`` profile
+    until a sweep changes no effort by `SWEEP_TOL` or more, for at most `MAX_ITER`
+    sweeps.
 
     Returns ``(x, iterations, last_change)``.  Monotone from the all-min
     start, so it converges to the least fixed point of the clipped map.
     """
     adj_f = np.ascontiguousarray(adjacency, dtype=np.float64)
-    x = np.array(x0, dtype=np.float64)
+    x = np.full(len(adj_f), params.effort_min)
     change = np.inf
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         new = best_response(params, neighbor_sums(adj_f, x))
         change = float(np.max(np.abs(new - x)))
         x = new
         it += 1
-        if change < tol:
+        if change < SWEEP_TOL:
             break
     return x, it, change

@@ -14,8 +14,6 @@ Agent indices are 0-based throughout the package; file formats and CLI
 output use 1-based IDs (see `session_io`).
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections.abc import Mapping
@@ -47,6 +45,10 @@ class GameParams:
     The theory allows unbounded effort; the box defaults to the
     experimental interface's [0, 20] and is configurable so the
     uncapped case can be approximated with a large `effort_max`.
+    Every float field is stored as a finite float and ``n`` as an int; a
+    field that is neither raises `ConfigError` starting with its key in
+    `PARAM_KEYS` (``lambda`` for ``lam``), and one out of range a
+    `ConfigError` naming it.
     """
 
     theta: float
@@ -58,18 +60,28 @@ class GameParams:
     effort_max: float = 20.0
 
     def __post_init__(self) -> None:
+        for key, name in PARAM_FIELDS.items():
+            raw = getattr(self, name)
+            if name == "n":
+                try:
+                    value = operator.index(raw)
+                except TypeError:
+                    raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+            else:
+                value = finite_float(key, raw)
+            object.__setattr__(self, name, value)
         if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+            raise ConfigError(f"theta must be positive, got {self.theta}")
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ConfigError(f"beta must be positive, got {self.beta}")
         if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+            raise ConfigError(f"lam must be positive, got {self.lam}")
         if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
+            raise ConfigError(f"kappa must be non-negative, got {self.kappa}")
         if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+            raise ConfigError(f"n must be at least 2, got {self.n}")
         if not self.effort_min < self.effort_max:
-            raise ValueError("effort_min must be strictly below effort_max")
+            raise ConfigError("effort_min must be strictly below effort_max")
 
     def to_mapping(self) -> dict:
         """The parameters keyed by `PARAM_KEYS`, in that order."""
@@ -84,24 +96,10 @@ class GameParams:
         """
         if not isinstance(obj, Mapping):
             raise ConfigError(f"expected a mapping, got {type(obj).__name__}")
-        values: dict = {}
         for key, name in PARAM_FIELDS.items():
-            if key not in obj:
-                if name in ("effort_min", "effort_max"):
-                    continue
+            if key not in obj and name not in ("effort_min", "effort_max"):
                 raise ConfigError(f"{key}: required")
-            raw = obj[key]
-            if name == "n":
-                try:
-                    values[name] = operator.index(raw)
-                except TypeError:
-                    raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-                continue
-            values[name] = finite_float(key, raw)
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**{name: obj[key] for key, name in PARAM_FIELDS.items() if key in obj})
 
 
 def finite_float(key: str, raw) -> float:

@@ -7,8 +7,6 @@ sidecar holding the parameters, seed, and a format version.  Floats are
 written in shortest round-trip decimal form so records replay bit-exactly.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
@@ -210,21 +208,17 @@ def _fields(obj, path: str, known, *sources) -> dict:
 
 def _parse_effort_rule(obj, path: str) -> EffortRule:
     obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
-    noise_sd = finite_float(f"{path}.noise_sd", obj.get("noise_sd", 0.0))
-    initial = obj.get("initial", None)
-    if initial not in (None, "uniform"):
-        initial = finite_float(f"{path}.initial", initial)
+    given = {"noise_sd": obj.get("noise_sd", 0.0), "initial_effort": obj.get("initial")}
     try:
         if "preset" in obj:
-            return EffortRule.from_preset(str(obj["preset"]), noise_sd, initial)
-        b0, b1, b2 = (finite_float(f"{path}.{key}", obj[key]) for key in ("b0", "b1", "b2"))
-        return EffortRule(b0=b0, b1=b1, b2=b2, noise_sd=noise_sd, initial_effort=initial)
-    except ConfigError:
-        raise
+            return EffortRule.from_preset(str(obj["preset"]), **given)
+        return EffortRule(obj["b0"], obj["b1"], obj["b2"], **given)
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: required") from None
-    except (ValueError, LqnetError) as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+    except ConfigError as exc:
+        field, _, detail = str(exc).partition(":")
+        key = "initial" if field == "initial_effort" else field
+        raise ConfigError(f"{path}.{key}:{detail}") from None
 
 
 def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
@@ -417,10 +411,11 @@ def read_record(csv_path: str | Path) -> SessionRecord:
 
     The record is its efforts and initiated_ids; the rest of each row is checked
     against it.  The checks run in a fixed order, and the first that fails names its
-    own first failing row, in file order, in a one-line error: the effort is finite
-    and in the box; initiated_ids repeat no ID; they do not name the agent itself
-    (`SessionRecord` refuses that, naming the first period and agent); neighbor_ids
-    are the realization of the intents; the payoff cells match the record."""
+    own first failing row in a one-line error: initiated_ids repeat no ID (in file
+    order); `SessionRecord` refuses an effort that is not a finite number in the box,
+    then initiated_ids that name the agent itself (each in period, then agent order);
+    neighbor_ids are the realization of the intents, and the payoff cells match the
+    record (each in file order)."""
     csv_path = Path(csv_path)
     # the sidecar `write_record` wrote beside it, also for the session ID ""
     meta, params = _read_sidecar(csv_path.with_name(csv_path.name.removesuffix(".csv") + ".json"))
@@ -467,13 +462,8 @@ def read_record(csv_path: str | Path) -> SessionRecord:
             k = int(np.argmax(bad))
             raise LqnetError(f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: {what}")
 
-    x = columns[:, 0]
-    reject(
-        ~(np.isfinite(x) & (params.effort_min <= x) & (x <= params.effort_max)),
-        f"effort is not a finite number in [{params.effort_min!r}, {params.effort_max!r}]",
-    )
     efforts = np.zeros((T, n), dtype=float)
-    efforts[t, i] = x
+    efforts[t, i] = columns[:, 0]
     initiated, claimed = ([parsed[text] for text in column] for column in zip(*cells))
     intents, initiated_counts = _id_mask(t, i, initiated, T, n)
     # a repeated ID leaves the mask equal but the count too large

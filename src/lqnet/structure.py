@@ -6,8 +6,6 @@ link distances to the named architectures, in closed form over stacks of
 networks (used for near-equilibrium matching).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

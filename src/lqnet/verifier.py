@@ -25,8 +25,6 @@ whole profile on its own and shares only `kernels.deviation_sums` with the
 search.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations

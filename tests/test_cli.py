@@ -719,3 +719,14 @@ def test_random_policy_files_never_traceback(doc):
         argv = ["simulate", "--treatment", "N5_HighCost", "--policy", str(path),
                 "--periods", "3", "--reps", "2", "--out", str(Path(root) / "out")]
         _assert_clean_exit(*_run_quiet(argv))
+
+
+def test_cold_import_does_not_load_numpy_random():
+    # NumPy imports `numpy.random` on first use, which costs a cold process a few ms
+    # and about 6 MB; only `simulate` needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(lqnet.__file__).parents[1])}
+    code = "import sys, lqnet.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

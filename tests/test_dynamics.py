@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from lqnet.dynamics import (
     _rank_band,
 )
 from lqnet.equilibria import nash_efforts, spectral_radius
-from lqnet.errors import DimensionMismatchError, LqnetError
+from lqnet.errors import ConfigError, DimensionMismatchError, LqnetError
 from lqnet.model import GameParams, Network, best_response, get_treatment
 
 from helpers import oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
@@ -108,6 +109,20 @@ class TestStepEffort:
         x, m = lagged([10.0, 7.0], [[False, True], [False, False]])
         out = step_effort(rules, x, m, P5, [rng_of()])
         assert list(out[0]) == [pytest.approx((10.0 + 0.4 * 7.0) / 4.0), 7.0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+    @pytest.mark.parametrize("field", ["b0", "b1", "b2", "noise_sd"])
+    def test_every_number_refuses_a_non_number_by_its_name(self, field, bad):
+        rule = EffortRule(b0=0.1, b1=0.9, b2=0.05, noise_sd=0.5)
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            dataclasses.replace(rule, **{field: bad})
+
+    def test_numbers_are_stored_as_floats(self):
+        rule = EffortRule(b0=np.float64(0.5), b1=1, b2=0, noise_sd=0, initial_effort="3.5")
+        assert rule == EffortRule(b0=0.5, b1=1.0, b2=0.0, noise_sd=0.0, initial_effort=3.5)
+        assert all(type(getattr(rule, f)) is float for f in ("b1", "b2", "noise_sd"))
+        with pytest.raises(ConfigError, match="^initial_effort: expected a number, got 'middle'$"):
+            EffortRule(b0=0.5, b1=1.0, b2=0.0, initial_effort="middle")
 
     def test_presets_match_estimates(self):
         assert EFFORT_PRESETS["N5_LowCost"] == (0.090, 0.966, 0.085)
@@ -288,6 +303,14 @@ class TestRunSession:
         assert list(rec.efforts[0]) == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert list(rec.efforts[2]) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
+    @pytest.mark.parametrize("field", ["b0", "noise_sd"])
+    def test_a_nan_effort_rule_is_refused_before_any_period(self, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite, got nan$"):
+            run_session(P5, AgentPolicy(
+                EffortRule(**{"b0": 0.1, "b1": 0.9, "b2": 0.0, field: float("nan")}),
+                LinkRule.best_response(),
+            ), 3, seed=0)
+
     def test_rejects_bad_t(self):
         pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(1))
         with pytest.raises(ValueError):
@@ -369,6 +392,16 @@ class TestSessionRecord:
         with pytest.raises(LqnetError, match="^period 2 agent 4: initiates a link to itself$"):
             SessionRecord(session_id="x", params=P5, seed=0, intents=intents,
                           efforts=np.full((2, 5), 2.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 20.5])
+    def test_rejects_an_effort_outside_the_box(self, value):
+        efforts = np.full((3, 5), 2.0)
+        efforts[2, 4] = value  # period 3 agent 5, the last such cell
+        efforts[1, [1, 3]] = value  # period 2 agents 2 and 4: the first is named
+        message = "period 2 agent 2: effort is not a finite number in [0.0, 20.0]"
+        with pytest.raises(LqnetError, match=f"^{re.escape(message)}$"):
+            SessionRecord(session_id="x", params=P5, seed=0,
+                          intents=np.zeros((3, 5, 5), dtype=bool), efforts=efforts)
 
     @pytest.mark.parametrize("T_intents", [2, 4])
     def test_rejects_decisions_of_different_lengths(self, T_intents):

@@ -85,7 +85,7 @@ def test_br_iteration_matches_linear_solve():
         adj = m | m.T
         # lam / beta * (n - 1) < 1 keeps the solution interior and unique
         exact = np.linalg.solve(np.eye(n) - p.lam / p.beta * adj, np.full(n, p.theta / p.beta))
-        x, iterations, change = kernels.br_iteration(adj, np.zeros(n), p, tol=1e-12, max_iter=10_000)
+        x, iterations, change = kernels.br_iteration(adj, p)
         assert np.allclose(x, exact, atol=1e-10)
         assert iterations > 0 and change < 1e-12
 

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqnet
-from lqnet.errors import DimensionMismatchError, UnknownTreatmentError
+from lqnet.errors import ConfigError, DimensionMismatchError, LqnetError, UnknownTreatmentError
 from lqnet.model import (
+    PARAM_FIELDS,
     EffortProfile,
     GameParams,
     IntentProfile,
@@ -49,6 +51,27 @@ class TestGameParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GameParams(**kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(GameParams)])
+    def test_every_field_refuses_a_non_number_by_its_key(self, field, bad):
+        # a field added later fails here until its check names it
+        key = {name: key for key, name in PARAM_FIELDS.items()}.get(field, field)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            GameParams(**{**dataclasses.asdict(P5), field: bad})
+
+    def test_values_are_stored_as_python_numbers(self):
+        p = GameParams(theta=np.float64(10.0), beta=4, lam=0.4, kappa=1.0, n=np.int64(5))
+        assert type(p.n) is int and p.n == 5
+        assert type(p.theta) is float and type(p.beta) is float
+        assert p == P5
+
+    def test_a_float_group_size_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^n: expected an integer, got 5\.0$"):
+            GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=5.0)
+
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, LqnetError)
 
 
 class TestTreatments:

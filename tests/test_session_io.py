@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -71,6 +72,12 @@ class TestRecordRoundTrip:
             assert np.array_equal(back.intents, rec.intents)
             assert np.array_equal(back.networks, rec.networks)
             assert np.array_equal(back.payoffs, rec.payoffs)
+
+    def test_numpy_group_size_writes(self, tmp_path):
+        params = GameParams(**{**dataclasses.asdict(P5), "n": np.int64(5)})
+        policy = AgentPolicy(EffortRule.from_preset("N5_LowCost"), LinkRule.best_response())
+        back = read_record(write_record(run_session(params, policy, 3, seed=1), tmp_path))
+        assert type(back.params.n) is int and back.params == P5
 
     @pytest.mark.parametrize(
         "n,T,session_id", [(5, 12, "s31"), (2, 1, "a,b"), (12, 7, 'q"x'), (3, 2, "")]
@@ -253,6 +260,24 @@ class TestDecisionChecks:
         with pytest.raises(
             LqnetError, match=r"period 2 agent 3: effort is not a finite number in \[0\.0, 20\.0\]"
         ):
+            read_record(path)
+
+    @pytest.mark.parametrize(
+        "repeat,message",
+        [(True, "period 4 agent 5: initiated_ids name an agent twice"),
+         (False, "period 2 agent 3: effort is not a finite number")],
+        ids=["repeated-id-first", "efforts-in-period-order"],
+    )
+    def test_checks_run_in_the_stated_order(self, tmp_path, repeat, message):
+        def put(rows):
+            rows[7][3] = "nan"  # period 2 agent 3
+            rows[-1][3] = "nan"  # period 12 agent 5, then moved to the top
+            rows.insert(0, rows.pop())
+            if repeat:
+                rows[20][4] = "1:1"  # period 4 agent 5, after both efforts in file order
+
+        path, _ = _write_edited(tmp_path, put)
+        with pytest.raises(LqnetError, match=message):
             read_record(path)
 
     def test_efforts_on_the_box_ends_load(self, tmp_path):
