@@ -22,7 +22,7 @@ run beside it.  `analysis.fit_effort_model` fits the effort rule on
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,12 +43,15 @@ EFFORT_PRESETS: dict[str, tuple[float, float, float]] = {
 }
 
 
-class LogisticCoefficients(NamedTuple):
+@dataclass(frozen=True)
+class LogisticCoefficients:
     """Log-odds coefficients of the logistic linking rule.
 
     Stored as natural logs of the fitted odds ratios.  The rank dummies
     compare the partner's lagged-effort rank to the group's middle band
     (the median rank for groups of five; ranks 4-6 for groups of nine).
+    Each field is stored as a finite float; one that is not raises
+    `ConfigError` starting with its name.
     """
 
     intercept: float
@@ -56,6 +59,14 @@ class LogisticCoefficients(NamedTuple):
     partner_effort: float = 0.0
     above_median: float = 0.0
     below_median: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, finite_float(f.name, getattr(self, f.name)))
+
+
+#: the fields of `LogisticCoefficients`, in their declared order
+LOGIT_FIELDS = tuple(f.name for f in fields(LogisticCoefficients))
 
 
 #: pooled logistic estimates: "benefit" regresses initiation on the lagged
@@ -115,14 +126,15 @@ class EffortRule:
         b0, b1, b2 = EFFORT_PRESETS[name]
         return cls(b0=b0, b1=b1, b2=b2, noise_sd=noise_sd, initial_effort=initial_effort)
 
-    @classmethod
-    def myopic_best_response(cls, noise_sd: float = 0.0) -> "EffortRule":
-        return cls(b0=0.0, b1=1.0, b2=0.0, noise_sd=noise_sd)
-
 
 @dataclass(frozen=True)
 class LinkRule:
-    """Linking rule: which partners an agent initiates links to each period."""
+    """Linking rule: which partners an agent initiates links to each period.
+
+    A ``rank_top`` rule needs a non-negative integer ``k``, a ``logistic`` rule
+    `LogisticCoefficients`, and a ``fixed_targets`` rule a row of distinct 0-based
+    agent indices per agent, stored as tuples of ints (`GroupRules` checks them
+    against n); a field that is not raises `ConfigError` starting with its name."""
 
     kind: str
     k: int | None = None
@@ -131,13 +143,22 @@ class LinkRule:
 
     def __post_init__(self) -> None:
         if self.kind not in LINK_RULE_KINDS:
-            raise ValueError(f"unknown link rule kind {self.kind!r}")
+            known = ", ".join(LINK_RULE_KINDS)
+            raise ConfigError(f"kind: unknown link rule {self.kind!r} (known: {known})")
         if self.kind == "rank_top" and not (is_int(self.k) and self.k >= 0):
-            raise ValueError(f"rank_top needs a non-negative integer cutoff k, got {self.k!r}")
-        if self.kind == "logistic" and self.coefficients is None:
-            raise ValueError("logistic rule needs coefficients")
-        if self.kind == "fixed_targets" and self.targets is None:
-            raise ValueError("fixed_targets rule needs per-agent targets")
+            raise ConfigError(f"k: rank_top needs a non-negative integer cutoff k, got {self.k!r}")
+        c, targets = self.coefficients, self.targets
+        if self.kind == "logistic" and not isinstance(c, LogisticCoefficients):
+            raise ConfigError(f"coefficients: expected LogisticCoefficients, got {c!r}")
+        if self.kind == "fixed_targets":
+            if not isinstance(targets, (tuple, list)):
+                raise ConfigError(f"targets: expected one row per agent, got {targets!r}")
+            for i, row in enumerate(targets):
+                if not (isinstance(row, (tuple, list)) and all(is_int(j) and j >= 0 for j in row)):
+                    raise ConfigError(f"targets[{i}]: expected non-negative integers, got {row!r}")
+                if len(set(row)) != len(row):  # no IDs: files number them from 1, Python from 0
+                    raise ConfigError(f"targets[{i}]: names an agent twice")
+            object.__setattr__(self, "targets", tuple(tuple(map(int, row)) for row in targets))
 
     @classmethod
     def benefit_threshold(cls) -> "LinkRule":
@@ -158,11 +179,7 @@ class LinkRule:
     @classmethod
     def fixed(cls, network: Network) -> "LinkRule":
         """Freeze the realized network: every agent initiates to its neighbors."""
-        targets = tuple(
-            tuple(int(j) for j in np.nonzero(network.adjacency[i])[0])
-            for i in range(network.n)
-        )
-        return cls(kind="fixed_targets", targets=targets)
+        return cls("fixed_targets", targets=[np.flatnonzero(r).tolist() for r in network.adjacency])
 
 
 class AgentPolicy(NamedTuple):
@@ -225,10 +242,6 @@ class SessionRecord:
     def payoffs(self) -> np.ndarray:
         return _read_only(payoff_components(self.params, self.efforts, self.intents))
 
-    def network_at(self, period: int) -> Network:
-        """1-based period accessor."""
-        return Network(self.networks[period - 1])
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -241,7 +254,8 @@ class GroupRules:
     Agents are grouped by link-rule kind, each group in agent order, so one
     batched draw over a group consumes the generator exactly as one draw per
     agent in agent order would.  A `ValueError` names the first agent whose
-    `fixed_targets` rule does not give n rows of 0-based agent indices.
+    `fixed_targets` rule does not give n rows, or whose own row names an
+    index of n or more; `LinkRule` has checked the rest.
     """
 
     def __init__(self, policies: list[AgentPolicy]) -> None:
@@ -256,13 +270,13 @@ class GroupRules:
         self.rank = np.flatnonzero(kinds == "rank_top")
         self.rank_k = np.array([min(links[i].k, n) for i in self.rank], dtype=np.intp)[:, None]
         self.logistic = np.flatnonzero(kinds == "logistic")
-        coefs = [links[i].coefficients for i in self.logistic]
-        #: the five `LogisticCoefficients` fields, each as a (logistic agents, 1) column
+        coefs = [[getattr(links[i].coefficients, f) for f in LOGIT_FIELDS] for i in self.logistic]
+        #: the `LOGIT_FIELDS`, each as a (logistic agents, 1) column
         self.logit = np.array(coefs, dtype=float).reshape(-1, 5).T[:, :, None]
         self.fixed = np.zeros((n, n), dtype=bool)
         for i in np.flatnonzero(kinds == "fixed_targets"):
             targets = links[i].targets
-            if len(targets) != n or not all(is_int(j) and 0 <= j < n for j in targets[i]):
+            if len(targets) != n or not all(j < n for j in targets[i]):
                 raise ValueError(
                     f"agent {i}: fixed_targets needs {n} rows of indices in 0..{n - 1}, got {targets}"
                 )

@@ -160,9 +160,6 @@ class IntentProfile:
     def pairs(self) -> list[tuple[int, int]]:
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.matrix))]
 
-    def initiation_counts(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class Network:

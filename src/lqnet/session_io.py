@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    LINK_RULE_KINDS,
+    LOGIT_FIELDS,
     LOGIT_PRESETS,
     AgentPolicy,
     EffortRule,
@@ -32,7 +32,6 @@ from .model import (
     IntentProfile,
     Network,
     StrategyProfile,
-    finite_float,
     is_int,
 )
 
@@ -206,71 +205,70 @@ def _fields(obj, path: str, known, *sources) -> dict:
     return obj
 
 
-def _parse_effort_rule(obj, path: str) -> EffortRule:
-    obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
-    given = {"noise_sd": obj.get("noise_sd", 0.0), "initial_effort": obj.get("initial")}
+def _checked(path: str, build):
+    """``build()``, a type built from the file keys under ``path``; a key it reads that
+    the file lacks, or the type's `ConfigError` (which starts with the field's name),
+    is raised again as a `ConfigError` naming the key's path."""
     try:
-        if "preset" in obj:
-            return EffortRule.from_preset(str(obj["preset"]), **given)
-        return EffortRule(obj["b0"], obj["b1"], obj["b2"], **given)
+        return build()
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: required") from None
     except ConfigError as exc:
-        field, _, detail = str(exc).partition(":")
+        field, colon, detail = str(exc).partition(":")
         key = "initial" if field == "initial_effort" else field
-        raise ConfigError(f"{path}.{key}:{detail}") from None
+        raise ConfigError(f"{path}.{key}{colon}{detail}") from None
+
+
+def _parse_effort_rule(obj, path: str) -> EffortRule:
+    obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
+    given = {"noise_sd": obj.get("noise_sd", 0.0), "initial_effort": obj.get("initial")}
+    if "preset" in obj:
+        return _checked(path, lambda: EffortRule.from_preset(str(obj["preset"]), **given))
+    return _checked(path, lambda: EffortRule(obj["b0"], obj["b1"], obj["b2"], **given))
 
 
 def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
     if "preset" in obj:
         name = str(obj["preset"])
         if name not in LOGIT_PRESETS:
-            raise ConfigError(
-                f"{path}.preset: unknown preset {name!r} (known: {sorted(LOGIT_PRESETS)})"
-            )
+            known = sorted(LOGIT_PRESETS)
+            raise ConfigError(f"{path}.preset: unknown preset {name!r} (known: {known})")
         return LOGIT_PRESETS[name]
     source = "coefficients" if "coefficients" in obj else "odds_ratios"
-    fields = LogisticCoefficients._fields
-    raw = _fields(obj.get(source, {}), f"{path}.{source}", fields)
+    raw = _fields(obj.get(source, {}), f"{path}.{source}", LOGIT_FIELDS)
     if not raw:
         raise ConfigError(f"{path}: logistic rule needs preset, coefficients or odds_ratios")
-    if "intercept" not in raw:
-        raise ConfigError(f"{path}.{source}.intercept: required")
     default = 1.0 if source == "odds_ratios" else 0.0
-    values = {k: finite_float(f"{path}.{source}.{k}", raw.get(k, default)) for k in fields}
-    if source == "odds_ratios":
-        for k, v in values.items():
-            if not v > 0:
-                raise ConfigError(f"{path}.{source}.{k}: must be positive, got {raw[k]!r}")
-        values = {k: float(np.log(v)) for k, v in values.items()}
-    return LogisticCoefficients(**values)
+    values = _checked(f"{path}.{source}", lambda: LogisticCoefficients(
+        raw["intercept"], *(raw.get(key, default) for key in LOGIT_FIELDS[1:])))
+    if source == "coefficients":
+        return values
+    for key in LOGIT_FIELDS:  # odds ratios are positive, and their logs are the coefficients
+        if not getattr(values, key) > 0:
+            raise ConfigError(f"{path}.{source}.{key}: must be positive, got {raw[key]!r}")
+    return LogisticCoefficients(*(float(np.log(getattr(values, key))) for key in LOGIT_FIELDS))
 
 
 def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
     obj = _as_mapping(obj, path)
     kind = obj.get("kind")
-    if kind not in LINK_RULE_KINDS:
-        known = ", ".join(LINK_RULE_KINDS)
-        raise ConfigError(f"{path}.kind: unknown link rule {kind!r} (known: {known})")
-    fields = LINK_FIELDS.get(kind, ())
+    fields = LINK_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+    if not fields:  # a kind without fields, or an unknown kind, which the type names first
+        rule = _checked(path, lambda: LinkRule(kind))
+        _fields(obj, path, ("kind",))
+        return rule
     _fields(obj, path, ("kind", *fields), *((key,) for key in fields))
     if kind == "rank_top":
-        try:
-            return LinkRule.rank_top(obj.get("k"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.k: {exc}") from None
+        return _checked(path, lambda: LinkRule.rank_top(obj.get("k")))
     if kind == "logistic":
         return LinkRule.logistic(_parse_logistic(obj, path))
-    if kind == "fixed_targets":
-        raw = obj.get("targets")
-        if not (isinstance(raw, list) and len(raw) == n):
-            raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
-        for k, row in enumerate(raw):
-            if not (isinstance(row, list) and all(is_int(j) and 1 <= j <= n for j in row)):
-                raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
-        targets = tuple(tuple(j - 1 for j in row) for row in raw)
-        return LinkRule(kind="fixed_targets", targets=targets)
-    return LinkRule(kind=kind)
+    raw = obj.get("targets")  # fixed_targets, with 1-based IDs
+    if not (isinstance(raw, list) and len(raw) == n):
+        raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
+    for k, row in enumerate(raw):
+        if not (isinstance(row, list) and all(is_int(j) and 1 <= j <= n for j in row)):
+            raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
+    return _checked(path, lambda: LinkRule(kind, targets=[[j - 1 for j in row] for row in raw]))
 
 
 def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
@@ -388,10 +386,7 @@ def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:
     for key in ("seed", "periods"):
         if not is_int(meta[key]) or (key == "periods" and meta[key] < 1):
             raise LqnetError(f"{sidecar}: {key}: bad value {meta[key]!r}")
-    try:
-        return meta, GameParams.from_mapping(raw)
-    except ConfigError as exc:
-        raise LqnetError(f"{sidecar}: params.{exc}") from None
+    return meta, _checked(f"{sidecar}: params", lambda: GameParams.from_mapping(raw))
 
 
 def _csv_rows(text: str, name: str):
@@ -409,18 +404,20 @@ def _csv_rows(text: str, name: str):
 def read_record(csv_path: str | Path) -> SessionRecord:
     """Read a session back; the inverse of `write_record`, bit-exact.
 
-    The record is its efforts and initiated_ids; the rest of each row is checked
-    against it.  The checks run in a fixed order, and the first that fails names its
-    own first failing row in a one-line error: initiated_ids repeat no ID (in file
-    order); `SessionRecord` refuses an effort that is not a finite number in the box,
-    then initiated_ids that name the agent itself (each in period, then agent order);
-    neighbor_ids are the realization of the intents, and the payoff cells match the
-    record (each in file order)."""
+    The record is its efforts and initiated_ids; each row carries the sidecar's
+    session_id, and the rest of each row is checked against the record.  The checks
+    run in a fixed order, and the first that fails names its own first failing row
+    in a one-line error: initiated_ids repeat no ID (in file order); `SessionRecord`
+    refuses an effort that is not a finite number in the box, then initiated_ids that
+    name the agent itself (each in period, then agent order); neighbor_ids are the
+    realization of the intents, and the payoff cells match the record (each in file
+    order)."""
     csv_path = Path(csv_path)
     # the sidecar `write_record` wrote beside it, also for the session ID ""
     meta, params = _read_sidecar(csv_path.with_name(csv_path.name.removesuffix(".csv") + ".json"))
     T = meta["periods"]
     n = params.n
+    session_id = str(meta["session_id"])
     seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
     values: list[tuple[float, ...]] = []  # effort, then the payoff cells
     cells: list[list[str]] = []  # initiated_ids and neighbor_ids text of each row
@@ -434,6 +431,8 @@ def read_record(csv_path: str | Path) -> SessionRecord:
         where = f"{name} row {rownum}"
         if len(row) != len(CSV_COLUMNS):
             raise LqnetError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        if row[0] != session_id:
+            raise LqnetError(f"{where}: session_id {row[0]!r} is not the sidecar's {session_id!r}")
         try:
             t = int(row[1]) - 1
             i = int(row[2]) - 1
@@ -470,7 +469,7 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     reject(initiated_counts != intents.sum(axis=2)[t, i], "initiated_ids name an agent twice")
     try:
         record = SessionRecord(
-            session_id=str(meta["session_id"]),
+            session_id=session_id,
             params=params,
             seed=meta["seed"],
             intents=intents,

@@ -8,7 +8,13 @@ import csv
 
 import numpy as np
 
-from lqnet.dynamics import _effort_ranks, _initial_effort, _normalize_policies, _rank_band
+from lqnet.dynamics import (
+    EffortRule,
+    _effort_ranks,
+    _initial_effort,
+    _normalize_policies,
+    _rank_band,
+)
 from lqnet.model import (
     EffortProfile,
     IntentProfile,
@@ -17,6 +23,10 @@ from lqnet.model import (
     best_response,
 )
 from lqnet.session_io import CSV_COLUMNS
+
+#: the myopic best reply: each period's effort is the best response to the
+#: neighbors' lagged effort total
+MYOPIC = EffortRule(0.0, 1.0, 0.0)
 
 
 def make_profile(efforts, intent_pairs, n):

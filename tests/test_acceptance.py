@@ -35,7 +35,7 @@ from lqnet.model import (
 from lqnet.structure import classify, is_nested_split
 from lqnet.verifier import SupportSearch, enumerate_ne_networks, graph_atlas, verify_nash
 
-from helpers import oracle_nested_split, oracle_replay_payoffs
+from helpers import MYOPIC, oracle_nested_split, oracle_replay_payoffs
 
 ALL_TREATMENTS = ("N5_LowCost", "N5_HighCost", "N9_LowCost1", "N9_LowCost2", "N9_HighCost")
 HIGH_COST = ("N5_HighCost", "N9_HighCost")
@@ -205,7 +205,7 @@ def test_criterion_07_dynamics_convergence_and_recovery():
     for name in ALL_TREATMENTS:
         params = get_treatment(name).params
         policy = AgentPolicy(
-            EffortRule.myopic_best_response(), LinkRule.rank_top(params.n - 1)
+            MYOPIC, LinkRule.rank_top(params.n - 1)
         )
         record = run_session(params, policy, 200, seed=1)
         target = nash_efforts(params, Network.complete(params.n)).efforts.efforts

@@ -310,7 +310,7 @@ class TestTreatmentSummary:
         ]
         summary = treatment_summary(records, params, "full")
         for rec, group in zip(records, summary.per_group):
-            per_period = [nash_efforts(params, rec.network_at(t)).efforts.efforts.mean()
+            per_period = [nash_efforts(params, Network(rec.networks[t - 1])).efforts.efforts.mean()
                           for t in range(1, rec.T + 1)]
             assert group.means["nash_effort_on_network"] == np.mean(per_period)
             assert group.stds["nash_effort_on_network"] == np.std(per_period)
@@ -324,7 +324,7 @@ class TestTreatmentSummary:
         s = treatment_summary([rec], T5, "full")
         expected = np.mean(
             [
-                nash_efforts(P5, rec.network_at(t)).efforts.efforts.mean()
+                nash_efforts(P5, Network(rec.networks[t - 1])).efforts.efforts.mean()
                 for t in range(1, 9)
             ]
         )

@@ -149,6 +149,7 @@ VALIDATED_DATACLASSES = {
     "model.EffortProfile",
     "model.StrategyProfile",
     "dynamics.EffortRule",
+    "dynamics.LogisticCoefficients",
     "dynamics.LinkRule",
     "dynamics.SessionRecord",
 }

@@ -293,6 +293,9 @@ class TestSimulateAnalyze:
             ("effort: {preset: N5_LowCost}\n"
              "links: {kind: fixed_targets, targets: [[2], [9], [], [], []]}",
              "policy.links.targets[1]: expected IDs in 1..5, got [9]"),
+            ("effort: {preset: N5_LowCost}\n"
+             "links: {kind: fixed_targets, targets: [[2, 2], [], [], [], []]}",
+             "policy.links.targets[0]: names an agent twice"),
             ("policy: {effort: [1, 2",
              "PATH: malformed file: line 2, column 1: expected ',' or ']', but got '<stream end>'"),
             ("effort: {preset: N5_LowCost}\nlinks: kind: best_response",
@@ -301,8 +304,8 @@ class TestSimulateAnalyze:
              "policy.links.kind: unknown link rule [1] (known: best_response, benefit_threshold, "
              "rank_top, logistic, fixed_targets)"),
         ],
-        ids=["effort-list", "rank-k-list", "target-out-of-range", "unclosed-flow", "nested-mapping",
-             "kind-list"],
+        ids=["effort-list", "rank-k-list", "target-out-of-range", "repeated-target", "unclosed-flow",
+             "nested-mapping", "kind-list"],
     )
     def test_bad_policy_field_is_one_error_line(self, capsys, tmp_path, policy, message):
         policy_path = tmp_path / "policy.yaml"

@@ -26,7 +26,7 @@ from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import ConfigError, DimensionMismatchError, LqnetError
 from lqnet.model import GameParams, Network, best_response, get_treatment
 
-from helpers import oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
+from helpers import MYOPIC, oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
 
 P5 = get_treatment("N5_LowCost").params
 P9 = get_treatment("N9_LowCost1").params
@@ -39,7 +39,7 @@ def rng_of(seed=0):
 def group(effort=None, links=None, n=1):
     """`GroupRules` for ``n`` agents sharing one effort and one link rule."""
     policy = AgentPolicy(
-        effort or EffortRule.myopic_best_response(), links or LinkRule.best_response()
+        effort or MYOPIC, links or LinkRule.best_response()
     )
     return GroupRules([policy] * n)
 
@@ -56,7 +56,7 @@ class TestStepEffort:
     def test_pure_best_response_one_step(self):
         # every agent at 10 on the complete network: best reply to a neighbor total of 40
         x, m = lagged([10.0] * 5, Network.complete(5).adjacency)
-        out = step_effort(group(EffortRule.myopic_best_response(), n=5), x, m, P5, [rng_of()])
+        out = step_effort(group(MYOPIC, n=5), x, m, P5, [rng_of()])
         assert out.shape == (1, 5)
         assert out[0] == pytest.approx(np.full(5, 6.5))
 
@@ -103,7 +103,7 @@ class TestStepEffort:
 
     def test_each_agent_uses_its_own_rule(self):
         rules = GroupRules([
-            AgentPolicy(EffortRule.myopic_best_response(), LinkRule.best_response()),
+            AgentPolicy(MYOPIC, LinkRule.best_response()),
             AgentPolicy(EffortRule(b0=1.0, b1=0.0, b2=0.0), LinkRule.best_response()),
         ])
         x, m = lagged([10.0, 7.0], [[False, True], [False, False]])
@@ -111,11 +111,16 @@ class TestStepEffort:
         assert list(out[0]) == [pytest.approx((10.0 + 0.4 * 7.0) / 4.0), 7.0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
-    @pytest.mark.parametrize("field", ["b0", "b1", "b2", "noise_sd"])
-    def test_every_number_refuses_a_non_number_by_its_name(self, field, bad):
-        rule = EffortRule(b0=0.1, b1=0.9, b2=0.05, noise_sd=0.5)
+    @pytest.mark.parametrize(
+        "value,field",
+        [(EffortRule(b0=0.1, b1=0.9, b2=0.05, noise_sd=0.5), f)
+         for f in ("b0", "b1", "b2", "noise_sd")]
+        + [(LOGIT_PRESETS["rank"], f.name) for f in dataclasses.fields(LogisticCoefficients)],
+        ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v,
+    )
+    def test_every_number_refuses_a_non_number_by_its_name(self, value, field, bad):
         with pytest.raises(ConfigError, match=f"^{field}: "):
-            dataclasses.replace(rule, **{field: bad})
+            dataclasses.replace(value, **{field: bad})
 
     def test_numbers_are_stored_as_floats(self):
         rule = EffortRule(b0=np.float64(0.5), b1=1, b2=0, noise_sd=0, initial_effort="3.5")
@@ -154,7 +159,7 @@ class TestStepLinks:
         assert list(np.nonzero(out[2])[0]) == [1, 3]
 
     def test_rank_top_everyone_gives_complete(self):
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(4))
+        pol = AgentPolicy(MYOPIC, LinkRule.rank_top(4))
         rec = run_session(P5, pol, 6, seed=3)
         assert np.all(rec.networks.sum(axis=(1, 2)) == 5 * 4)
 
@@ -181,7 +186,7 @@ class TestStepLinks:
 
     def test_fixed_targets_freeze_network(self):
         net = Network.from_edges(5, [(0, 1), (2, 3)])
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.fixed(net))
+        pol = AgentPolicy(MYOPIC, LinkRule.fixed(net))
         rec = run_session(P5, pol, 4, seed=1)
         for t in range(4):
             assert np.array_equal(rec.networks[t], net.adjacency)
@@ -198,7 +203,7 @@ class TestRankHelpers:
 
 class TestRunSession:
     def test_myopic_convergence_to_complete_equilibrium(self):
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(4))
+        pol = AgentPolicy(MYOPIC, LinkRule.rank_top(4))
         rec = run_session(P5, pol, 200, seed=0)
         target = oracle_complete_nash(10.0, 4.0, 0.4, 5)
         assert np.max(np.abs(rec.efforts[-1] - target)) < 1e-6
@@ -210,7 +215,7 @@ class TestRunSession:
         net = Network.star(9, center=0)
         rho = spectral_radius(net.adjacency)
         rate = P9.lam / P9.beta * rho
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.fixed(net))
+        pol = AgentPolicy(MYOPIC, LinkRule.fixed(net))
         rec = run_session(P9, pol, 60, seed=0)
         target = nash_efforts(P9, net).efforts.efforts
         errs2 = np.linalg.norm(rec.efforts - target[None, :], axis=1)
@@ -221,7 +226,7 @@ class TestRunSession:
 
         complete = Network.complete(9)
         rate_c = P9.lam / P9.beta * spectral_radius(complete.adjacency)
-        pol_c = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.fixed(complete))
+        pol_c = AgentPolicy(MYOPIC, LinkRule.fixed(complete))
         rec_c = run_session(P9, pol_c, 40, seed=0)
         target_c = nash_efforts(P9, complete).efforts.efforts
         errs_inf = np.max(np.abs(rec_c.efforts - target_c[None, :]), axis=1)
@@ -312,7 +317,7 @@ class TestRunSession:
             ), 3, seed=0)
 
     def test_rejects_bad_t(self):
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(1))
+        pol = AgentPolicy(MYOPIC, LinkRule.rank_top(1))
         with pytest.raises(ValueError):
             run_session(P5, pol, 0, seed=0)
 
@@ -320,20 +325,65 @@ class TestRunSession:
 class TestLinkRule:
     @pytest.mark.parametrize("k", [2.5, True, False, -1, None, "2"])
     def test_rank_top_needs_a_non_negative_integer(self, k):
-        with pytest.raises(ValueError, match="rank_top needs a non-negative integer cutoff k"):
+        with pytest.raises(ConfigError, match="^k: rank_top needs a non-negative integer cutoff k"):
             LinkRule.rank_top(k)
+
+    @pytest.mark.parametrize("kind", ["teleport", None, ["rank_top"]])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ConfigError, match="^kind: unknown link rule"):
+            LinkRule(kind=kind)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [None, (0.0, 0.0, 0.0, 0.0, 0.0), dataclasses.asdict(LOGIT_PRESETS["rank"])],
+        ids=["missing", "plain-tuple", "mapping"],
+    )
+    def test_logistic_needs_logistic_coefficients(self, coefficients):
+        with pytest.raises(ConfigError, match="^coefficients: expected LogisticCoefficients, got "):
+            LinkRule.logistic(coefficients)
+
+    def test_nan_coefficients_are_refused(self):
+        # a NaN logit would read as "never links" in `step_links`
+        with pytest.raises(ConfigError, match="^intercept: must be finite, got nan$"):
+            LinkRule.logistic(LogisticCoefficients(intercept=float("nan")))
+
+    def test_coefficients_are_stored_as_floats(self):
+        c = LogisticCoefficients(intercept=np.float64(-1), lagged_link=2)
+        assert all(type(getattr(c, f.name)) is float for f in dataclasses.fields(c))
+        assert c == LogisticCoefficients(-1.0, 2.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "targets,message",
+        [
+            (None, "targets: expected one row per agent, got None"),
+            (((), (), (-1,), (), ()), "targets[2]: expected non-negative integers, got (-1,)"),
+            (((), (-1, 7)), "targets[1]: expected non-negative integers, got (-1, 7)"),
+            (((1,), (2.0,)), "targets[1]: expected non-negative integers, got (2.0,)"),
+            (((1,), 3), "targets[1]: expected non-negative integers, got 3"),
+            (((1,), (), (2, 0, 2)), "targets[2]: names an agent twice"),
+        ],
+        ids=["missing", "negative", "negative-and-past-n", "float", "row-not-a-sequence",
+             "repeated"],
+    )
+    def test_fixed_targets_need_distinct_non_negative_integers(self, targets, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            LinkRule(kind="fixed_targets", targets=targets)
+
+    def test_targets_are_stored_as_tuples_of_ints(self):
+        rule = LinkRule(kind="fixed_targets", targets=[[np.int64(1)], [], (0, np.int64(3))])
+        assert rule.targets == ((1,), (), (0, 3))
+        assert all(type(j) is int for row in rule.targets for j in row)
 
     @pytest.mark.parametrize(
         "targets",
         [
-            ((), (), (-1,), (), ()),
             ((), (), (1, 7), (), ()),
             ((), (), (1,)),
         ],
-        ids=["negative", "past-n", "short"],
+        ids=["past-n", "short"],
     )
     def test_group_refuses_targets_outside_the_group(self, targets):
-        policies = [AgentPolicy(EffortRule.myopic_best_response(), LinkRule.best_response())] * 5
+        policies = [AgentPolicy(MYOPIC, LinkRule.best_response())] * 5
         policies[2] = policies[2]._replace(link_rule=LinkRule(kind="fixed_targets", targets=targets))
         message = f"agent 2: fixed_targets needs 5 rows of indices in 0..4, got {targets}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -342,13 +392,13 @@ class TestLinkRule:
             run_session(P5, policies, 3, seed=0)
 
     def test_rank_top_takes_numpy_integers(self):
-        policy = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(np.int64(2)))
+        policy = AgentPolicy(MYOPIC, LinkRule.rank_top(np.int64(2)))
         assert GroupRules([policy] * 5).rank_k.ravel().tolist() == [2] * 5
 
 
 class TestBatchRun:
     def test_seeds_offset_by_replication(self):
-        pol = AgentPolicy(EffortRule.myopic_best_response(), LinkRule.rank_top(2))
+        pol = AgentPolicy(MYOPIC, LinkRule.rank_top(2))
         recs = batch_run(P5, pol, 5, replications=3, base_seed=100)
         assert [r.seed for r in recs] == [100, 101, 102]
         assert [r.session_id for r in recs] == ["s100", "s101", "s102"]

@@ -257,16 +257,16 @@ def brute_min_max_orientation(network):
 class TestBalancedSponsorship:
     def test_complete_n5_two_each(self):
         sp = balanced_sponsorship(Network.complete(5))
-        assert list(sp.initiation_counts()) == [2] * 5
+        assert list(sp.matrix.sum(axis=1)) == [2] * 5
         assert not (sp.matrix & sp.matrix.T).any()
 
     def test_complete_n9_four_each(self):
         sp = balanced_sponsorship(Network.complete(9))
-        assert list(sp.initiation_counts()) == [4] * 9
+        assert list(sp.matrix.sum(axis=1)) == [4] * 9
 
     def test_star_periphery_sponsors(self):
         sp = balanced_sponsorship(Network.star(5, center=0))
-        counts = sp.initiation_counts()
+        counts = sp.matrix.sum(axis=1)
         assert counts[0] == 0
         assert list(counts[1:]) == [1, 1, 1, 1]
 
@@ -285,13 +285,13 @@ class TestBalancedSponsorship:
             sp = balanced_sponsorship(net)
             if net.link_count() == 0:
                 continue
-            assert int(sp.initiation_counts().max()) == brute_min_max_orientation(net)
+            assert int(sp.matrix.sum(axis=1).max()) == brute_min_max_orientation(net)
 
     def test_meets_hakimi_bound(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             net = random_network(rng, int(rng.integers(2, 12)), p=float(rng.uniform(0.1, 0.9)))
-            counts = balanced_sponsorship(net).initiation_counts()
+            counts = balanced_sponsorship(net).matrix.sum(axis=1)
             assert int(counts.max()) == oracle_least_max_sponsorship(net)
 
     def test_reverses_a_path_from_the_busiest_agent(self):
@@ -328,7 +328,7 @@ class TestEquilibriumPayoffs:
             rep = equilibrium_payoffs(p, net, nash_efforts(p, net).efforts)
             assert rep.per_agent[0] == pytest.approx(center_pay, abs=0.01)
             assert np.allclose(rep.per_agent[1:], peri_pay, atol=0.01)
-            assert rep.sponsorship.initiation_counts()[0] == 0
+            assert rep.sponsorship.matrix.sum(axis=1)[0] == 0
 
 
 class TestCostThresholds:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -138,6 +139,21 @@ class TestRecordRoundTrip:
         with pytest.raises(LqnetError, match="agent-period rows"):
             read_record(path)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("beta", 0, "params.beta must be positive, got 0.0"),
+         ("kappa", "nan", "params.kappa: must be finite, got 'nan'")],
+        ids=["range", "field"],
+    )
+    def test_bad_sidecar_params_named_in_full(self, tmp_path, key, value, message):
+        path = write_record(noisy_records(reps=1)[0], tmp_path)
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta["params"][key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(LqnetError, match=f"^{re.escape(f'{sidecar}: {message}')}$"):
+            read_record(path)
+
     def test_schema_version_checked(self, tmp_path):
         rec = noisy_records(reps=1)[0]
         path = write_record(rec, tmp_path)
@@ -241,6 +257,17 @@ class TestNeighborIdCheck:
 
         path, _ = _write_edited(tmp_path, duplicate)
         with pytest.raises(LqnetError, match="row 3: period 1 agent 1 appears twice"):
+            read_record(path)
+
+    def test_session_id_of_another_session_detected(self, tmp_path):
+        records = Path(__file__).resolve().parent / "golden" / "sessions_n9" / "records"
+        for suffix in (".csv", ".json"):
+            (tmp_path / f"s1{suffix}").write_bytes((records / f"s1{suffix}").read_bytes())
+        path = tmp_path / "s1.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] = b"zzz" + lines[2].removeprefix(b"s1")
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(LqnetError, match="^s1.csv row 3: session_id 'zzz' is not the sidecar's 's1'$"):
             read_record(path)
 
 
@@ -379,13 +406,31 @@ class TestScenarioLoading:
              "policy.effort.noise_sd: must be non-negative"),
             ("policy:\n  effort: {preset: N5_LowCost, initial: middle}\n  links: {kind: best_response}\n",
              "policy.effort.initial: expected a number"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n"
+             "  links: {kind: logistic, coefficients: {intercept: .nan}}\n",
+             "policy.links.coefficients.intercept: must be finite"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n"
+             "  links: {kind: logistic, odds_ratios: {intercept: 0.5, lagged_link: 0}}\n",
+             "policy.links.odds_ratios.lagged_link: must be positive"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n"
+             "  links: {kind: logistic, coefficients: {lagged_link: 1}}\n",
+             "policy.links.coefficients.intercept: required"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n  links: {kind: logistic}\n",
+             "policy.links: logistic rule needs preset, coefficients or odds_ratios"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n  links: {kind: logistic, preset: nope}\n",
+             "policy.links.preset: unknown preset 'nope'"),
+            ("policy:\n  effort: {preset: N5_LowCost}\n"
+             "  links: {kind: fixed_targets, targets: [[2], [1]]}\n",
+             "policy.links.targets: fixed_targets needs a list of 5 rows"),
         ],
         ids=[
             "policy.links.kind", "policy.links.k", "policy.effort.b1", "negative-k",
             "misspelled-effort-field", "preset-and-coefficient", "field-of-another-kind",
             "logistic-preset-and-coefficients", "coefficients-and-odds-ratios",
             "policy-and-policies", "misspelled-section", "unknown-effort-preset",
-            "negative-noise-sd", "initial-neither-number-nor-uniform",
+            "negative-noise-sd", "initial-neither-number-nor-uniform", "nan-coefficient",
+            "zero-odds-ratio", "no-intercept", "no-logistic-source", "unknown-logit-preset",
+            "too-few-target-rows",
         ],
     )
     def test_errors_carry_field_paths(self, tmp_path, body, fragment):

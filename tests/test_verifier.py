@@ -169,7 +169,7 @@ class TestNeSupportable:
         p = get_treatment("N5_HighCost").params
         report = ne_supportable(p, Network.star(5, center=0))
         assert report.supportable
-        counts = report.witness.intents.initiation_counts()
+        counts = report.witness.intents.matrix.sum(axis=1)
         assert counts[0] == 0 and list(counts[1:]) == [1, 1, 1, 1]
         assert verify_nash(p, report.witness).is_nash
 
