@@ -87,7 +87,9 @@ LOGIT_PRESETS: dict[str, LogisticCoefficients] = {
     ),
 }
 
-LINK_RULE_KINDS = ("best_response", "benefit_threshold", "rank_top", "logistic", "fixed_targets")
+#: each kind of link rule and the fields it takes besides ``kind``
+LINK_RULE_FIELDS = {"best_response": (), "benefit_threshold": (), "rank_top": ("k",),
+                    "logistic": ("coefficients",), "fixed_targets": ("targets",)}
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ class LinkRule:
 
     A ``rank_top`` rule needs a non-negative integer ``k``, a ``logistic`` rule
     `LogisticCoefficients`, and a ``fixed_targets`` rule a row of distinct 0-based
-    agent indices per agent, stored as tuples of ints (`GroupRules` checks them
-    against n); a field that is not raises `ConfigError` starting with its name."""
+    agent indices per agent, stored as tuples of ints (`GroupRules` checks them against
+    n); a field that is not, or one its kind does not take, raises `ConfigError`."""
 
     kind: str
     k: int | None = None
@@ -142,9 +144,12 @@ class LinkRule:
     targets: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in LINK_RULE_KINDS:
-            known = ", ".join(LINK_RULE_KINDS)
+        if not isinstance(self.kind, str) or self.kind not in LINK_RULE_FIELDS:
+            known = ", ".join(LINK_RULE_FIELDS)
             raise ConfigError(f"kind: unknown link rule {self.kind!r} (known: {known})")
+        for name in ("k", "coefficients", "targets"):
+            if name not in LINK_RULE_FIELDS[self.kind] and (value := getattr(self, name)) is not None:
+                raise ConfigError(f"{name}: a {self.kind} rule takes no {name}, got {value!r}")
         if self.kind == "rank_top" and not (is_int(self.k) and self.k >= 0):
             raise ConfigError(f"k: rank_top needs a non-negative integer cutoff k, got {self.k!r}")
         c, targets = self.coefficients, self.targets
@@ -195,9 +200,11 @@ class SessionRecord:
     ``payoffs`` derive from them, so a record cannot disagree with itself.
     Arrays are indexed [period, agent(, agent)] and read-only; payoff
     columns are (own_benefit, effort_cost, spillover, link_cost, total).
-    Efforts that are not finite numbers in the effort box, then intents with
-    a self-link, are refused, naming the first such period and agent (in
-    period, then agent order) 1-based, as the record files number them.
+    A ``session_id`` that cannot name files and start one CSV line (it is not
+    text, or holds a line break, ``/`` or NUL) raises `ConfigError`.  Efforts
+    that are not finite numbers in the effort box, then intents with a
+    self-link, are refused, naming the first such period and agent (in period,
+    then agent order) 1-based, as the record files number them.
     """
 
     session_id: str
@@ -207,6 +214,9 @@ class SessionRecord:
     efforts: np.ndarray
 
     def __post_init__(self) -> None:
+        sid = self.session_id
+        if not isinstance(sid, str) or not set(sid).isdisjoint("\r\n/\0"):
+            raise ConfigError(f"session_id: expected text without line breaks, '/' or NUL, got {sid!r}")
         n = self.params.n
         periods = self.efforts.shape[:1]  # (T,); () for a 0-d efforts array
         for name, shape in (("efforts", (*periods, n)), ("intents", (*periods, n, n))):

@@ -47,8 +47,8 @@ class GameParams:
     uncapped case can be approximated with a large `effort_max`.
     Every float field is stored as a finite float and ``n`` as an int; a
     field that is neither raises `ConfigError` starting with its key in
-    `PARAM_KEYS` (``lambda`` for ``lam``), and one out of range a
-    `ConfigError` naming it.
+    `PARAM_KEYS` (``lambda`` for ``lam``), and so does the `ConfigError` of
+    one out of range: ``lambda: must be positive, got 0.0``.
     """
 
     theta: float
@@ -70,18 +70,16 @@ class GameParams:
             else:
                 value = finite_float(key, raw)
             object.__setattr__(self, name, value)
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if not self.lam > 0:
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-        if self.kappa < 0:
-            raise ConfigError(f"kappa must be non-negative, got {self.kappa}")
-        if self.n < 2:
-            raise ConfigError(f"n must be at least 2, got {self.n}")
-        if not self.effort_min < self.effort_max:
-            raise ConfigError("effort_min must be strictly below effort_max")
+        for key, valid, rule in (
+            ("theta", self.theta > 0, "must be positive"),
+            ("beta", self.beta > 0, "must be positive"),
+            ("lambda", self.lam > 0, "must be positive"),
+            ("kappa", self.kappa >= 0, "must be non-negative"),
+            ("n", self.n >= 2, "must be at least 2"),
+            ("effort_min", self.effort_min < self.effort_max, "must be below effort_max"),
+        ):
+            if not valid:
+                raise ConfigError(f"{key}: {rule}, got {getattr(self, PARAM_FIELDS[key])}")
 
     def to_mapping(self) -> dict:
         """The parameters keyed by `PARAM_KEYS`, in that order."""

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    LINK_RULE_FIELDS,
     LOGIT_FIELDS,
     LOGIT_PRESETS,
     AgentPolicy,
@@ -66,18 +67,16 @@ def _id_cells(mask: np.ndarray) -> list[str]:
     return [":".join(compress(labels, row)) for row in mask.tolist()]
 
 
-def _ids_split(text: str, n: int, where: str) -> list[int]:
-    if not text:
-        return []
+def _ids_split(text: str, n: int) -> list[int]:
+    """The 0-based IDs of a 1-based ID-list cell such as "2:5"."""
     out = []
-    for part in text.split(":"):
+    for part in text.split(":") if text else ():
         try:
-            v = int(part)
+            out.append(int(part) - 1)
         except ValueError:
-            raise LqnetError(f"{where}: bad ID {part!r}") from None
-        if not (1 <= v <= n):
-            raise LqnetError(f"{where}: ID {v} out of range 1..{n}")
-        out.append(v - 1)
+            raise LqnetError(f"bad ID {part!r}") from None
+        if not 0 <= out[-1] < n:
+            raise LqnetError(f"ID {out[-1] + 1} out of range 1..{n}")
     return out
 
 
@@ -177,11 +176,10 @@ def load_network(spec: str, n: int | None = None) -> Network:
 # policy files
 # --------------------------------------------------------------------------
 
-#: the fields of an effort rule, and of each kind of link rule that has fields besides
-#: ``kind``; a link rule takes at most one of its fields, so a logistic rule has one source
+#: the fields of an effort rule, and the file keys of a link-rule kind besides its
+#: `LINK_RULE_FIELDS`; a link rule gives one of its fields, so logistic has one source
 EFFORT_FIELDS = ("preset", "b0", "b1", "b2", "noise_sd", "initial")
-LINK_FIELDS = {"rank_top": ("k",), "logistic": ("preset", "coefficients", "odds_ratios"),
-               "fixed_targets": ("targets",)}
+LINK_FIELDS = {"logistic": ("preset", "odds_ratios")}
 
 
 def _as_mapping(obj, path: str) -> dict:
@@ -199,7 +197,8 @@ def _fields(obj, path: str, known, *sources) -> dict:
         if key not in known:
             name = key if isinstance(key, str) and key.isprintable() else repr(key)
             raise ConfigError(f"{prefix}{name}: unknown field (known: {', '.join(known)})")
-    given = [next(k for k in src if k in obj) for src in sources if not obj.keys().isdisjoint(src)]
+    given = [next(k for k in obj if k in src) for src in sources if not obj.keys().isdisjoint(src)]
+    given.sort(key=list(obj).index)  # the later key in the file is the one refused
     if len(given) > 1:
         raise ConfigError(f"{prefix}{given[1]}: cannot be given with {prefix}{given[0]}")
     return obj
@@ -252,7 +251,7 @@ def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
 def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
     obj = _as_mapping(obj, path)
     kind = obj.get("kind")
-    fields = LINK_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+    fields = (*LINK_RULE_FIELDS.get(kind, ()), *LINK_FIELDS.get(kind, ())) if isinstance(kind, str) else ()
     if not fields:  # a kind without fields, or an unknown kind, which the type names first
         rule = _checked(path, lambda: LinkRule(kind))
         _fields(obj, path, ("kind",))
@@ -389,96 +388,88 @@ def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:
     return meta, _checked(f"{sidecar}: params", lambda: GameParams.from_mapping(raw))
 
 
-def _csv_rows(text: str, name: str):
-    """The CSV rows of ``text``, each with its 1-based number; a row the CSV
-    reader rejects (say, a field over its size limit) is an `LqnetError`
-    naming file ``name`` and the row."""
-    rownum = 0
+def _numbers(cells: tuple[str, ...], kind: type, name: str) -> np.ndarray:
+    """A column of file ``name``'s cells as an array of ``kind``, int or float; the
+    first cell that does not parse is an `LqnetError` naming its row."""
     try:
-        for rownum, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-            yield rownum, row
-    except csv.Error as exc:
-        raise LqnetError(f"{name} row {rownum + 1}: {exc}") from None
+        return np.array(cells, dtype=kind)
+    except (ValueError, OverflowError):
+        for rownum, cell in enumerate(cells, start=2):  # only a failed column, cell by cell
+            try:
+                np.array(cell, dtype=kind)
+            except (ValueError, OverflowError) as exc:
+                raise LqnetError(f"{name} row {rownum}: {exc}") from None
+        raise
 
 
 def read_record(csv_path: str | Path) -> SessionRecord:
     """Read a session back; the inverse of `write_record`, bit-exact.
 
-    The record is its efforts and initiated_ids; each row carries the sidecar's
-    session_id, and the rest of each row is checked against the record.  The checks
-    run in a fixed order, and the first that fails names its own first failing row
-    in a one-line error: initiated_ids repeat no ID (in file order); `SessionRecord`
-    refuses an effort that is not a finite number in the box, then initiated_ids that
-    name the agent itself (each in period, then agent order); neighbor_ids are the
-    realization of the intents, and the payoff cells match the record (each in file
-    order)."""
+    The record is its efforts and initiated_ids, and the rest of each row is checked
+    against it.  Each check names its first failing row (in file order unless noted) in
+    a one-line error, and they run in this order: each row starts with the sidecar's
+    session_id as `write_record` writes it, and holds 11 fields, as no other field is
+    quoted; there are periods x n rows; period, agent, effort and the payoff cells parse
+    as numbers (column by column); each (period, agent) is in range and appears once;
+    the ID cells hold IDs in 1..n; initiated_ids repeat no ID; `SessionRecord` refuses
+    an effort that is not a finite number in the box, then initiated_ids that name the
+    agent itself (each in period, then agent order); neighbor_ids are the realization of
+    the intents; the payoff cells match the record.  Lines may end in CRLF or LF."""
     csv_path = Path(csv_path)
     # the sidecar `write_record` wrote beside it, also for the session ID ""
     meta, params = _read_sidecar(csv_path.with_name(csv_path.name.removesuffix(".csv") + ".json"))
-    T = meta["periods"]
-    n = params.n
-    session_id = str(meta["session_id"])
-    seen: dict[tuple[int, int], None] = {}  # (period, agent) of each row, in file order
-    values: list[tuple[float, ...]] = []  # effort, then the payoff cells
-    cells: list[list[str]] = []  # initiated_ids and neighbor_ids text of each row
-    parsed: dict[str, list[int]] = {}  # each distinct ID-cell text, parsed at its first row
-    name = csv_path.name
-    rows = _csv_rows(_read_text(csv_path, "record file", LqnetError), name)
-    header = next(rows, (1, None))[1]
-    if header != CSV_COLUMNS:
-        raise LqnetError(f"{csv_path}: unexpected header {header}")
-    for rownum, row in rows:
-        where = f"{name} row {rownum}"
-        if len(row) != len(CSV_COLUMNS):
-            raise LqnetError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        if row[0] != session_id:
-            raise LqnetError(f"{where}: session_id {row[0]!r} is not the sidecar's {session_id!r}")
+    T, n, name, session_id = meta["periods"], params.n, csv_path.name, str(meta["session_id"])
+    # text mode reads CRLF as LF; only the last line end is dropped, so a blank line is a row
+    header, *rows = _read_text(csv_path, "record file", LqnetError).removesuffix("\n").split("\n")
+    if header != ",".join(CSV_COLUMNS):
+        raise LqnetError(f"{csv_path}: unexpected header {header!r}")
+
+    def first(bad) -> int | None:  # the first row flagged in ``bad``, rows in file order
+        bad = np.asarray(bad, dtype=bool)
+        return int(np.argmax(bad)) if bad.any() else None
+
+    prefix = _csv_field(session_id) + ","
+    if (k := first([not row.startswith(prefix) for row in rows])) is not None:
+        cell = rows[k].split(",", 1)[0]
+        raise LqnetError(f"{name} row {k + 2}: session_id {cell!r} is not the sidecar's {session_id!r}")
+    cells = [row[len(prefix):].split(",") for row in rows]
+    if (k := first([len(rest) != len(CSV_COLUMNS) - 1 for rest in cells])) is not None:
+        got = len(cells[k]) + 1
+        raise LqnetError(f"{name} row {k + 2}: expected {len(CSV_COLUMNS)} fields, got {got}")
+    if len(rows) != T * n:
+        raise LqnetError(f"{csv_path}: expected {T * n} agent-period rows, found {len(rows)}")
+    period, agent, effort, initiated, claimed, *payoff = zip(*cells)
+    t, i = _numbers(period, int, name) - 1, _numbers(agent, int, name) - 1
+    columns = np.stack([_numbers(column, float, name) for column in (effort, *payoff)], axis=1)
+    if (k := first((t < 0) | (t >= T) | (i < 0) | (i >= n))) is not None:
+        raise LqnetError(f"{name} row {k + 2}: period/agent out of range")
+    repeat = np.ones(len(rows), dtype=bool)
+    repeat[np.unique(t * n + i, return_index=True)[1]] = False  # each (period, agent)'s first row
+    if (k := first(repeat)) is not None:
+        raise LqnetError(f"{name} row {k + 2}: period {t[k] + 1} agent {i[k] + 1} appears twice")
+    id_cells = list(chain.from_iterable(zip(initiated, claimed)))
+    parsed = dict.fromkeys(id_cells)  # each distinct ID cell, in file order, parsed once
+    for text in parsed:
         try:
-            t = int(row[1]) - 1
-            i = int(row[2]) - 1
-            values.append((float(row[3]), *map(float, row[6:11])))
-        except ValueError as exc:
-            raise LqnetError(f"{where}: {exc}") from None
-        if not (0 <= t < T and 0 <= i < n):
-            raise LqnetError(f"{where}: period/agent out of range")
-        if (t, i) in seen:
-            raise LqnetError(f"{where}: period {t + 1} agent {i + 1} appears twice")
-        seen[t, i] = None
-        for text in row[4:6]:
-            if text not in parsed:
-                parsed[text] = _ids_split(text, n, where)
-        cells.append(row[4:6])
-    if len(seen) != T * n:
-        raise LqnetError(
-            f"{csv_path}: expected {T * n} agent-period rows, found {len(seen)}"
-        )
-    t, i = np.fromiter(chain.from_iterable(seen), np.int64, count=2 * len(seen)).reshape(-1, 2).T
-    columns = np.fromiter(chain.from_iterable(values), float, count=6 * len(values)).reshape(-1, 6)
+            parsed[text] = _ids_split(text, n)
+        except LqnetError as exc:
+            raise LqnetError(f"{name} row {id_cells.index(text) // 2 + 2}: {exc}") from None
 
     def reject(bad: np.ndarray, what: str) -> None:
-        """Raise naming the first row flagged in ``bad`` (rows in file order)."""
-        if bad.any():
-            k = int(np.argmax(bad))
+        if (k := first(bad)) is not None:
             raise LqnetError(f"{csv_path}: period {t[k] + 1} agent {i[k] + 1}: {what}")
 
     efforts = np.zeros((T, n), dtype=float)
     efforts[t, i] = columns[:, 0]
-    initiated, claimed = ([parsed[text] for text in column] for column in zip(*cells))
-    intents, initiated_counts = _id_mask(t, i, initiated, T, n)
+    intents, initiated_counts = _id_mask(t, i, [parsed[text] for text in initiated], T, n)
     # a repeated ID leaves the mask equal but the count too large
     reject(initiated_counts != intents.sum(axis=2)[t, i], "initiated_ids name an agent twice")
     try:
-        record = SessionRecord(
-            session_id=session_id,
-            params=params,
-            seed=meta["seed"],
-            intents=intents,
-            efforts=efforts,
-        )
+        record = SessionRecord(session_id, params, meta["seed"], intents=intents, efforts=efforts)
     except LqnetError as exc:
         raise LqnetError(f"{csv_path}: {exc}") from None
     networks = record.networks
-    claims, claim_counts = _id_mask(t, i, claimed, T, n)
+    claims, claim_counts = _id_mask(t, i, [parsed[text] for text in claimed], T, n)
     reject(
         (claims != networks).any(axis=2)[t, i] | (claim_counts != networks.sum(axis=2)[t, i]),
         "neighbor_ids do not match the realization of the stored intents",

@@ -538,7 +538,7 @@ class TestBadInputFiles:
         [
             ('{"format_version": 1,', "s7.json: malformed JSON"),
             (json.dumps(_sidecar_meta(**{"params.effort_min": DELETE})), "s7.json: params.effort_min: required"),
-            (json.dumps(_sidecar_meta(**{"params.beta": 0})), "s7.json: params.beta must be positive"),
+            (json.dumps(_sidecar_meta(**{"params.beta": 0})), "s7.json: params.beta: must be positive"),
             (json.dumps(_sidecar_meta(periods="12")), "s7.json: periods: bad value"),
             (json.dumps([]), "s7.json: expected a mapping"),
         ],
@@ -552,7 +552,7 @@ class TestBadInputFiles:
         assert fragment in err
 
     def test_oversized_record_field_is_one_error_line(self, capsys, tmp_path):
-        # a field past the CSV reader's 131,072-character limit on the third data row
+        # a 200,000-character quoted field appended to the third data row
         rec = _record_dir(tmp_path, GOLDEN_RECORD.with_suffix(".json").read_text())
         csv_path = rec / GOLDEN_RECORD.name
         lines = csv_path.read_text().splitlines(keepends=True)
@@ -561,7 +561,7 @@ class TestBadInputFiles:
         code, out, err = run_cli(capsys, *_analyze_argv(rec))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: s7.csv row 4: field larger than field limit")
+        assert err == "error: s7.csv row 4: expected 11 fields, got 12\n"
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

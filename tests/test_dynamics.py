@@ -6,7 +6,7 @@ import pytest
 
 from lqnet.dynamics import (
     EFFORT_PRESETS,
-    LINK_RULE_KINDS,
+    LINK_RULE_FIELDS,
     LOGIT_PRESETS,
     AgentPolicy,
     EffortRule,
@@ -391,6 +391,21 @@ class TestLinkRule:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_session(P5, policies, 3, seed=0)
 
+    @pytest.mark.parametrize(
+        "kind,given,message",
+        [
+            ("best_response", {"k": -5}, "k: a best_response rule takes no k, got -5"),
+            ("rank_top", {"k": 2, "targets": "junk"},
+             "targets: a rank_top rule takes no targets, got 'junk'"),
+            ("fixed_targets", {"targets": ((1,), (0,)), "coefficients": LOGIT_PRESETS["rank"]},
+             f"coefficients: a fixed_targets rule takes no coefficients, got {LOGIT_PRESETS['rank']!r}"),
+        ],
+        ids=["k-on-best_response", "targets-on-rank_top", "coefficients-on-fixed_targets"],
+    )
+    def test_field_of_another_kind_is_refused(self, kind, given, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            LinkRule(kind, **given)
+
     def test_rank_top_takes_numpy_integers(self):
         policy = AgentPolicy(MYOPIC, LinkRule.rank_top(np.int64(2)))
         assert GroupRules([policy] * 5).rank_k.ravel().tolist() == [2] * 5
@@ -453,6 +468,12 @@ class TestSessionRecord:
             SessionRecord(session_id="x", params=P5, seed=0,
                           intents=np.zeros((3, 5, 5), dtype=bool), efforts=efforts)
 
+    @pytest.mark.parametrize("session_id", [7, None, b"s1", "a/b", "../x", "a\nb", "a\r", "a\0b"])
+    def test_rejects_a_session_id_that_cannot_name_its_files(self, session_id):
+        with pytest.raises(ConfigError, match="^session_id: expected text without line breaks"):
+            SessionRecord(session_id=session_id, params=P5, seed=0,
+                          intents=np.zeros((2, 5, 5), dtype=bool), efforts=np.full((2, 5), 2.0))
+
     @pytest.mark.parametrize("T_intents", [2, 4])
     def test_rejects_decisions_of_different_lengths(self, T_intents):
         with pytest.raises(DimensionMismatchError, match="intents has shape"):
@@ -475,7 +496,7 @@ def policy_mix(n, seed):
     offset = int(rng.integers(5))
     policies = []
     for i in range(n):
-        kind = LINK_RULE_KINDS[(offset + i) % 5]
+        kind = list(LINK_RULE_FIELDS)[(offset + i) % 5]
         if kind == "rank_top":
             links = LinkRule.rank_top(int(rng.integers(0, n + 1)))
         elif kind == "logistic":
@@ -544,7 +565,7 @@ class TestBatchedMatchesPerAgent:
             noise |= {p.effort_rule.noise_sd > 0 for p in policies}
             x0 = {p.effort_rule.initial_effort for p in policies}
             ties += x0 == {4.0} and any(p.link_rule.kind == "rank_top" for p in policies)
-        assert kinds == set(LINK_RULE_KINDS)
+        assert kinds == set(LINK_RULE_FIELDS)
         assert starts == {type(None), str, float}
         assert noise == {True, False}
         assert ties >= 5

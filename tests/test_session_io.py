@@ -25,6 +25,7 @@ from lqnet.session_io import (
 from helpers import oracle_write_csv
 
 P5 = get_treatment("N5_LowCost").params
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def noisy_records(reps=2, T=12, seed=31):
@@ -81,7 +82,8 @@ class TestRecordRoundTrip:
         assert type(back.params.n) is int and back.params == P5
 
     @pytest.mark.parametrize(
-        "n,T,session_id", [(5, 12, "s31"), (2, 1, "a,b"), (12, 7, 'q"x'), (3, 2, "")]
+        "n,T,session_id",
+        [(5, 12, "s31"), (2, 1, "a,b"), (12, 7, 'q"x'), (3, 2, ""), (4, 3, "a\u2028b")],
     )
     def test_csv_bytes_match_row_by_row_writer(self, tmp_path, n, T, session_id):
         params = GameParams.from_mapping({**P5.to_mapping(), "n": n})
@@ -94,7 +96,26 @@ class TestRecordRoundTrip:
         path = write_record(rec, tmp_path)
         oracle_write_csv(rec, tmp_path / "oracle.csv")
         assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        assert np.array_equal(read_record(path).payoffs, rec.payoffs)
+        back = read_record(path)
+        assert back.session_id == session_id
+        assert np.array_equal(back.payoffs, rec.payoffs)
+
+    @pytest.mark.parametrize(
+        "path", sorted(GOLDEN.glob("sessions_*/records/*.csv")),
+        ids=lambda p: f"{p.parent.parent.name}-{p.stem}",
+    )
+    def test_crlf_and_lf_line_ends_read_alike(self, tmp_path, path):
+        data = path.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") > 1  # written with CRLF
+        back = {}
+        for end, body in (("crlf", data), ("lf", data.replace(b"\r\n", b"\n"))):
+            (tmp_path / end).mkdir()
+            (tmp_path / end / path.name).write_bytes(body)
+            (tmp_path / end / path.with_suffix(".json").name).write_bytes(
+                path.with_suffix(".json").read_bytes())
+            back[end] = read_record(tmp_path / end / path.name)
+        for name in ("efforts", "intents", "payoffs"):
+            assert getattr(back["crlf"], name).tobytes() == getattr(back["lf"], name).tobytes()
 
     def test_read_records_sorted(self, tmp_path):
         recs = noisy_records(reps=3)
@@ -141,9 +162,10 @@ class TestRecordRoundTrip:
 
     @pytest.mark.parametrize(
         "key,value,message",
-        [("beta", 0, "params.beta must be positive, got 0.0"),
+        [("beta", 0, "params.beta: must be positive, got 0.0"),
+         ("lambda", 0, "params.lambda: must be positive, got 0.0"),
          ("kappa", "nan", "params.kappa: must be finite, got 'nan'")],
-        ids=["range", "field"],
+        ids=["range", "range-lambda", "field"],
     )
     def test_bad_sidecar_params_named_in_full(self, tmp_path, key, value, message):
         path = write_record(noisy_records(reps=1)[0], tmp_path)
@@ -260,7 +282,7 @@ class TestNeighborIdCheck:
             read_record(path)
 
     def test_session_id_of_another_session_detected(self, tmp_path):
-        records = Path(__file__).resolve().parent / "golden" / "sessions_n9" / "records"
+        records = GOLDEN / "sessions_n9" / "records"
         for suffix in (".csv", ".json"):
             (tmp_path / f"s1{suffix}").write_bytes((records / f"s1{suffix}").read_bytes())
         path = tmp_path / "s1.csv"
@@ -268,6 +290,64 @@ class TestNeighborIdCheck:
         lines[2] = b"zzz" + lines[2].removeprefix(b"s1")
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(LqnetError, match="^s1.csv row 3: session_id 'zzz' is not the sidecar's 's1'$"):
+            read_record(path)
+
+
+class TestRowFormat:
+    """`read_record` splits each row itself: the sidecar's ID as written, then 10 plain cells."""
+
+    @pytest.mark.parametrize(
+        "column,cell,message",
+        [
+            (1, '"1"', """invalid literal for int() with base 10: '"1"'"""),
+            (3, '"2.5"', """could not convert string to float: '"2.5"'"""),
+            (8, "", "could not convert string to float: ''"),
+            (2, "6", "period/agent out of range"),
+            (4, "1,2", "expected 11 fields, got 12"),
+        ],
+        ids=["quoted-period", "quoted-effort", "empty-payoff", "agent-6", "comma-in-ids"],
+    )
+    def test_bad_cell_names_the_row(self, tmp_path, column, cell, message):
+        def put(rows):
+            rows[2][column] = cell
+
+        path, _ = _write_edited(tmp_path, put)
+        with pytest.raises(LqnetError, match=f"^s31.csv row 4: {re.escape(message)}$"):
+            read_record(path)
+
+    def test_row_checks_run_in_the_stated_order(self, tmp_path):
+        def put(rows):
+            rows[0][3] = "x"  # row 2: an effort that does not parse
+            rows[5].append("")  # row 7: a field too many, refused first
+            rows[9][0] = "zzz"  # row 11: another session's row, refused before both
+
+        path, _ = _write_edited(tmp_path, put)
+        with pytest.raises(LqnetError, match="^s31.csv row 11: session_id 'zzz'"):
+            read_record(path)
+        path.write_text(path.read_text().replace("zzz,", "s31,"))
+        with pytest.raises(LqnetError, match="^s31.csv row 7: expected 11 fields, got 12$"):
+            read_record(path)
+
+    @pytest.mark.parametrize(
+        "session_id,field,message",
+        [
+            ("a/b", "a/b", "{path}: session_id: expected text without line breaks, '/' or NUL, "
+                           "got 'a/b'"),
+            ("a\0b", "a\0b", "{path}: session_id: expected text without line breaks, '/' or NUL, "
+                             "got 'a\\x00b'"),
+            ("a\nb", '"a\nb"', """s31.csv row 2: session_id '"a' is not the sidecar's 'a\\nb'"""),
+        ],
+        ids=["slash", "nul", "line-break"],
+    )
+    def test_session_id_the_record_refuses(self, tmp_path, session_id, field, message):
+        # each row starts with the ID as a writer that took it would write it
+        path = write_record(noisy_records(reps=1)[0], tmp_path)
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta["session_id"] = session_id
+        sidecar.write_text(json.dumps(meta))
+        path.write_text(path.read_text().replace("\ns31,", f"\n{field},"))
+        with pytest.raises(LqnetError, match=f"^{re.escape(message.format(path=path))}$"):
             read_record(path)
 
 
