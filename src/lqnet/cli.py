@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, equilibria, session_io, structure, verifier
-from .dynamics import batch_run
+from . import analysis, dynamics, equilibria, files, session_io, structure, verifier
 from .errors import LqnetError
 from .model import get_treatment
 
@@ -64,7 +63,7 @@ def _clean(value):
 def _cmd_solve(args) -> int:
     treatment = get_treatment(args.treatment)
     params = treatment.params
-    network = session_io.load_network(args.network, n=params.n)
+    network = files.load_network(args.network, n=params.n)
     solution = (
         equilibria.efficient_efforts(params, network)
         if args.efficient
@@ -90,7 +89,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     treatment = get_treatment(args.treatment)
-    profile = session_io.profile_from_obj(session_io.read_json(args.profile, "profile"))
+    profile = files.profile_from_obj(files.read_json(args.profile, "profile"))
     report = verifier.verify_nash(treatment.params, profile)
     worst = None
     if report.worst_deviation is not None:
@@ -120,14 +119,14 @@ def _cmd_enumerate(args) -> int:
     entries = []
     for rep in reports:
         entry = {
-            "edges": session_io.network_to_obj(rep.network)["edges"],
+            "edges": files.network_to_obj(rep.network)["edges"],
             "links": rep.network.link_count(),
             "label": structure.classify(rep.network).label,
             "supportable": rep.supportable,
             "orientations_tried": rep.orientations_tried,
         }
         if rep.witness is not None:
-            entry["witness"] = session_io.profile_to_obj(rep.witness)
+            entry["witness"] = files.profile_to_obj(rep.witness)
         entries.append(entry)
     supportable = sorted(
         {e["label"] for e in entries if e["supportable"]}
@@ -145,7 +144,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    network = session_io.load_network(args.network, n=args.n)
+    network = files.load_network(args.network, n=args.n)
     label = structure.classify(network)
     _emit(
         _clean(
@@ -172,7 +171,7 @@ def _cmd_simulate(args) -> int:
     treatment = get_treatment(args.treatment)
     params = treatment.params
     policies = session_io.load_policies(args.policy, params.n)
-    records = batch_run(params, policies, args.periods, args.reps, args.seed)
+    records = dynamics.batch_run(params, policies, args.periods, args.reps, args.seed)
     out_dir = Path(args.out)
     paths = [session_io.write_record(rec, out_dir) for rec in records]
     _emit(
@@ -223,7 +222,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _write_summary_csv(summary: analysis.TreatmentSummary, path: Path) -> None:
+def _write_summary_csv(summary: "analysis.TreatmentSummary", path: Path) -> None:
     import csv as _csv
 
     path.parent.mkdir(parents=True, exist_ok=True)

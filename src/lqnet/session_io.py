@@ -1,4 +1,4 @@
-"""File formats, policy files, and record persistence.
+"""Policy files and session-record persistence (network and profile files: `files`).
 
 All on-disk formats use 1-based agent IDs (matching the feedback screens
 of the original interface); everything in memory is 0-based.  Session
@@ -26,19 +26,10 @@ from .dynamics import (
     SessionRecord,
 )
 from .errors import ConfigError, LqnetError, SchemaVersionError
-from .model import (
-    PARAM_KEYS,
-    EffortProfile,
-    GameParams,
-    IntentProfile,
-    Network,
-    StrategyProfile,
-    is_int,
-)
+from .files import _as_mapping, _fields, _read_text, read_json
+from .model import PARAM_KEYS, GameParams, is_int
 
 FORMAT_VERSION = 1
-#: largest group size a network or profile may declare; bounds the n x n arrays
-MAX_FILE_N = 1000
 #: the analysis summary ``lqnet analyze`` writes into a record directory
 SUMMARY_CSV = "summary.csv"
 
@@ -81,98 +72,6 @@ def _ids_split(text: str, n: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# network / profile JSON
-# --------------------------------------------------------------------------
-
-def _group_size(n, what: str) -> int:
-    if not is_int(n) or not 2 <= n <= MAX_FILE_N:
-        raise LqnetError(f"{what}: group size must be an integer in 2..{MAX_FILE_N}, got {n!r}")
-    return n
-
-
-def _id_pairs(obj: dict, key: str, n: int) -> list[tuple[int, int]]:
-    """The 1-based ``[i, j]`` pairs under ``obj[key]`` as 0-based tuples."""
-    raw = obj.get(key, [])
-    if not isinstance(raw, list):
-        raise LqnetError(f"{key}: expected a list of [i, j] pairs, got {type(raw).__name__}")
-    pairs = []
-    for pair in raw:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_int, pair))):
-            raise LqnetError(f"{key}: bad pair {pair!r}; expected two integer IDs")
-        i, j = pair
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise LqnetError(f"{key}: bad pair {[i, j]} for n={n}")
-        pairs.append((i - 1, j - 1))
-    return pairs
-
-
-def _object_size(obj, what: str, known) -> int:
-    """Group size ``n`` of a network or profile object whose keys are all ``known``."""
-    return _group_size(_fields(obj, what, known).get("n"), f"{what}.n")
-
-
-def network_to_obj(network: Network) -> dict:
-    return {"n": network.n, "edges": [[i + 1, j + 1] for i, j in network.edges()]}
-
-
-def network_from_obj(obj: dict) -> Network:
-    n = _object_size(obj, "network", ("n", "edges"))
-    return Network.from_edges(n, _id_pairs(obj, "edges", n))
-
-
-def profile_to_obj(profile: StrategyProfile) -> dict:
-    return {
-        "n": profile.n,
-        "efforts": [float(x) for x in profile.efforts.efforts],
-        "intents": [[i + 1, j + 1] for i, j in profile.intents.pairs()],
-    }
-
-
-def profile_from_obj(obj: dict) -> StrategyProfile:
-    n = _object_size(obj, "profile", ("n", "efforts", "intents"))
-    try:
-        efforts = np.array(obj.get("efforts"), dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        efforts = None
-    if efforts is None or efforts.shape != (n,) or not np.isfinite(efforts).all():
-        raise LqnetError(f"profile efforts must be a list of n={n} finite numbers")
-    intents = IntentProfile.from_pairs(n, _id_pairs(obj, "intents", n))
-    return StrategyProfile(EffortProfile(efforts), intents)
-
-
-def _read_text(path: str | Path, what: str, error: type[LqnetError]) -> str:
-    """Text of the file at ``path``; a failed read raises one-line ``error``
-    naming the file as ``what``."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise error(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise error(f"{path}: cannot read {what}: not UTF-8 text") from None
-
-
-def read_json(path: str, what: str):
-    """Parse the JSON file at ``path``; ``what`` names the file in errors."""
-    text = _read_text(path, f"{what} file", LqnetError)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LqnetError(f"{path}: malformed JSON: {exc}") from None
-
-
-def load_network(spec: str, n: int | None = None) -> Network:
-    """Resolve a network argument: a named architecture or a JSON file path."""
-    name = spec.strip().lower()
-    if name in ("empty", "star", "complete"):
-        if n is None:
-            raise LqnetError(f"named network {name!r} needs a group size")
-        return getattr(Network, name)(_group_size(n, f"network {name!r}"))
-    return network_from_obj(read_json(spec, "network"))
-
-
-# --------------------------------------------------------------------------
 # policy files
 # --------------------------------------------------------------------------
 
@@ -180,28 +79,6 @@ def load_network(spec: str, n: int | None = None) -> Network:
 #: `LINK_RULE_FIELDS`; a link rule gives one of its fields, so logistic has one source
 EFFORT_FIELDS = ("preset", "b0", "b1", "b2", "noise_sd", "initial")
 LINK_FIELDS = {"logistic": ("preset", "odds_ratios")}
-
-
-def _as_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
-    return obj
-
-
-def _fields(obj, path: str, known, *sources) -> dict:
-    """``obj`` as a mapping whose keys are all ``known`` and that gives keys of at
-    most one of the ``sources``; a `ConfigError` names the first field that is not."""
-    obj = _as_mapping(obj, path)
-    prefix = f"{path}." if path else ""
-    for key in obj:
-        if key not in known:
-            name = key if isinstance(key, str) and key.isprintable() else repr(key)
-            raise ConfigError(f"{prefix}{name}: unknown field (known: {', '.join(known)})")
-    given = [next(k for k in obj if k in src) for src in sources if not obj.keys().isdisjoint(src)]
-    given.sort(key=list(obj).index)  # the later key in the file is the one refused
-    if len(given) > 1:
-        raise ConfigError(f"{prefix}{given[1]}: cannot be given with {prefix}{given[0]}")
-    return obj
 
 
 def _checked(path: str, build):
@@ -279,20 +156,10 @@ def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
 
 
 def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
-    """Agent policies for a group of ``n`` from a policy file (YAML, or JSON as a
-    YAML subset): a shared `policy` section or a per-agent `policies` list."""
-    import yaml
-
+    """Agent policies for a group of ``n`` from a policy file (JSON if its name ends
+    in ``.json``, else YAML): a shared `policy` section or a per-agent `policies` list."""
     p = Path(path)
-    text = _read_text(p, "file", ConfigError)
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        # PyYAML's message quotes the offending lines; keep the position and the problem
-        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-        detail = problem or str(exc).partition("\n")[0]
-        raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
+    data = _policy_data(p, _read_text(p, "file", ConfigError))
     _fields(_as_mapping(data, str(p)), "", ("policy", "policies", "effort", "links"),
             ("policy",), ("policies",), ("effort", "links"))
     if "policies" in data:
@@ -302,6 +169,26 @@ def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
         return [_parse_policy(entry, f"policies[{k}]", n) for k, entry in enumerate(raw)]
     # a shared policy, in a `policy` section or at the top level
     return [_parse_policy(data.get("policy", data), "policy", n)] * n
+
+
+def _policy_data(p: Path, text: str):
+    """A policy file's text as JSON if ``p`` ends in ``.json``, else as YAML (not a JSON superset)."""
+    if p.suffix.lower() == ".json":
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            where = f"line {exc.lineno}, column {exc.colno}"
+            raise ConfigError(f"{p}: malformed file: {where}: {exc.msg}") from None
+    import yaml  # only a YAML policy pays for its import
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # PyYAML's message quotes the offending lines; keep the position and the problem
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        detail = problem or str(exc).partition("\n")[0]
+        raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
 
 
 # --------------------------------------------------------------------------
@@ -413,8 +300,9 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     as numbers (column by column); each (period, agent) is in range and appears once;
     the ID cells hold IDs in 1..n; initiated_ids repeat no ID; `SessionRecord` refuses
     an effort that is not a finite number in the box, then initiated_ids that name the
-    agent itself (each in period, then agent order); neighbor_ids are the realization of
-    the intents; the payoff cells match the record.  Lines may end in CRLF or LF."""
+    agent itself (each in period, then agent order); the file is named session_id plus
+    ``.csv``; neighbor_ids are the realization of the intents; the payoff cells match
+    the record.  Lines may end in CRLF or LF."""
     csv_path = Path(csv_path)
     # the sidecar `write_record` wrote beside it, also for the session ID ""
     meta, params = _read_sidecar(csv_path.with_name(csv_path.name.removesuffix(".csv") + ".json"))
@@ -468,6 +356,8 @@ def read_record(csv_path: str | Path) -> SessionRecord:
         record = SessionRecord(session_id, params, meta["seed"], intents=intents, efforts=efforts)
     except LqnetError as exc:
         raise LqnetError(f"{csv_path}: {exc}") from None
+    if name != f"{session_id}.csv":  # as `write_record` names it, so no two files share an ID
+        raise LqnetError(f"{csv_path}: the sidecar's session_id {session_id!r} does not name this file")
     networks = record.networks
     claims, claim_counts = _id_mask(t, i, [parsed[text] for text in claimed], T, n)
     reject(

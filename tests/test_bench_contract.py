@@ -5,7 +5,8 @@
 ``kernels.backend_name``; deleting or renaming any of them breaks the
 benchmark, not a test of the package.  The tracer is loaded from its file,
 as it stands.  The harness times each command as a cold process, so what a
-bare ``import lqnet.cli`` loads is part of the contract too.
+bare ``import lqnet.cli`` registers in ``sys.modules``, and which modules each
+command then runs, is part of the contract too.
 """
 
 import dataclasses
@@ -19,11 +20,11 @@ from pathlib import Path
 
 import pytest
 
-import lqnet.cli  # noqa: F401  (imports every module the tracer wraps)
+import lqnet.cli  # noqa: F401  (registers every module the tracer wraps)
 
-_spec = importlib.util.spec_from_file_location(
-    "lqbench_tracer", Path(__file__).resolve().parent.parent / "lqbench" / "tracer.py"
-)
+TRACER = Path(__file__).resolve().parent.parent / "lqbench" / "tracer.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("lqbench_tracer", TRACER)
 tracer_module = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer_module)
 
@@ -103,13 +104,17 @@ def test_traced_sessions_round_prints_what_an_untraced_one_prints(tmp_path, caps
     assert metrics["session_io.write_record.calls"] == metrics["session_io.read_record.calls"] == 3
 
 
-def _fresh_modules(code: str) -> set[str]:
-    """Names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
-    src = Path(lqnet.cli.__file__).resolve().parent.parent
+_ENV = dict(os.environ, PYTHONPATH=str(Path(lqnet.cli.__file__).resolve().parent.parent))
+#: the lqnet modules whose source has run; a lazily registered one is another type
+_RAN = "(k for k, m in sys.modules.items() if k.startswith('lqnet') and type(m) is types.ModuleType)"
+
+
+def _fresh_modules(code: str, names: str = "sys.modules") -> set[str]:
+    """The ``names`` (by default every name in ``sys.modules``) after running ``code``
+    in a fresh interpreter."""
     out = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules, file=sys.stderr)"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", f"{code}\nimport sys, types; print(*{names}, file=sys.stderr)"],
+        env=_ENV, capture_output=True, text=True, check=True,
     ).stderr
     return set(out.split())
 
@@ -137,6 +142,79 @@ def test_cold_support_command_does_not_load_numpy_ma(command):
     )
     assert "lqnet.verifier" in modules
     assert "numpy.ma" not in modules
+
+
+def test_lazy_submodules_are_all_but_model_errors_and_cli():
+    submodules = {info.name for info in pkgutil.iter_modules(lqnet.__path__)}
+    assert sorted(lqnet._LAZY_SUBMODULES) == sorted(submodules - {"model", "errors", "cli"})
+
+
+_ALWAYS = {"lqnet", "lqnet.cli", "lqnet.errors", "lqnet.model"}
+
+
+@pytest.mark.parametrize(
+    "argv,ran",
+    [
+        (None, set()),
+        (["solve", "--treatment", "N5_HighCost", "--network", "star"], {"files", "equilibria", "kernels"}),
+        (["verify", "--treatment", "N5_HighCost", "--profile", str(GOLDEN / "profiles" / "tied.json")],
+         {"files", "verifier", "equilibria", "kernels"}),
+        (["enumerate", "--treatment", "N5_HighCost"],
+         {"files", "verifier", "equilibria", "kernels", "structure"}),
+        (["classify", "--network", "star", "--n", "5"], {"files", "structure"}),
+        (["simulate", "--treatment", "N9_HighCost", "--policy", str(GOLDEN / "sessions_n9" / "policy.yaml"),
+          "--periods", "3", "--out", "{tmp}"], {"files", "session_io", "dynamics"}),
+        (["analyze", "--in", str(GOLDEN / "sessions_n9" / "records"), "--treatment", "N9_HighCost",
+          "--csv", "{tmp}/summary.csv"],
+         {"files", "session_io", "dynamics", "analysis", "equilibria", "kernels", "structure"}),
+        (["thresholds", "--treatment", "N5_HighCost"], {"verifier", "equilibria", "kernels", "structure"}),
+    ],
+    ids=["import", "solve", "verify", "enumerate", "classify", "simulate", "analyze", "thresholds"],
+)
+def test_each_command_runs_only_its_modules(tmp_path, argv, ran):
+    code = "import lqnet.cli"
+    if argv is not None:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code += f"\nassert lqnet.cli.main({argv!r}) == 0"
+    assert _fresh_modules(code, _RAN) == _ALWAYS | {f"lqnet.{name}" for name in ran}
+
+
+def test_tracer_installs_on_a_bare_cli_import():
+    # the tracer looks each module up in ``sys.modules`` and takes each function with
+    # ``getattr``, which runs a lazily registered module; uninstalling leaves no wrapper
+    code = f"""
+import importlib.util, sys, types, lqnet.cli
+assert type(sys.modules["lqnet.verifier"]) is not types.ModuleType
+spec = importlib.util.spec_from_file_location("lqbench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+wrapper = tracer.Tracer()._wrap("probe", print).__code__
+rec = tracer.Tracer()
+rec.install()
+unwrapped = [m + "." + f for m, f in tracer.FUNCTIONS
+             if getattr(sys.modules["lqnet." + m], f).__code__ is not wrapper]
+rec.uninstall()
+left = [k + "." + a for k, m in sys.modules.items() if k.startswith("lqnet")
+        for a, v in vars(m).items() if getattr(v, "__code__", None) is wrapper]
+"""
+    assert _fresh_modules(code, "[*unwrapped, *left]") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--treatment", "N5_HighCost"],
+        ["solve", "--treatment", "N9_LowCost1", "--network", "star"],
+        ["simulate", "--treatment", "N9_HighCost", "--policy", str(GOLDEN / "sessions_n9" / "policy.yaml"),
+         "--periods", "3", "--out", "{tmp}"],
+    ],
+    ids=["thresholds", "solve", "simulate"],
+)
+def test_module_run_writes_nothing_to_stderr(tmp_path, argv):
+    # the harness runs ``python -m lqnet.cli``; runpy warns if the package registers `cli`
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "lqnet.cli", *argv], env=_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 #: the types whose ``__post_init__`` validates or normalises its fields; every

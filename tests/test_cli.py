@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import lqnet
 from lqnet.cli import main
+from lqnet.files import network_to_obj
 from lqnet.model import PARAM_KEYS, Network
-from lqnet.session_io import network_to_obj
 
 from helpers import oracle_nested_split
 
@@ -318,6 +318,30 @@ class TestSimulateAnalyze:
         assert out == ""
         assert err == f"error: {message.replace('PATH', str(policy_path))}\n"
 
+    def test_tab_indented_json_policy_simulates_as_its_yaml_twin(self, capsys, tmp_path):
+        # PyYAML refuses a tab as indentation; a .json policy is read as JSON
+        import yaml
+
+        (tmp_path / "p1.yaml").write_text(self.POLICY)
+        (tmp_path / "p2.json").write_text(json.dumps(yaml.safe_load(self.POLICY), indent="\t"))
+        for name in ("p1.yaml", "p2.json"):
+            code, _, err = run_cli(
+                capsys, "simulate", "--treatment", "N9_LowCost1", "--policy", str(tmp_path / name),
+                "--periods", "4", "--seed", "3", "--out", str(tmp_path / name.partition(".")[0]),
+            )
+            assert (code, err) == (0, "")
+        assert (tmp_path / "p1" / "s3.csv").read_bytes() == (tmp_path / "p2" / "s3.csv").read_bytes()
+
+    def test_malformed_json_policy_is_one_error_line(self, capsys, tmp_path):
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text('{"effort": {"preset": "N5_LowCost"},\n "links": }\n')
+        code, out, err = run_cli(
+            capsys, "simulate", "--treatment", "N5_LowCost", "--policy", str(policy_path),
+            "--periods", "3", "--out", str(tmp_path / "runs"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {policy_path}: malformed file: line 2, column 11: Expecting value\n"
+
     @pytest.mark.filterwarnings("error")
     def test_saturated_logistic_runs_without_warnings(self, capsys, tmp_path):
         # partner_effort * effort overflows to inf; the link probability saturates
@@ -600,6 +624,17 @@ class TestBadInputFiles:
         assert code == 1
         assert out == ""
         assert err == f"error: {rec / GOLDEN_RECORD.name}: {message}\n"
+
+    def test_record_relabelled_as_another_session_is_one_error_line(self, capsys, tmp_path):
+        # a copy of s2 whose sidecar and rows say s1 would load as a second s1
+        rec = tmp_path / "records"
+        shutil.copytree(Path(__file__).parent / "golden" / "sessions_n9" / "records", rec)
+        for path in (rec / "s2.csv", rec / "s2.json"):
+            path.write_text(path.read_text().replace("s2", "s1"))
+        code, out, err = run_cli(capsys, "analyze", "--in", str(rec), "--treatment", "N9_HighCost",
+                                 "--csv", str(tmp_path / "summary.csv"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {rec / 's2.csv'}: the sidecar's session_id 's1' does not name this file\n"
 
     def test_zero_period_record_is_one_error_line(self, capsys, tmp_path):
         rec = _record_dir(tmp_path, json.dumps(_sidecar_meta(periods=0)))

@@ -10,17 +10,9 @@ import pytest
 
 from lqnet.dynamics import LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, batch_run, run_session
 from lqnet.errors import ConfigError, LqnetError, SchemaVersionError
+from lqnet.files import load_network, network_from_obj, network_to_obj, profile_from_obj
 from lqnet.model import GameParams, Network, get_treatment
-from lqnet.session_io import (
-    load_network,
-    load_policies,
-    network_from_obj,
-    network_to_obj,
-    profile_from_obj,
-    read_record,
-    read_records,
-    write_record,
-)
+from lqnet.session_io import load_policies, read_record, read_records, write_record
 
 from helpers import oracle_write_csv
 
