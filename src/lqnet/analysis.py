@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import SessionRecord, effort_regressors
 from .equilibria import interior_nash_efforts, nash_efforts
 from .errors import LqnetError, RankDeficientDataError
-from .model import GameParams, Network, Treatment, br_payoff, link_benefit, neighbor_sums
+from .model import GameParams, Network, br_payoff, link_benefit, neighbor_sums
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -61,7 +61,6 @@ class GroupSummary(NamedTuple):
 
 
 class TreatmentSummary(NamedTuple):
-    treatment: str
     window: Window
     per_group: list[GroupSummary]
     overall_means: dict[str, float]
@@ -101,10 +100,6 @@ def _windows(records: list[SessionRecord], window) -> list[Window]:
     return [resolve_window(window, rec.T) for rec in records]
 
 
-def _params_of(treatment: Treatment | GameParams) -> GameParams:
-    return treatment.params if isinstance(treatment, Treatment) else treatment
-
-
 @lru_cache(maxsize=32)
 def complete_equilibrium_average(params: GameParams) -> float:
     """Group-average equilibrium payoff on the complete network (the
@@ -133,7 +128,7 @@ def _welfare_series(
 
 def efficiency_report(
     records: list[SessionRecord],
-    treatment: Treatment | GameParams,
+    params: GameParams,
     window="full",
 ) -> EfficiencyReport:
     """Realized average effort and payoff, and their ratio to the
@@ -143,7 +138,6 @@ def efficiency_report(
     then over records: the reduction behind `treatment_summary`'s overall
     means, so both report the same bits.
     """
-    params = _params_of(treatment)
     windows = _windows(records, window)
     denominator = complete_equilibrium_average(params)
     series = [_welfare_series(rec, w, denominator) for rec, w in zip(records, windows)]
@@ -260,7 +254,7 @@ def _nash_stack(params: GameParams, networks: np.ndarray) -> np.ndarray:
 
 def treatment_summary(
     records: list[SessionRecord],
-    treatment: Treatment | GameParams,
+    params: GameParams,
     window="full",
 ) -> TreatmentSummary:
     """Per-group means and standard deviations of network statistics,
@@ -270,7 +264,6 @@ def treatment_summary(
     Standard deviations are population-style across periods within a
     group, and across group means in the overall row.
     """
-    params = _params_of(treatment)
     windows = _windows(records, window)
     denominator = complete_equilibrium_average(params)
     # realized networks repeat across periods and groups: one Nash solve each,
@@ -300,9 +293,7 @@ def treatment_summary(
                 stds=dict(zip(SUMMARY_FIELDS, table.std(axis=1).tolist())),
             )
         )
-    name = treatment.name if isinstance(treatment, Treatment) else "custom"
     return TreatmentSummary(
-        treatment=name,
         window=windows[-1],
         per_group=groups,
         overall_means={

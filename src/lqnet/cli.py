@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: solve, verify, enumerate, classify, simulate, analyze,
-thresholds.  All reports are printed as JSON with sorted keys so repeated
-invocations with the same inputs and seed are byte-identical.  Exit codes:
-0 on success, 1 on domain errors, 2 on usage errors.
+thresholds.  Each ``_cmd_*`` returns its report, and `main` alone prints it, as
+JSON with sorted keys so repeated invocations with the same inputs and seed are
+byte-identical, and picks the exit code: 0 on success, 1 on domain errors
+(a failed read or write among them) and 2 on usage errors.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -32,18 +34,19 @@ def _parse_window(text: str):
         raise argparse.ArgumentTypeError(f"bad window {text!r}; {_WINDOW_HELP}") from None
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """A flag value the command refuses: one ``error:`` line and exit code 2."""
 
 
-def _emit(obj) -> None:
+def _emit(obj) -> bool:
+    """Print ``obj`` as JSON; False when the reader has closed the pipe."""
     try:  # flush here, so that a reader who closed the pipe fails here, not at exit
         print(json.dumps(obj, indent=2, sort_keys=True), flush=True)
     except BrokenPipeError:
         # the flush at exit would fail again: send what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        return False
+    return True
 
 
 def _clean(value):
@@ -60,64 +63,49 @@ def _clean(value):
     return value
 
 
-def _cmd_solve(args) -> int:
+def _ids(indices):
+    """0-based agent indices as sorted 1-based IDs; None stays None."""
+    return None if indices is None else sorted(i + 1 for i in indices)
+
+
+def _cmd_solve(args) -> dict:
     treatment = get_treatment(args.treatment)
     params = treatment.params
     network = files.load_network(args.network, n=params.n)
-    solution = (
-        equilibria.efficient_efforts(params, network)
-        if args.efficient
-        else equilibria.nash_efforts(params, network)
-    )
+    solve = equilibria.efficient_efforts if args.efficient else equilibria.nash_efforts
+    solution = solve(params, network)
     report = equilibria.equilibrium_payoffs(params, network, solution.efforts)
-    _emit(
-        _clean(
-            {
-                "treatment": treatment.name,
-                "objective": "efficient" if args.efficient else "nash",
-                "efforts": solution.efforts.efforts,
-                "per_agent_payoffs": report.per_agent,
-                "group_average": report.group_average,
-                "capped": solution.capped,
-                "converged": solution.converged,
-                "residual": solution.residual,
-            }
-        )
-    )
-    return 0
+    return {
+        "treatment": treatment.name,
+        "objective": "efficient" if args.efficient else "nash",
+        "efforts": solution.efforts.efforts,
+        "per_agent_payoffs": report.per_agent,
+        "group_average": report.group_average,
+        "capped": solution.capped,
+        "converged": solution.converged,
+        "residual": solution.residual,
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     treatment = get_treatment(args.treatment)
     profile = files.profile_from_obj(files.read_json(args.profile, "profile"))
     report = verifier.verify_nash(treatment.params, profile)
-    worst = None
-    if report.worst_deviation is not None:
-        d = report.worst_deviation
-        worst = {
-            "agent": d.agent + 1,
-            "targets": [t + 1 for t in d.targets],
-            "effort": d.effort,
-            "gain": d.gain,
-        }
-    _emit(
-        _clean(
-            {
-                "treatment": treatment.name,
-                "is_nash": report.is_nash,
-                "worst_deviation": worst,
-                "checked_deviations": report.checked_deviations,
-            }
-        )
-    )
-    return 0
+    d = report.worst_deviation
+    return {
+        "treatment": treatment.name,
+        "is_nash": report.is_nash,
+        "worst_deviation": None if d is None else {
+            "agent": d.agent + 1, "targets": _ids(d.targets), "effort": d.effort, "gain": d.gain,
+        },
+        "checked_deviations": report.checked_deviations,
+    }
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> dict:
     treatment = get_treatment(args.treatment)
-    reports = verifier.enumerate_ne_networks(treatment.params)
     entries = []
-    for rep in reports:
+    for rep in verifier.enumerate_ne_networks(treatment.params):
         entry = {
             "edges": files.network_to_obj(rep.network)["edges"],
             "links": rep.network.link_count(),
@@ -128,140 +116,98 @@ def _cmd_enumerate(args) -> int:
         if rep.witness is not None:
             entry["witness"] = files.profile_to_obj(rep.witness)
         entries.append(entry)
-    supportable = sorted(
-        {e["label"] for e in entries if e["supportable"]}
-    )
-    _emit(
-        _clean(
-            {
-                "treatment": treatment.name,
-                "candidates": entries,
-                "supportable_labels": supportable,
-            }
-        )
-    )
-    return 0
+    return {
+        "treatment": treatment.name,
+        "candidates": entries,
+        "supportable_labels": sorted({e["label"] for e in entries if e["supportable"]}),
+    }
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     network = files.load_network(args.network, n=args.n)
     label = structure.classify(network)
-    _emit(
-        _clean(
-            {
-                "label": label.label,
-                "nested_split": label.label != "NonNestedSplit",
-                "core": sorted(v + 1 for v in label.core) if label.core is not None else None,
-                "periphery": sorted(v + 1 for v in label.periphery)
-                if label.periphery is not None
-                else None,
-                "stats": structure.stats(network)._asdict(),
-            }
-        )
-    )
-    return 0
+    return {
+        "label": label.label,
+        "nested_split": label.label != "NonNestedSplit",
+        "core": _ids(label.core),
+        "periphery": _ids(label.periphery),
+        "stats": structure.stats(network)._asdict(),
+    }
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     for flag, value in (("--periods", args.periods), ("--reps", args.reps)):
         if value < 1:
-            return _usage_error(f"{flag} must be at least 1, got {value}")
+            raise _UsageError(f"{flag} must be at least 1, got {value}")
     if args.seed < 0:
-        return _usage_error(f"--seed must be non-negative, got {args.seed}")
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     treatment = get_treatment(args.treatment)
     params = treatment.params
     policies = session_io.load_policies(args.policy, params.n)
     records = dynamics.batch_run(params, policies, args.periods, args.reps, args.seed)
-    out_dir = Path(args.out)
-    paths = [session_io.write_record(rec, out_dir) for rec in records]
-    _emit(
-        {
-            "treatment": treatment.name,
-            "periods": args.periods,
-            "replications": args.reps,
-            "base_seed": args.seed,
-            "written": [str(p) for p in paths],
-        }
-    )
-    return 0
+    return {
+        "treatment": treatment.name,
+        "periods": args.periods,
+        "replications": args.reps,
+        "base_seed": args.seed,
+        "written": [str(session_io.write_record(rec, args.out)) for rec in records],
+    }
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     treatment = get_treatment(args.treatment)
     records = session_io.read_records(args.in_dir, treatment.params)
     window = args.window
     freq = analysis.frequency_report(records, window)
     diags = [analysis.link_diagnostics(rec, window) for rec in records]
-    summary = analysis.treatment_summary(records, treatment, window)
+    summary = analysis.treatment_summary(records, treatment.params, window)
     csv_path = Path(args.csv) if args.csv else Path(args.in_dir) / session_io.SUMMARY_CSV
     _write_summary_csv(summary, csv_path)
-    _emit(
-        _clean(
-            {
-                "treatment": treatment.name,
-                "window": list(summary.window),
-                "efficiency": {f: summary.overall_means[f]
-                               for f in ("avg_effort", "avg_payoff", "relative_efficiency")},
-                "frequency": {
-                    name: {"exact": f.exact, "within_two": f.within_two}
-                    for name, f in freq.per_architecture.items()
-                },
-                "link_diagnostics": {
-                    name: float(np.mean([getattr(d, name) for d in diags]))
-                    for name in analysis.LinkDiagnostics._fields
-                    if name != "window"
-                },
-                "summary": {
-                    "overall_means": summary.overall_means,
-                    "overall_stds": summary.overall_stds,
-                },
-                "csv": str(csv_path),
-            }
-        )
-    )
-    return 0
+    return {
+        "treatment": treatment.name,
+        "window": list(summary.window),
+        "efficiency": {f: summary.overall_means[f]
+                       for f in ("avg_effort", "avg_payoff", "relative_efficiency")},
+        "frequency": {
+            name: {"exact": f.exact, "within_two": f.within_two}
+            for name, f in freq.per_architecture.items()
+        },
+        "link_diagnostics": {
+            name: float(np.mean([getattr(d, name) for d in diags]))
+            for name in analysis.LinkDiagnostics._fields
+            if name != "window"
+        },
+        "summary": {
+            "overall_means": summary.overall_means,
+            "overall_stds": summary.overall_stds,
+        },
+        "csv": str(csv_path),
+    }
 
 
 def _write_summary_csv(summary: "analysis.TreatmentSummary", path: Path) -> None:
-    import csv as _csv
+    """One row per group and an ``overall`` row: each field's mean and std, as ``repr``."""
+    import csv
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["group"] + [f"{f}_{s}" for f in analysis.SUMMARY_FIELDS for s in ("mean", "std")])
-        for group in summary.per_group:
-            writer.writerow(
-                [group.session_id]
-                + [
-                    repr(v)
-                    for f in analysis.SUMMARY_FIELDS
-                    for v in (group.means[f], group.stds[f])
-                ]
-            )
-        writer.writerow(
-            ["overall"]
-            + [
-                repr(v)
-                for f in analysis.SUMMARY_FIELDS
-                for v in (summary.overall_means[f], summary.overall_stds[f])
-            ]
-        )
+    fields = analysis.SUMMARY_FIELDS
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["group"] + [f"{f}_{s}" for f in fields for s in ("mean", "std")])
+    for name, means, stds in [*summary.per_group,
+                              ("overall", summary.overall_means, summary.overall_stds)]:
+        writer.writerow([name] + [repr(v) for f in fields for v in (means[f], stds[f])])
+    files.write_text(path, out.getvalue(), "summary CSV", newline="")
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> dict:
     treatment = get_treatment(args.treatment)
     result = equilibria.cost_thresholds(treatment.params)
-    _emit(
-        _clean(
-            {
-                "treatment": treatment.name,
-                "kappa1": result.kappa1,
-                "kappa2": result.kappa2,
-                "method_notes": result.method_notes,
-            }
-        )
-    )
-    return 0
+    return {
+        "treatment": treatment.name,
+        "kappa1": result.kappa1,
+        "kappa2": result.kappa2,
+        "method_notes": result.method_notes,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,13 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: print its report and return 0, or print one ``error:``
+    line and return 2 for a refused flag value and 1 for a domain error; a
+    reader who closed the pipe also ends in 1."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except LqnetError as exc:
+        report = args.func(args)
+    except (_UsageError, LqnetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0 if _emit(_clean(report)) else 1
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, LqnetError
-from .model import (GameParams, Network, best_response, effort_order, finite_float, is_int,
+from .model import (GameParams, best_response, effort_order, finite_float, is_int,
                     link_benefit, neighbor_sums, payoff_components, realized_adjacency)
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
@@ -180,11 +180,6 @@ class LinkRule:
     @classmethod
     def logistic(cls, coefficients: LogisticCoefficients) -> "LinkRule":
         return cls(kind="logistic", coefficients=coefficients)
-
-    @classmethod
-    def fixed(cls, network: Network) -> "LinkRule":
-        """Freeze the realized network: every agent initiates to its neighbors."""
-        return cls("fixed_targets", targets=[np.flatnonzero(r).tolist() for r in network.adjacency])
 
 
 class AgentPolicy(NamedTuple):

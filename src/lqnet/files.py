@@ -1,5 +1,6 @@
 """Network and strategy-profile JSON files (1-based agent IDs, as in `session_io`),
-and the text, JSON and field readers that the policy and record files share."""
+the text, JSON and field readers that the policy and record files share, and the
+one text writer of records and summaries."""
 
 import json
 from pathlib import Path
@@ -24,6 +25,16 @@ def _read_text(path: str | Path, what: str, error: type[LqnetError]) -> str:
         raise error(f"{path}: cannot read {what}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise error(f"{path}: cannot read {what}: not UTF-8 text") from None
+
+
+def write_text(path: Path, text: str, what: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path``, creating its directory; a failed write raises
+    one-line `LqnetError` naming the path that failed and the file as ``what``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise LqnetError(f"{exc.filename or path}: cannot write {what}: {exc.strerror}") from None
 
 
 def read_json(path: str, what: str):

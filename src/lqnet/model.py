@@ -143,10 +143,6 @@ class IntentProfile:
         return self.matrix.shape[0]
 
     @classmethod
-    def none(cls, n: int) -> "IntentProfile":
-        return cls(np.zeros((n, n), dtype=bool))
-
-    @classmethod
     def from_pairs(cls, n: int, pairs) -> "IntentProfile":
         m = np.zeros((n, n), dtype=bool)
         for i, j in pairs:
@@ -232,10 +228,6 @@ class EffortProfile:
     @property
     def n(self) -> int:
         return self.efforts.shape[0]
-
-    @classmethod
-    def constant(cls, n: int, value: float) -> "EffortProfile":
-        return cls(np.full(n, float(value)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .dynamics import (
     SessionRecord,
 )
 from .errors import ConfigError, LqnetError, SchemaVersionError
-from .files import _as_mapping, _fields, _read_text, read_json
+from .files import _as_mapping, _fields, _read_text, read_json, write_text
 from .model import PARAM_KEYS, GameParams, is_int
 
 FORMAT_VERSION = 1
@@ -198,9 +198,7 @@ def _policy_data(p: Path, text: str):
 def write_record(record: SessionRecord, directory: str | Path) -> Path:
     """Write one session as <id>.csv plus a <id>.json sidecar; returns the CSV path."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{record.session_id}.csv"
-    sidecar = directory / f"{record.session_id}.json"
     T, n = record.T, record.n
     payoffs = record.payoffs.reshape(T * n, 5)[:, PAYOFF_CELLS].T
     floats = [map(repr, column.tolist()) for column in (record.efforts.ravel(), *payoffs)]
@@ -214,21 +212,17 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
         *floats[1:],
     ))
     # csv.writer's dialect: "\r\n" line ends; no other field can need quoting
-    csv_path.write_text("\r\n".join([",".join(CSV_COLUMNS), *rows, ""]), newline="")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "session_id": record.session_id,
-                "seed": record.seed,
-                "periods": record.T,
-                "params": record.params.to_mapping(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    text = "\r\n".join([",".join(CSV_COLUMNS), *rows, ""])
+    write_text(csv_path, text, "record file", newline="")
+    sidecar = {
+        "format_version": FORMAT_VERSION,
+        "session_id": record.session_id,
+        "seed": record.seed,
+        "periods": record.T,
+        "params": record.params.to_mapping(),
+    }
+    text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    write_text(directory / f"{record.session_id}.json", text, "sidecar file")
     return csv_path
 
 

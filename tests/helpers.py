@@ -1,4 +1,4 @@
-"""`make_profile` and the oracles shared by the test modules.
+"""`make_profile`, `fixed_links` and the oracles shared by the test modules.
 
 Kept out of ``conftest.py`` so that test modules import them by a name no
 other test directory uses.
@@ -10,6 +10,7 @@ import numpy as np
 
 from lqnet.dynamics import (
     EffortRule,
+    LinkRule,
     _effort_ranks,
     _initial_effort,
     _normalize_policies,
@@ -34,6 +35,11 @@ def make_profile(efforts, intent_pairs, n):
         EffortProfile(np.asarray(efforts, dtype=float)),
         IntentProfile.from_pairs(n, intent_pairs),
     )
+
+
+def fixed_links(network):
+    """The link rule that freezes ``network``: every agent initiates to its neighbors."""
+    return LinkRule("fixed_targets", targets=[np.flatnonzero(r).tolist() for r in network.adjacency])
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_criterion_09_qualitative_underconnection():
     for record in records:
         frac = record.networks[-10:].sum() / 2 / (10 * possible)
         fraction_ok += frac < 1.0
-        rel = efficiency_report([record], treatment, "last10").relative_efficiency
+        rel = efficiency_report([record], treatment.params, "last10").relative_efficiency
         efficiency_ok += rel < 1.0
     elapsed = time.perf_counter() - start
     assert fraction_ok >= 48, f"link fraction < 1 in only {fraction_ok}/50"

@@ -28,8 +28,7 @@ from lqnet.session_io import read_records
 from helpers import block_adjacency
 
 GOLDEN = Path(__file__).parent / "golden"
-T5 = get_treatment("N5_LowCost")
-P5 = T5.params
+P5 = get_treatment("N5_LowCost").params
 
 
 def record_from_play(params, efforts_by_period, intents_by_period, session_id="syn"):
@@ -64,7 +63,7 @@ class TestResolveWindow:
 class TestEfficiencyReport:
     def test_equilibrium_record_ratio_one(self):
         rec = complete_equilibrium_record(P5)
-        rep = efficiency_report([rec], T5, "full")
+        rep = efficiency_report([rec], P5, "full")
         assert rep.relative_efficiency == pytest.approx(1.0, abs=1e-12)
         assert rep.avg_payoff == pytest.approx(complete_equilibrium_average(P5))
 
@@ -76,7 +75,7 @@ class TestEfficiencyReport:
         net = Network.complete(5)
         sp = balanced_sponsorship(net).matrix
         rec = record_from_play(P5, [[x] * 5] * 10, [sp] * 10)
-        rep = efficiency_report([rec], T5, "full")
+        rep = efficiency_report([rec], P5, "full")
         assert rep.avg_payoff == pytest.approx(21.526, abs=1e-9)
         assert rep.relative_efficiency == pytest.approx(0.658, abs=1e-3)
 
@@ -84,7 +83,7 @@ class TestEfficiencyReport:
         rec = record_from_play(
             P5, [[0.0] * 5] * 4, [np.zeros((5, 5), bool)] * 4
         )
-        rep = efficiency_report([rec], T5, "full")
+        rep = efficiency_report([rec], P5, "full")
         assert rep.avg_effort == 0.0
         assert rep.relative_efficiency == 0.0
 
@@ -94,7 +93,7 @@ class TestEfficiencyReport:
             LinkRule.benefit_threshold(),
         )
         rec = run_session(P5, pol, 12, seed=3)
-        rep = efficiency_report([rec], T5, "last10")
+        rep = efficiency_report([rec], P5, "last10")
         # the report averages per-period ratios, so the two sides differ by rounding only
         ratio = rep.avg_payoff / complete_equilibrium_average(P5)
         assert rep.relative_efficiency == pytest.approx(ratio, rel=1e-14, abs=0)
@@ -104,8 +103,9 @@ class TestEfficiencyReport:
     def test_equals_summary_overall_means(self, name, treatment, window):
         # `analyze` prints both blocks; one reduction gives them the same bits
         records = read_records(GOLDEN / f"sessions_{name}" / "records")
-        rep = efficiency_report(records, get_treatment(treatment), window)
-        means = treatment_summary(records, get_treatment(treatment), window).overall_means
+        params = get_treatment(treatment).params
+        rep = efficiency_report(records, params, window)
+        means = treatment_summary(records, params, window).overall_means
         for field in ("avg_effort", "avg_payoff", "relative_efficiency"):
             assert getattr(rep, field) == means[field]
 
@@ -266,7 +266,7 @@ class TestFitEffortModel:
 class TestTreatmentSummary:
     def test_equilibrium_record_matches_predictions(self):
         rec = complete_equilibrium_record(P5)
-        s = treatment_summary([rec], T5, "full")
+        s = treatment_summary([rec], P5, "full")
         m = s.overall_means
         assert m["link_count"] == pytest.approx(10)
         assert m["link_fraction"] == pytest.approx(1.0)
@@ -288,14 +288,14 @@ class TestTreatmentSummary:
         seqs = [eight] * 13 + [nine] * 7
         intents = [balanced_sponsorship(net).matrix for net in seqs]
         rec = record_from_play(P5, [[3.0] * 5] * 20, intents)
-        s = treatment_summary([rec], T5, "full")
+        s = treatment_summary([rec], P5, "full")
         assert s.overall_means["link_fraction"] == pytest.approx(0.835)
         assert s.overall_means["link_count"] == pytest.approx(8.35)
         assert s.overall_means["avg_degree"] == pytest.approx(2 * 8.35 / 5)
 
     def test_window_of_one_period_zero_std(self):
         rec = complete_equilibrium_record(P5)
-        s = treatment_summary([rec], T5, (4, 4))
+        s = treatment_summary([rec], P5, (4, 4))
         assert all(v == 0.0 for v in s.per_group[0].stds.values())
 
     def test_stacked_benchmark_has_the_bits_of_one_network_calls(self):
@@ -321,7 +321,7 @@ class TestTreatmentSummary:
             LinkRule.benefit_threshold(),
         )
         rec = run_session(P5, pol, 8, seed=10)
-        s = treatment_summary([rec], T5, "full")
+        s = treatment_summary([rec], P5, "full")
         expected = np.mean(
             [
                 nash_efforts(P5, Network(rec.networks[t - 1])).efforts.efforts.mean()

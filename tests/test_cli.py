@@ -246,6 +246,32 @@ class TestSimulateAnalyze:
         assert err == "error: --seed must be non-negative, got -1\n"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "command,target,failed,message",
+        [
+            ("simulate", "file", "file", "record file: File exists"),
+            ("analyze", "dir", "dir", "summary CSV: Is a directory"),
+            ("analyze", "file/x.csv", "file", "summary CSV: File exists"),
+        ],
+        ids=["simulate-out-file", "analyze-csv-dir", "analyze-csv-under-file"],
+    )
+    def test_failed_write_is_one_error_line(self, capsys, tmp_path, command, target, failed,
+                                            message):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(self.POLICY)
+        argv = {
+            "simulate": ["simulate", "--treatment", "N9_LowCost1", "--policy", str(policy_path),
+                         "--periods", "2", "--out", str(tmp_path / target)],
+            "analyze": ["analyze", "--in", str(GOLDEN_RECORD.parent), "--treatment",
+                        "N5_HighCost", "--csv", str(tmp_path / target)],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path / failed}: cannot write {message}\n"
+
     def test_analyze_twice_on_one_directory(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.yaml"
         policy_path.write_text(self.POLICY)

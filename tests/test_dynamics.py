@@ -26,7 +26,13 @@ from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import ConfigError, DimensionMismatchError, LqnetError
 from lqnet.model import GameParams, Network, best_response, get_treatment
 
-from helpers import MYOPIC, oracle_complete_nash, oracle_replay_payoffs, oracle_run_session
+from helpers import (
+    MYOPIC,
+    fixed_links,
+    oracle_complete_nash,
+    oracle_replay_payoffs,
+    oracle_run_session,
+)
 
 P5 = get_treatment("N5_LowCost").params
 P9 = get_treatment("N9_LowCost1").params
@@ -186,7 +192,7 @@ class TestStepLinks:
 
     def test_fixed_targets_freeze_network(self):
         net = Network.from_edges(5, [(0, 1), (2, 3)])
-        pol = AgentPolicy(MYOPIC, LinkRule.fixed(net))
+        pol = AgentPolicy(MYOPIC, fixed_links(net))
         rec = run_session(P5, pol, 4, seed=1)
         for t in range(4):
             assert np.array_equal(rec.networks[t], net.adjacency)
@@ -215,7 +221,7 @@ class TestRunSession:
         net = Network.star(9, center=0)
         rho = spectral_radius(net.adjacency)
         rate = P9.lam / P9.beta * rho
-        pol = AgentPolicy(MYOPIC, LinkRule.fixed(net))
+        pol = AgentPolicy(MYOPIC, fixed_links(net))
         rec = run_session(P9, pol, 60, seed=0)
         target = nash_efforts(P9, net).efforts.efforts
         errs2 = np.linalg.norm(rec.efforts - target[None, :], axis=1)
@@ -226,7 +232,7 @@ class TestRunSession:
 
         complete = Network.complete(9)
         rate_c = P9.lam / P9.beta * spectral_radius(complete.adjacency)
-        pol_c = AgentPolicy(MYOPIC, LinkRule.fixed(complete))
+        pol_c = AgentPolicy(MYOPIC, fixed_links(complete))
         rec_c = run_session(P9, pol_c, 40, seed=0)
         target_c = nash_efforts(P9, complete).efforts.efforts
         errs_inf = np.max(np.abs(rec_c.efforts - target_c[None, :]), axis=1)
@@ -286,11 +292,11 @@ class TestRunSession:
         net = Network.star(5, center=0)
         base = AgentPolicy(
             EffortRule(b0=0.0, b1=1.0, b2=0.0, initial_effort=6.0),
-            LinkRule.fixed(net),
+            fixed_links(net),
         )
         conform = AgentPolicy(
             EffortRule(b0=0.0, b1=1.0, b2=0.05, initial_effort=6.0),
-            LinkRule.fixed(net),
+            fixed_links(net),
         )
         rec_base = run_session(P5, base, 10, seed=0)
         rec_conf = run_session(P5, conform, 10, seed=0)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from lqnet.model import (
     total_welfare,
     treatments,
 )
+from lqnet.structure import classify
+from lqnet.verifier import enumerate_ne_networks
 
 from helpers import make_profile, oracle_complete_nash
 
@@ -92,15 +95,16 @@ class TestTreatments:
                 effort_min=0.0, effort_max=20.0,
             )
 
-    def test_equilibrium_architectures(self):
-        low, high = ("Complete",), ("Empty", "Star", "Complete")
-        assert {name: t.equilibrium_networks for name, t in treatments().items()} == {
-            "N5_LowCost": low,
-            "N5_HighCost": high,
-            "N9_LowCost1": low,
-            "N9_LowCost2": low,
-            "N9_HighCost": high,
+    @pytest.mark.parametrize("name", sorted(treatments()))
+    def test_equilibrium_architectures(self, name):
+        # the README's treatment table lists these; `lqnet enumerate` decides them
+        t = get_treatment(name)
+        supportable = {
+            classify(rep.network).label
+            for rep in enumerate_ne_networks(t.params)
+            if rep.supportable
         }
+        assert sorted(t.equilibrium_networks) == sorted(supportable)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownTreatmentError):
@@ -109,7 +113,7 @@ class TestTreatments:
 
 class TestRealizeNetwork:
     def test_all_false_gives_empty(self):
-        net = realize_network(IntentProfile.none(4))
+        net = realize_network(IntentProfile.from_pairs(4, []))
         assert net.link_count() == 0
 
     def test_single_intent_gives_undirected_link(self):
@@ -151,7 +155,7 @@ class TestPayoff:
     def test_complete_n5_table_value(self):
         x = oracle_complete_nash(10.0, 4.0, 0.4, 5)
         profile = StrategyProfile(
-            EffortProfile.constant(5, x), balanced_complete_intents(5)
+            EffortProfile(np.full(5, x)), balanced_complete_intents(5)
         )
         for i in range(5):
             got = payoff(P5, profile, i)
@@ -208,7 +212,7 @@ class TestTotalWelfare:
     def test_complete_n5_sum(self):
         x = oracle_complete_nash(10.0, 4.0, 0.4, 5)
         profile = StrategyProfile(
-            EffortProfile.constant(5, x), balanced_complete_intents(5)
+            EffortProfile(np.full(5, x)), balanced_complete_intents(5)
         )
         assert total_welfare(P5, profile) == pytest.approx(5 * 32.7222, abs=0.01)
 
@@ -324,6 +328,27 @@ def test_no_other_module_restates_the_effort_order_or_the_logistic():
     assert found == []
 
 
+def test_only_cli_main_prints_or_exits():
+    # one output path: each `cli._cmd_*` returns its report, and `cli.main` prints
+    # it through `_emit` or prints the one error line, and picks the exit code
+    found = set()
+    for path in sorted(Path(lqnet.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            guard = isinstance(top, ast.If) and ast.unparse(top.test) == "__name__ == '__main__'"
+            owner = "__main__" if guard else getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = ast.unparse(node.func)
+                    if func in ("print", "sys.exit", "_emit"):
+                        found.add((path.name, owner, func))
+    assert found == {
+        ("cli.py", "_emit", "print"),
+        ("cli.py", "main", "print"),
+        ("cli.py", "main", "_emit"),
+        ("cli.py", "__main__", "sys.exit"),
+    }
+
+
 class TestLinkBenefit:
     P9 = GameParams(theta=10.0, beta=4.0, lam=0.25, kappa=1.0, n=9)
 
@@ -358,7 +383,7 @@ class TestTypes:
 
     def test_profile_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            StrategyProfile(EffortProfile.constant(4, 1.0), IntentProfile.none(5))
+            StrategyProfile(EffortProfile(np.ones(4)), IntentProfile.from_pairs(5, []))
 
     def test_arrays_frozen(self):
         net = Network.star(5)

@@ -557,9 +557,9 @@ class TestAnalysisAfterRoundTrip:
         for rec in recs:
             write_record(rec, tmp_path)
         back = read_records(tmp_path)
-        t = get_treatment("N5_LowCost")
-        a = efficiency_report(recs, t, "last10")
-        b = efficiency_report(back, t, "last10")
+        params = get_treatment("N5_LowCost").params
+        a = efficiency_report(recs, params, "last10")
+        b = efficiency_report(back, params, "last10")
         assert a == b
         fa = fit_effort_model(recs)
         fb = fit_effort_model(back)
