@@ -145,6 +145,9 @@ def _cmd_simulate(args) -> dict:
     params = treatment.params
     policies = session_io.load_policies(args.policy, params.n)
     records = dynamics.batch_run(params, policies, args.periods, args.reps, args.seed)
+    paths = [Path(args.out) / f"{rec.session_id}{ext}" for rec in records for ext in (".csv", ".json")]
+    if taken := next((path for path in paths if path.exists()), None):
+        raise LqnetError(f"{taken}: already exists; simulate does not replace a record")
     return {
         "treatment": treatment.name,
         "periods": args.periods,
@@ -157,11 +160,14 @@ def _cmd_simulate(args) -> dict:
 def _cmd_analyze(args) -> dict:
     treatment = get_treatment(args.treatment)
     records = session_io.read_records(args.in_dir, treatment.params)
+    csv_path = Path(args.csv) if args.csv else Path(args.in_dir) / session_io.SUMMARY_CSV
+    if any(csv_path.resolve() == (Path(args.in_dir) / f"{rec.session_id}{ext}").resolve()
+           for rec in records for ext in (".csv", ".json")):
+        raise LqnetError(f"{csv_path}: is a session record that analyze reads; --csv would replace it")
     window = args.window
     freq = analysis.frequency_report(records, window)
     diags = [analysis.link_diagnostics(rec, window) for rec in records]
     summary = analysis.treatment_summary(records, treatment.params, window)
-    csv_path = Path(args.csv) if args.csv else Path(args.in_dir) / session_io.SUMMARY_CSV
     _write_summary_csv(summary, csv_path)
     return {
         "treatment": treatment.name,

@@ -1,12 +1,10 @@
 """Equilibrium and efficient effort solvers, payoff reports, and cost cutoffs.
 
-Nash efforts on a fixed network solve ``[I - (lam/beta) G] x = (theta/beta) 1``
-(the walk-counting centrality scaled by theta/beta) when the spectral
-condition holds and the solution is interior; otherwise a clipped
-best-response iteration from the all-minimum profile returns the least
-fixed point.  Efficient efforts are the same solve with the spillover
-doubled: the planner's first-order condition for agent i is the Nash
-condition at ``2 lam`` (see `efficient_efforts`).
+Nash efforts on a fixed network are the least fixed point of the clipped best
+reply (`kernels.br_iteration`): ``[I - (lam/beta) G] x = (theta/beta) 1`` (the
+walk-counting centrality scaled by theta/beta) where no effort binds, else that
+solve over the agents left free by those held at the box's ends.  Efficient
+efforts are the same solve with the spillover doubled (see `efficient_efforts`).
 """
 
 import math
@@ -15,8 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonContractionError
-from .kernels import MAX_ITER, SWEEP_TOL, br_iteration
+from .kernels import br_iteration
 from .model import (
     EffortProfile,
     GameParams,
@@ -60,10 +57,6 @@ def spectral_radius(adjacency: np.ndarray) -> float | np.ndarray:
     return np.maximum(np.linalg.eigvalsh(adjacency.astype(float))[..., -1], 0.0)
 
 
-def _at_bounds(params: GameParams, x: np.ndarray) -> bool:
-    return bool(np.any(x <= params.effort_min + 1e-12) or np.any(x >= params.effort_max - 1e-12))
-
-
 def interior_nash_efforts(
     params: GameParams, adjacency: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +66,7 @@ def interior_nash_efforts(
     ``[I - (lam/beta) G_r] x = (theta/beta) 1`` lies in the effort box (within
     1e-12); its row is that solution clipped to the box.  Returns the (k, n)
     efforts and the (k,) mask of networks that pass; the other rows are 0.
-    Each row has the bits of its own one-network call.
+    Each passing row has the bits of `nash_efforts` on its network.
     """
     k, n = adjacency.shape[:2]
     check_size(params, n, "network")
@@ -89,26 +82,15 @@ def interior_nash_efforts(
 
 
 def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
-    """Nash equilibrium effort vector on a fixed network."""
+    """Nash efforts on a fixed network, `kernels.br_iteration`'s least fixed point;
+    ``iterations`` counts its held-set changes and ``residual`` checks the fixed point."""
     adj = network.adjacency
-    interior, passed = interior_nash_efforts(params, adj[None])
-    if passed[0]:
-        x, iters, change = interior[0], 0, 0.0
-    else:
-        x, iters, change = br_iteration(adj, params)
+    check_size(params, network.n, "network")
+    x, stretches = br_iteration(adj, params)
     residual = float(np.max(np.abs(x - best_response(params, neighbor_sums(adj, x)))))
-    if change >= SWEEP_TOL and residual > SOLVER_TOL:
-        raise NonContractionError(
-            f"best-response iteration did not converge in {MAX_ITER} steps "
-            f"(last change {change:.3e}, residual {residual:.3e})"
-        )
-    return EffortSolution(
-        efforts=EffortProfile(x),
-        converged=residual <= SOLVER_TOL,
-        iterations=iters,
-        residual=residual,
-        capped=_at_bounds(params, x),
-    )
+    capped = bool(np.any(x <= params.effort_min + 1e-12) or np.any(x >= params.effort_max - 1e-12))
+    return EffortSolution(EffortProfile(x), converged=residual <= SOLVER_TOL, iterations=stretches,
+                          residual=residual, capped=capped)
 
 
 def efficient_efforts(params: GameParams, network: Network) -> EffortSolution:
@@ -118,9 +100,8 @@ def efficient_efforts(params: GameParams, network: Network) -> EffortSolution:
     ``lam x_i x_j``, each neighbor's, so the planner's first-order
     condition ``theta - beta x_i + 2 lam s_i = 0``, clipped to the box, is
     the Nash condition with the spillover doubled.  Efficient efforts are
-    therefore `nash_efforts` at ``2 lam``: the linear solve when it is
-    interior, else the least fixed point of the clipped best reply, which
-    escalates to the upper bound where the interior problem is unbounded.
+    therefore `nash_efforts` at ``2 lam``, which hold at the upper bound the
+    agents whose interior problem is unbounded.
     """
     return nash_efforts(replace(params, lam=2.0 * params.lam), network)
 

@@ -9,10 +9,6 @@ class DimensionMismatchError(LqnetError):
     """Inputs that should share a group size N do not."""
 
 
-class NonContractionError(LqnetError):
-    """Best-response iteration failed to converge within its budget."""
-
-
 class OrientationBudgetError(LqnetError):
     """Sponsorship-orientation search space exceeds the enumeration budget."""
 

@@ -12,26 +12,23 @@
   re-optimized per intent set), from `deviation_sums`.  This is the
   inner loop of Nash verification (`verifier.verify_nash`); the
   sponsorship-orientation search uses `deviation_sums` directly.
-* `br_iteration` - clipped best-response fixed-point iteration used when
-  the direct equilibrium solve does not apply.
+* `br_iteration` - the exact least fixed point of the clipped best reply,
+  which is every Nash effort solve (`equilibria.nash_efforts`).
 
-All are pure functions of their arguments and state the game only
-through `model`: `best_response` and `neighbor_sums` for the best reply,
-`br_value` for its payoff ``V(s)``, `payoff_components` for an agent's
-current net payoff, and `effort_order` for the candidates' order.
+All are pure functions of their arguments.  The deviation kernels state the
+game only through `model`: `best_response` for the best reply, `br_value` for
+its payoff ``V(s)``, `payoff_components` for an agent's current net payoff, and
+`effort_order` for the candidates' order.  `br_iteration` needs the best reply
+in matrix form, ``theta/beta + (lam/beta) G x`` before clipping, and
+`nash_efforts` checks its result against `model.best_response`.
 Per-layer timings come from the benchmark harness, ``lqbench/run.py --trace 1``.
 """
 
 import numpy as np
 
-from .model import (GameParams, best_response, br_value, effort_order, neighbor_sums,
-                    payoff_components)
+from .model import GameParams, best_response, br_value, effort_order, payoff_components
 
 __all__ = ["deviation_sums", "deviation_scan", "br_iteration", "backend_name"]
-
-#: per-sweep change below which `br_iteration` stops, and its sweep budget
-SWEEP_TOL = 1e-12
-MAX_ITER = 10_000
 
 
 def backend_name() -> str:
@@ -92,22 +89,52 @@ def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams)
 
 
 def br_iteration(adjacency: np.ndarray, params: GameParams):
-    """Iterate the clipped best-response map from the all-``effort_min`` profile
-    until a sweep changes no effort by `SWEEP_TOL` or more, for at most `MAX_ITER`
-    sweeps.
+    """The least fixed point of the clipped best reply on a network, exactly.
 
-    Returns ``(x, iterations, last_change)``.  Monotone from the all-min
-    start, so it converges to the least fixed point of the clipped map.
+    Sweeps from the all-``effort_min`` profile rise, and each agent's reply
+    ``y_i = theta/beta + (lam/beta) (G x)_i`` moves from held low (``y_i <= effort_min``)
+    through free to held high (``y_i >= effort_max``): at most 2n held-set changes
+    (Belhaj, Bramoullé & Deroïan 2014).  While the sets stay, a sweep is an affine
+    map ``x -> P x + S``.  If it contracts (``lam/beta rho(G_free) < 1 - 1e-12``), its
+    fixed point is solved once and returned when no sweep from it changes a set.
+    Else binary lifting finds the first sweep that changes one: square the map,
+    ``(P, S) -> (P P, P S + S)``, then step back down through those powers.  An
+    overflowed power counts as a change, one that reaches 0 ends at the stretch's
+    limit, and where rounding stalls the sweeps short of a change, the nearest
+    power past it, clipped, starts the next stretch.
+
+    Returns ``(x, stretches)``: the efforts and the number of held-set changes.
     """
-    adj_f = np.ascontiguousarray(adjacency, dtype=np.float64)
-    x = np.full(len(adj_f), params.effort_min)
-    change = np.inf
-    it = 0
-    while it < MAX_ITER:
-        new = best_response(params, neighbor_sums(adj_f, x))
-        change = float(np.max(np.abs(new - x)))
-        x = new
-        it += 1
-        if change < SWEEP_TOL:
-            break
-    return x, it, change
+    adj = np.asarray(adjacency, dtype=np.float64)
+    lo, hi, c = params.effort_min, params.effort_max, params.theta / params.beta
+    w = (params.lam / params.beta) * adj
+    x, high = np.full(len(adj), lo), np.zeros(len(adj), dtype=bool)
+    y, low, stretches = c + w @ x, ~high, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            high, low = high | (y >= hi), low & (y <= lo)
+            free = ~(high | low)
+            held = np.where(low, lo, hi)
+            # each set's largest reply; a NaN reply exceeds every one
+            ceiling = np.where(low, lo, np.where(high, np.inf, np.nextafter(hi, -np.inf)))
+
+            def stays(z):  # the sweep from z changes no set
+                return (c + w @ z <= ceiling).all()
+
+            sub = np.ix_(free, free)
+            if params.lam / params.beta * np.linalg.eigvalsh(adj[sub]).max(initial=0.0) < 1.0 - 1e-12:
+                z = held.copy()
+                z[free] = np.linalg.solve(np.eye(free.sum()) - w[sub],
+                                          c + w[np.ix_(free, ~free)] @ held[~free])
+                if stays(z):
+                    return z, stretches
+            powers = [(free[:, None] * w, np.where(free, c, held))]
+            while stays(leave := powers[-1][0] @ x + powers[-1][1]):
+                p, s = powers[-1]
+                if not p.any():
+                    return leave, stretches
+                powers.append((p @ p, p @ s + s))
+            for p, s in reversed(powers[:-1]):  # the last staying sweep, and the nearest leaving one
+                x, leave = (z, leave) if stays(z := p @ x + s) else (x, z)
+            z = leave if stays(z := powers[0][0] @ x + powers[0][1]) else z
+            y, x, stretches = c + w @ z, np.minimum(z, hi), stretches + 1

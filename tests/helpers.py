@@ -1,10 +1,12 @@
-"""`make_profile`, `fixed_links` and the oracles shared by the test modules.
+"""`make_profile`, `fixed_links`, the graph atlas and the oracles shared by the test modules.
 
 Kept out of ``conftest.py`` so that test modules import them by a name no
 other test directory uses.
 """
 
 import csv
+import functools
+import itertools
 
 import numpy as np
 
@@ -72,6 +74,36 @@ def oracle_star_efficient(theta, beta, lam, n):
     )
     periphery = (theta + 2.0 * lam * center) / beta
     return center, periphery
+
+
+def oracle_least_fixed_point(params, adjacency, tol=1e-9):
+    """Least fixed point of the clipped best reply, by trying all 3**n splits of the
+    agents into held low, free and held high.
+
+    A split holds its low and high agents at the box's ends and solves the free
+    agents' first-order conditions; its solution is a fixed point when the free
+    efforts lie in the box and the held agents' replies lie beyond their ends
+    (within ``tol``).  Splits whose free block is singular are skipped: the least
+    fixed point's free block contracts.  The least fixed point lies below every
+    other, so it is their elementwise minimum, and it must be one of them.
+    """
+    n = len(adjacency)
+    lo, hi, c = params.effort_min, params.effort_max, params.theta / params.beta
+    w = params.lam / params.beta * np.asarray(adjacency, dtype=float)
+    split = np.array(list(itertools.product((0, 1, 2), repeat=n)))  # low, free, high
+    free = split == 1
+    a = np.eye(n) - free[:, :, None] * w
+    b = np.where(free, c, np.where(split == 0, lo, hi))
+    solvable = np.abs(np.linalg.det(a)) > tol
+    x = np.linalg.solve(a[solvable], b[solvable][..., None])[..., 0]
+    reply, split = c + x @ w.T, split[solvable]
+    fixed = np.where(
+        split == 1, (x >= lo - tol) & (x <= hi + tol),
+        np.where(split == 0, reply <= lo + tol, reply >= hi - tol),
+    ).all(axis=1)
+    least = x[fixed].min(axis=0)
+    assert (np.abs(x[fixed] - least) <= tol).all(axis=1).any(), "no least fixed point"
+    return least
 
 
 def oracle_gross_payoff(theta, beta, lam, x_own, neighbor_sum):
@@ -143,6 +175,29 @@ def nested_split_graphs(n):
             if code >> (k - 1) & 1:
                 a[k, :k] = a[:k, k] = True
         yield Network(a)
+
+
+@functools.cache
+def atlas(n):
+    """Adjacency matrices of the non-isomorphic graphs on ``n`` agents, built once per
+    process: each class is named by its least edge bitstring over all n! labelings."""
+    i, j = np.triu_indices(n, 1)
+    codes = np.arange(1 << len(i))
+    bits = (codes[:, None] >> np.arange(len(i)) & 1).astype(float)
+    slot = np.zeros((n, n), dtype=int)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    perms = np.array(list(itertools.permutations(range(n))))
+    weights = 2.0 ** slot[perms[:, i], perms[:, j]]  # a labeling's value of each pair slot
+    least = np.full(len(codes), np.inf)
+    for chunk in np.array_split(weights, -(-len(perms) // 60)):
+        least = np.minimum(least, (bits @ chunk.T).min(axis=1))
+    graphs = []
+    for code in sorted(set(least.astype(int).tolist())):
+        on = (code >> np.arange(len(i)) & 1).astype(bool)
+        a = np.zeros((n, n), dtype=bool)
+        a[i[on], j[on]] = a[j[on], i[on]] = True
+        graphs.append(a)
+    return graphs
 
 
 def block_adjacency(n, sizes):

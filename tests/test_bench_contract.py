@@ -70,6 +70,29 @@ def test_traced_read_record_counts_its_rows():
     assert metrics["model.payoff_components.calls"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, br_path",
+    [(["--network", "complete", "--efficient"], 1), (["--network", "star"], 0)],
+    ids=["capped-efficient-complete", "interior-nash-star"],
+)
+def test_traced_solve_counts_the_br_path(capsys, argv, br_path):
+    # the tracer's ``br_path`` hook reads `EffortSolution.iterations`, the held-set
+    # changes: the planner's K9 under N9_HighCost (ratio 1) caps in one change
+    from lqnet import cli
+
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["solve", "--treatment", "N9_HighCost", *argv])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert code == 0
+    assert metrics["equilibria.nash_efforts.calls"] == metrics["kernels.br_iteration.calls"] == 1
+    assert metrics["equilibria.nash_efforts.br_path"] == br_path
+
+
 def test_traced_sessions_round_prints_what_an_untraced_one_prints(tmp_path, capsys):
     # ``--trace 1`` runs the sessions workload's simulate and analyze under the tracer
     from lqnet import cli

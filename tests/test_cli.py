@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -27,6 +28,11 @@ except ImportError:  # not on every platform; only the closed-pipe test needs it
     fcntl = None
 
 GOLDEN_RECORD = Path(__file__).parent / "golden" / "sessions_n5" / "records" / "s7.csv"
+
+
+def file_hashes(directory):
+    """Each file name in ``directory`` with the SHA-256 of its bytes."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +277,35 @@ class TestSimulateAnalyze:
         assert code == 1
         assert out == ""
         assert err == f"error: {tmp_path / failed}: cannot write {message}\n"
+
+    @pytest.mark.parametrize("target", ["s7.csv", "s10.json", "../records/./s8.csv"])
+    def test_analyze_refuses_a_csv_target_it_read(self, capsys, tmp_path, target):
+        records = tmp_path / "records"
+        shutil.copytree(GOLDEN_RECORD.parent, records)
+        before = file_hashes(records)
+        code, out, err = run_cli(capsys, "analyze", "--in", str(records), "--treatment",
+                                 "N5_HighCost", "--csv", str(records / target))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {records / target}: is a session record that analyze reads; "
+                       "--csv would replace it\n")
+        assert file_hashes(records) == before
+
+    @pytest.mark.parametrize("removed, taken", [(None, "s7.csv"), ("s7.csv", "s7.json")])
+    def test_simulate_refuses_to_replace_a_record(self, capsys, tmp_path, removed, taken):
+        # seed 6, two replications: s6 is new, s7 is a golden record
+        records = tmp_path / "records"
+        shutil.copytree(GOLDEN_RECORD.parent, records)
+        if removed:
+            (records / removed).unlink()
+        before = file_hashes(records)
+        code, out, err = run_cli(
+            capsys, "simulate", "--treatment", "N5_HighCost", "--policy",
+            str(GOLDEN_RECORD.parents[1] / "policy.yaml"), "--periods", "12", "--reps", "2",
+            "--seed", "6", "--out", str(records),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {records / taken}: already exists; simulate does not replace a record\n"
+        assert file_hashes(records) == before
 
     def test_analyze_twice_on_one_directory(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.yaml"

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from lqnet.equilibria import (
     single_link_deviation_threshold,
     spectral_radius,
 )
-from lqnet.errors import NonContractionError
 from lqnet.model import (
     GameParams,
     Network,
@@ -115,12 +116,32 @@ class TestNashEfforts:
             x = nash_efforts(p, net).efforts.efforts
             assert np.allclose(x, x[0], atol=1e-10)
 
-    def test_non_contraction_error(self):
-        # ratio just above 1 with a tiny drift term: the clipped iteration
-        # cannot reach the cap within its budget
+    def test_ratio_just_above_one_reaches_the_cap(self):
+        # a tiny drift term at ratio 1.000008: about 2.5e5 sweeps to the cap, one set change
         p = GameParams(theta=1e-4, beta=4.0, lam=0.5000005, kappa=1.0, n=9)
-        with pytest.raises(NonContractionError):
-            nash_efforts(p, Network.complete(9))
+        sol = nash_efforts(p, Network.complete(9))
+        assert np.all(sol.efforts.efforts == 20.0)
+        assert sol.capped and sol.converged and sol.iterations == 1
+
+    @pytest.mark.parametrize(
+        "theta, lam, effort_max",
+        [(1e-300, 0.5, 20.0), (1e-300, 0.5000000000000006, 20.0), (10.0, 0.5, 1e300)],
+        ids=["tiny-theta-ratio-1", "tiny-theta-above-1", "huge-cap-ratio-1"],
+    )
+    def test_extreme_drift_or_cap_is_exact_and_quick(self, theta, lam, effort_max):
+        # K9 at lam (n - 1) / beta = 1 or just above: up to about 1e302 sweeps from 0 to
+        # the cap, found by squaring the sweep map, with no overflow warning
+        p = GameParams(theta=theta, beta=4.0, lam=lam, kappa=1.0, n=9, effort_max=effort_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            elapsed = []
+            for _ in range(3):
+                start = time.perf_counter()
+                sol = nash_efforts(p, Network.complete(9))
+                elapsed.append(time.perf_counter() - start)
+        assert np.all(sol.efforts.efforts == effort_max)
+        assert sol.capped and sol.converged
+        assert min(elapsed) < 0.05
 
 
 class TestInteriorNashEfforts:
@@ -173,12 +194,13 @@ class TestEfficientEfforts:
         assert x9[0] == pytest.approx(40 / 7, abs=1e-12)
         assert np.allclose(x9[1:], 45 / 14, rtol=0, atol=1e-12)
 
-    def test_non_contraction_error(self):
+    def test_ratio_just_above_one_reaches_the_cap(self):
         # the Nash case of TestNashEfforts at half the spillover: the
         # planner's ratio 2 lam (n-1) / beta is just above 1
         p = GameParams(theta=1e-4, beta=4.0, lam=0.25000025, kappa=1.0, n=9)
-        with pytest.raises(NonContractionError):
-            efficient_efforts(p, Network.complete(9))
+        sol = efficient_efforts(p, Network.complete(9))
+        assert np.all(sol.efforts.efforts == 20.0)
+        assert sol.capped and sol.converged and sol.iterations == 1
 
     def test_complete_n9_cap_binds(self):
         p = get_treatment("N9_LowCost1").params

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import oracle_gross_payoff
+from helpers import atlas, oracle_gross_payoff, oracle_least_fixed_point
 from lqnet import kernels
 from lqnet.model import GameParams, get_treatment
 
@@ -83,11 +83,35 @@ def test_br_iteration_matches_linear_solve():
         n = int(rng.integers(2, 10))
         m = np.triu(rng.random((n, n)) < 0.5, 1)
         adj = m | m.T
-        # lam / beta * (n - 1) < 1 keeps the solution interior and unique
+        # lam / beta * (n - 1) < 1 keeps the solution interior and unique: the first
+        # stretch's solve holds, with the bits of the linear solve
         exact = np.linalg.solve(np.eye(n) - p.lam / p.beta * adj, np.full(n, p.theta / p.beta))
-        x, iterations, change = kernels.br_iteration(adj, p)
-        assert np.allclose(x, exact, atol=1e-10)
-        assert iterations > 0 and change < 1e-12
+        x, stretches = kernels.br_iteration(adj, p)
+        assert np.array_equal(x, exact)
+        assert stretches == 0
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_br_iteration_matches_split_search_on_the_atlas(ratio):
+    # every graph on 2..6 agents at lam (n - 1) / beta = ratio
+    for n in range(2, 7):
+        for adj in atlas(n):
+            p = GameParams(theta=10.0, beta=4.0, lam=ratio * 4.0 / (n - 1), kappa=1.0, n=n)
+            x, _ = kernels.br_iteration(adj, p)
+            assert np.allclose(x, oracle_least_fixed_point(p, adj), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("effort_min", [-3.0, 4.0])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_br_iteration_matches_split_search_off_zero(effort_min, ratio):
+    # a negative floor lets replies fall to it; one above theta/beta holds agents
+    # there until their neighbors lift them
+    for n in range(2, 5):
+        for adj in atlas(n):
+            p = GameParams(theta=10.0, beta=4.0, lam=ratio * 4.0 / (n - 1), kappa=1.0, n=n,
+                           effort_min=effort_min)
+            x, _ = kernels.br_iteration(adj, p)
+            assert np.allclose(x, oracle_least_fixed_point(p, adj), rtol=0, atol=1e-12)
 
 
 def test_backend_name_is_numpy():
