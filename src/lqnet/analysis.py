@@ -266,25 +266,19 @@ def treatment_summary(
     """
     windows = _windows(records, window)
     denominator = complete_equilibrium_average(params)
-    # realized networks repeat across periods and groups: one Nash solve each,
-    # and the networks new in a record solved in one stacked call
-    index: dict[bytes, int] = {}
-    solved: list[np.ndarray] = []
-    for rec, (start, end) in zip(records, windows):
-        fresh = []
-        for adj in rec.networks[start - 1 : end]:
-            key = adj.tobytes()
-            if key not in index:
-                index[key] = len(index)
-                fresh.append(adj)
-        if fresh:
-            solved.append(_nash_stack(params, np.array(fresh)))
-    nash_means = np.concatenate(solved).mean(axis=1)
+    networks = [rec.networks[start - 1 : end] for rec, (start, end) in zip(records, windows)]
+    # realized networks repeat across periods and groups: each distinct one of the
+    # batch is solved once, all in one stacked call
+    stacked = np.concatenate(networks)
+    keys = np.packbits(stacked.reshape(len(stacked), -1), axis=1)
+    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                  return_index=True, return_inverse=True)
+    nash_means = _nash_stack(params, stacked[first]).mean(axis=1)[inverse]
+    bounds = np.cumsum([len(nets) for nets in networks])[:-1]
     groups = []
-    for rec, (start, end) in zip(records, windows):
-        networks = rec.networks[start - 1 : end]
-        series = period_stats(networks) | _welfare_series(rec, (start, end), denominator)
-        series["nash_effort_on_network"] = nash_means[[index[a.tobytes()] for a in networks]]
+    for rec, window, nets, nash in zip(records, windows, networks, np.split(nash_means, bounds)):
+        series = period_stats(nets) | _welfare_series(rec, window, denominator)
+        series["nash_effort_on_network"] = nash
         table = np.array([series[f] for f in SUMMARY_FIELDS], dtype=float)
         groups.append(
             GroupSummary(

@@ -161,9 +161,11 @@ def _cmd_analyze(args) -> dict:
     treatment = get_treatment(args.treatment)
     records = session_io.read_records(args.in_dir, treatment.params)
     csv_path = Path(args.csv) if args.csv else Path(args.in_dir) / session_io.SUMMARY_CSV
-    if any(csv_path.resolve() == (Path(args.in_dir) / f"{rec.session_id}{ext}").resolve()
-           for rec in records for ext in (".csv", ".json")):
-        raise LqnetError(f"{csv_path}: is a session record that analyze reads; --csv would replace it")
+    if csv_path.exists():  # a new file replaces nothing; an old one may be a record by any path
+        target = csv_path.stat()
+        read = (Path(args.in_dir) / f"{rec.session_id}{ext}" for rec in records for ext in (".csv", ".json"))
+        if any(os.path.samestat(target, path.stat()) for path in read):
+            raise LqnetError(f"{csv_path}: is a session record that analyze reads; --csv would replace it")
     window = args.window
     freq = analysis.frequency_report(records, window)
     diags = [analysis.link_diagnostics(rec, window) for rec in records]
@@ -272,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand: print its report and return 0, or print one ``error:``
-    line and return 2 for a refused flag value and 1 for a domain error; a
-    reader who closed the pipe also ends in 1."""
+    line and return 2 for a refused flag value and 1 for a domain error or an
+    allocation that fails; a reader who closed the pipe also ends in 1."""
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except (_UsageError, LqnetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, LqnetError, MemoryError) as exc:  # MemoryError: e.g. a huge --periods
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
     return 0 if _emit(_clean(report)) else 1
 

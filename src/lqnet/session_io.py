@@ -5,12 +5,21 @@ of the original interface); everything in memory is 0-based.  Session
 records persist as one CSV per session (agent-period rows) plus a JSON
 sidecar holding the parameters, seed, and a format version.  Floats are
 written in shortest round-trip decimal form so records replay bit-exactly.
+
+The ID-list cells ("2:5") of a batch repeat: a group of n has at most 2^n
+distinct rows.  Both directions therefore go through a mask row packed
+little-endian (`numpy.packbits`) and a bounded `functools.lru_cache`:
+`write_record` formats each distinct packed row once (`_id_cell`), and
+`read_record` parses each distinct (cell, n) once (`_id_row`) and unpacks all
+of a record's rows in one call, so the work is shared across the records of
+one command.  The caches keep no state a record depends on.
 """
 
 import csv
 import io
 import json
-from itertools import chain, compress, repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +61,30 @@ PAYOFF_CELLS = [4, 0, 1, 2, 3]
 #: so a record whose payoffs were summed in another order still loads
 PAYOFF_TOL = 1e-9
 
+#: distinct entries each ID-cell cache keeps; a group of n has at most 2^n distinct rows,
+#: and larger groups, whose rows rarely repeat, cannot grow the caches past this
+ID_CACHE_SIZE = 4096
+
+
 def _id_cells(mask: np.ndarray) -> list[str]:
     """The 1-based ID-list cell of each row of a (rows, n) mask, e.g. "2:5"."""
-    labels = [str(j + 1) for j in range(mask.shape[1])]
-    return [":".join(compress(labels, row)) for row in mask.tolist()]
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return list(map(_id_cell, packed.view(f"V{packed.shape[1]}").ravel().tolist()))
+
+
+@lru_cache(maxsize=ID_CACHE_SIZE)
+def _id_cell(packed: bytes) -> str:
+    """The ID-list cell of one mask row packed little-endian."""
+    bits = int.from_bytes(packed, "little")
+    return ":".join([str(j + 1) for j in range(bits.bit_length()) if bits >> j & 1])
+
+
+@lru_cache(maxsize=ID_CACHE_SIZE)
+def _id_row(text: str, n: int) -> tuple[bytes, int]:
+    """A group of ``n``'s ID-list cell as its mask row, packed as `_id_cells` packs it,
+    and the number of IDs it lists, which exceeds the row's when an ID repeats."""
+    ids = _ids_split(text, n)
+    return sum(1 << j for j in set(ids)).to_bytes((n + 7) // 8, "little"), len(ids)
 
 
 def _ids_split(text: str, n: int) -> list[int]:
@@ -204,8 +233,7 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
     floats = [map(repr, column.tolist()) for column in (record.efforts.ravel(), *payoffs)]
     rows = map(",".join, zip(
         repeat(_csv_field(record.session_id)),
-        map(str, np.repeat(np.arange(1, T + 1), n).tolist()),
-        map(str, np.tile(np.arange(1, n + 1), T).tolist()),
+        _row_keys(T, n),
         floats[0],
         _id_cells(record.intents.reshape(T * n, n)),
         _id_cells(record.networks.reshape(T * n, n)),
@@ -226,6 +254,12 @@ def write_record(record: SessionRecord, directory: str | Path) -> Path:
     return csv_path
 
 
+@lru_cache(maxsize=1)  # the records of one batch share their (T, n)
+def _row_keys(T: int, n: int) -> tuple[str, ...]:
+    """The "period,agent" cells of a record's rows, in file order."""
+    return tuple(f"{t},{i}" for t in range(1, T + 1) for i in range(1, n + 1))
+
+
 def _csv_field(text: str) -> str:
     """``text`` as one field of a multi-field row, quoted as `csv.writer` quotes it."""
     if not text:
@@ -233,18 +267,6 @@ def _csv_field(text: str) -> str:
     out = io.StringIO()
     csv.writer(out).writerow([text])
     return out.getvalue()[: -len("\r\n")]
-
-
-def _id_mask(
-    t: np.ndarray, i: np.ndarray, id_lists: list[list[int]], T: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A (T, n, n) mask holding, for each row k, ``id_lists[k]`` at
-    ``[t[k], i[k]]``, and the length of each list."""
-    lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
-    ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64)
-    mask = np.zeros((T, n, n), dtype=bool)
-    mask[np.repeat(t, lengths), np.repeat(i, lengths), ids] = True
-    return mask, lengths
 
 
 def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:
@@ -325,17 +347,24 @@ def read_record(csv_path: str | Path) -> SessionRecord:
     columns = np.stack([_numbers(column, float, name) for column in (effort, *payoff)], axis=1)
     if (k := first((t < 0) | (t >= T) | (i < 0) | (i >= n))) is not None:
         raise LqnetError(f"{name} row {k + 2}: period/agent out of range")
-    repeat = np.ones(len(rows), dtype=bool)
-    repeat[np.unique(t * n + i, return_index=True)[1]] = False  # each (period, agent)'s first row
-    if (k := first(repeat)) is not None:
+    twice = np.ones(len(rows), dtype=bool)
+    twice[np.unique(t * n + i, return_index=True)[1]] = False  # each (period, agent)'s first row
+    if (k := first(twice)) is not None:
         raise LqnetError(f"{name} row {k + 2}: period {t[k] + 1} agent {i[k] + 1} appears twice")
-    id_cells = list(chain.from_iterable(zip(initiated, claimed)))
-    parsed = dict.fromkeys(id_cells)  # each distinct ID cell, in file order, parsed once
-    for text in parsed:
-        try:
-            parsed[text] = _ids_split(text, n)
-        except LqnetError as exc:
-            raise LqnetError(f"{name} row {id_cells.index(text) // 2 + 2}: {exc}") from None
+    try:
+        packed, counts = zip(*map(_id_row, initiated + claimed, repeat(n)))
+    except LqnetError:
+        for k, text in enumerate(chain.from_iterable(zip(initiated, claimed))):  # in file order
+            try:
+                _id_row(text, n)
+            except LqnetError as exc:
+                raise LqnetError(f"{name} row {k // 2 + 2}: {exc}") from None
+        raise
+    # (column, row, agent): initiated_ids, then neighbor_ids
+    ids = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(2, len(rows), -1)
+    ids = np.unpackbits(ids, axis=2, count=n, bitorder="little").view(bool)
+    # a repeated ID leaves the row equal but the count too large
+    repeats = np.array(counts).reshape(2, len(rows)) != ids.sum(axis=2)
 
     def reject(bad: np.ndarray, what: str) -> None:
         if (k := first(bad)) is not None:
@@ -343,19 +372,17 @@ def read_record(csv_path: str | Path) -> SessionRecord:
 
     efforts = np.zeros((T, n), dtype=float)
     efforts[t, i] = columns[:, 0]
-    intents, initiated_counts = _id_mask(t, i, [parsed[text] for text in initiated], T, n)
-    # a repeated ID leaves the mask equal but the count too large
-    reject(initiated_counts != intents.sum(axis=2)[t, i], "initiated_ids name an agent twice")
+    intents = np.zeros((T, n, n), dtype=bool)
+    intents[t, i] = ids[0]
+    reject(repeats[0], "initiated_ids name an agent twice")
     try:
         record = SessionRecord(session_id, params, meta["seed"], intents=intents, efforts=efforts)
     except LqnetError as exc:
         raise LqnetError(f"{csv_path}: {exc}") from None
     if name != f"{session_id}.csv":  # as `write_record` names it, so no two files share an ID
         raise LqnetError(f"{csv_path}: the sidecar's session_id {session_id!r} does not name this file")
-    networks = record.networks
-    claims, claim_counts = _id_mask(t, i, [parsed[text] for text in claimed], T, n)
     reject(
-        (claims != networks).any(axis=2)[t, i] | (claim_counts != networks.sum(axis=2)[t, i]),
+        (ids[1] != record.networks[t, i]).any(axis=1) | repeats[1],
         "neighbor_ids do not match the realization of the stored intents",
     )
     expect = record.payoffs[t, i][:, PAYOFF_CELLS]

@@ -362,6 +362,13 @@ def _ids_join(indices):
     return ":".join(str(int(j) + 1) for j in sorted(indices))
 
 
+def oracle_id_cells(mask):
+    """The 1-based ID-list cell of each row of a (rows, n) mask, e.g. "2:5", one
+    row at a time."""
+    labels = [str(j + 1) for j in range(mask.shape[1])]
+    return [":".join(itertools.compress(labels, row)) for row in mask.tolist()]
+
+
 def oracle_write_csv(record, path):
     """Write ``record``'s session CSV one row at a time, as `write_record` must."""
     with open(path, "w", newline="") as fh:

@@ -252,6 +252,20 @@ class TestSimulateAnalyze:
         assert err == "error: --seed must be non-negative, got -1\n"
         assert not (tmp_path / "runs").exists()
 
+    def test_allocation_too_large_is_one_error_line(self, capsys, tmp_path):
+        # 10^15 periods ask for more than a 128 TiB address space: the first array of the
+        # batch fails to allocate before it touches memory; one replication, one generator
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(self.POLICY)
+        code, out, err = run_cli(
+            capsys, "simulate", "--treatment", "N9_LowCost1", "--policy", str(policy_path),
+            "--periods", "1000000000000000", "--reps", "1", "--seed", "1",
+            "--out", str(tmp_path / "runs"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize(
         "command,target,failed,message",
         [

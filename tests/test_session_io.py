@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -8,15 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqnet.dynamics import LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, batch_run, run_session
+from lqnet import session_io
+from lqnet.dynamics import (
+    LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, SessionRecord, batch_run, run_session,
+)
 from lqnet.errors import ConfigError, LqnetError, SchemaVersionError
 from lqnet.files import load_network, network_from_obj, network_to_obj, profile_from_obj
 from lqnet.model import GameParams, Network, get_treatment
 from lqnet.session_io import load_policies, read_record, read_records, write_record
 
-from helpers import oracle_write_csv
+from helpers import oracle_id_cells, oracle_write_csv
 
 P5 = get_treatment("N5_LowCost").params
+P9 = get_treatment("N9_LowCost1").params
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -283,6 +288,83 @@ class TestNeighborIdCheck:
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(LqnetError, match="^s1.csv row 3: session_id 'zzz' is not the sidecar's 's1'$"):
             read_record(path)
+
+
+def _two_groups(tmp_path, row, column, cell):
+    """a.csv, two periods of a group of 9 whose agent 1 initiates to agent 7, and b.csv,
+    two periods of an unlinked group of 5 with ``cell`` put in ``column`` of file row
+    ``row`` (the header is row 1); `read_records` reads them in that order."""
+    intents = np.zeros((2, 9, 9), dtype=bool)
+    intents[0, 0, 6] = True
+    write_record(SessionRecord("a", P9, 1, intents=intents, efforts=np.ones((2, 9))), tmp_path)
+    assert ",7,7," in (tmp_path / "a.csv").read_text()
+    empty = np.zeros((2, 5, 5), dtype=bool)
+    path = write_record(SessionRecord("b", P5, 1, intents=empty, efforts=np.ones((2, 5))), tmp_path)
+    lines = path.read_text().splitlines()
+    fields = lines[row - 1].split(",")
+    fields[session_io.CSV_COLUMNS.index(column)] = cell
+    lines[row - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestIdCellCaches:
+    """Each distinct ID cell of a batch is formatted or parsed once, and every check on it
+    still runs, with its own file's row."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 17, 63, 64, 70])
+    def test_cells_match_the_row_by_row_formatter(self, n):
+        rng = np.random.default_rng(n)
+        mask = rng.random((300, n)) < rng.random((300, 1))  # each row its own density
+        mask[0], mask[1] = False, True
+        cells = oracle_id_cells(mask)
+        assert session_io._id_cells(mask) == cells
+        # the reader packs each cell back into its row
+        packed = np.frombuffer(b"".join(session_io._id_row(cell, n)[0] for cell in cells), np.uint8)
+        rows = np.unpackbits(packed.reshape(len(mask), -1), axis=1, count=n, bitorder="little")
+        assert np.array_equal(rows.view(bool), mask)
+
+    @pytest.mark.parametrize(
+        "row, column, cell, message",
+        [
+            # "7" is a good cell of a.csv, parsed there for a group of 9 first
+            (4, "initiated_ids", "7", "b.csv row 4: ID 7 out of range 1..5$"),
+            (5, "neighbor_ids", "x", "b.csv row 5: bad ID 'x'$"),
+        ],
+    )
+    def test_bad_cell_of_the_second_file_names_its_row(self, tmp_path, row, column, cell, message):
+        _two_groups(tmp_path, row, column, cell)
+        with pytest.raises(LqnetError, match=message):
+            read_records(tmp_path)
+
+    def test_repeated_id_refused_on_a_cache_hit(self, tmp_path):
+        _two_groups(tmp_path, 4, "initiated_ids", "2:2")
+        misses = []
+        for warm in (False, True):
+            session_io._id_row.cache_clear()
+            if warm:
+                session_io._id_row("2:2", 5)
+            before = session_io._id_row.cache_info().misses
+            with pytest.raises(LqnetError, match=r"b.csv: period 1 agent 3: initiated_ids name an agent twice$"):
+                read_records(tmp_path)
+            misses.append(session_io._id_row.cache_info().misses - before)
+        assert misses[1] == misses[0] - 1  # warm, "2:2" came from the cache
+
+    def test_golden_batch_handles_each_distinct_cell_once(self, tmp_path):
+        directory = GOLDEN / "sessions_n9" / "records"
+        session_io._id_row.cache_clear()
+        records = read_records(directory)
+        cells = set()
+        for rec in records:
+            with open(directory / f"{rec.session_id}.csv", newline="") as fh:
+                cells |= {(row[key], rec.n) for row in csv.DictReader(fh)
+                          for key in ("initiated_ids", "neighbor_ids")}
+        assert session_io._id_row.cache_info().misses == len(cells)
+        session_io._id_cell.cache_clear()
+        for rec in records:
+            write_record(rec, tmp_path)
+        rows = {row.tobytes() for rec in records for mask in (rec.intents, rec.networks)
+                for row in mask.reshape(-1, rec.n)}  # one n, so one packed row per mask row
+        assert session_io._id_cell.cache_info().misses == len(rows)
 
 
 class TestRowFormat:
