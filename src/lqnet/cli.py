@@ -8,6 +8,7 @@ byte-identical, and picks the exit code: 0 on success, 1 on domain errors
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -29,9 +30,12 @@ def _parse_window(text: str):
         return text
     a, _, b = text.partition(":")
     try:
-        return (int(a), int(b))
+        start, end = int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad window {text!r}; {_WINDOW_HELP}") from None
+    if not 1 <= start <= end:  # an end past the record's length shows only in the records
+        raise argparse.ArgumentTypeError(f"bad window {text!r}; start must be at least 1 and at most end")
+    return (start, end)
 
 
 class _UsageError(Exception):
@@ -285,5 +289,17 @@ def main(argv=None) -> int:
     return 0 if _emit(_clean(report)) else 1
 
 
+def entry() -> int:
+    """The process entry, for ``python -m lqnet.cli`` and the ``lqnet`` script:
+    `main` with the imports' objects frozen out of the garbage collector.
+
+    CPython's finalization collects every tracked object at exit; the twenty
+    thousand or so that the imports built are alive until then, so freezing them
+    spares the exit that work.  The freeze sits here, not in `main`, which tests
+    and in-process runners call many times in one process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

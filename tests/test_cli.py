@@ -1,4 +1,6 @@
+import ast
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -28,6 +30,8 @@ except ImportError:  # not on every platform; only the closed-pipe test needs it
     fcntl = None
 
 GOLDEN_RECORD = Path(__file__).parent / "golden" / "sessions_n5" / "records" / "s7.csv"
+#: the environment of a child `python` that imports this checkout's lqnet
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(lqnet.__file__).parents[1])}
 
 
 def file_hashes(directory):
@@ -441,10 +445,9 @@ class TestSimulateAnalyze:
         # is still writing when the reader closes its end after the first line
         read_fd, write_fd = os.pipe()
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
-        env = {**os.environ, "PYTHONPATH": str(Path(lqnet.__file__).parents[1])}
         proc = subprocess.Popen(
             [sys.executable, "-m", "lqnet.cli", "enumerate", "--treatment", "N5_LowCost"],
-            stdout=write_fd, stderr=subprocess.PIPE, env=env,
+            stdout=write_fd, stderr=subprocess.PIPE, env=SRC_ENV,
         )
         os.close(write_fd)
         first = b""
@@ -495,6 +498,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"argument --window: bad window {window!r}; analysis window: 'full'" in err
         assert "_parse_window" not in err
+
+    @pytest.mark.parametrize("window", ["5:2", "0:3"])
+    def test_window_out_of_order_is_refused_by_the_flag(self, capsys, tmp_path, window):
+        # the flag alone shows it: refused before any record is read
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--in", str(tmp_path / "missing"), "--treatment", "N5_HighCost",
+                  "--window", window])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --window: bad window {window!r}; start must be at least 1 and at most end" in err
+
+    def test_window_past_the_record_is_a_domain_error(self, capsys, tmp_path):
+        # only the records tell how long they are
+        code, out, err = run_cli(
+            capsys, "analyze", "--in", str(GOLDEN_RECORD.parent), "--treatment", "N5_HighCost",
+            "--window", "3:99", "--csv", str(tmp_path / "summary.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: window (3, 99) invalid for a 12-period record\n"
+        assert not (tmp_path / "summary.csv").exists()
 
 
 def _network_argv(path):
@@ -837,9 +860,94 @@ def test_random_policy_files_never_traceback(doc):
 def test_cold_import_does_not_load_numpy_random():
     # NumPy imports `numpy.random` on first use, which costs a cold process a few ms
     # and about 6 MB; only `simulate` needs it
-    env = {**os.environ, "PYTHONPATH": str(Path(lqnet.__file__).parents[1])}
     code = "import sys, lqnet.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, check=True
     ).stdout
     assert out == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m lqnet.cli` and the `lqnet` script run `cli.entry`
+# ---------------------------------------------------------------------------
+
+_GOLDEN = GOLDEN_RECORD.parents[2]
+
+#: every subcommand, then one usage error and one domain error; `simulate`
+#: writes the records that `analyze` reads, and both write to relative paths
+#: so that a run's report is the same in any working directory
+PROCESS_CALLS = [
+    ["solve", "--treatment", "N5_HighCost", "--network", "star"],
+    ["verify", "--treatment", "N5_HighCost", "--profile", str(_GOLDEN / "profiles" / "tied.json")],
+    ["enumerate", "--treatment", "N5_HighCost"],
+    ["classify", "--network", "star", "--n", "5"],
+    ["thresholds", "--treatment", "N5_HighCost"],
+    ["simulate", "--treatment", "N5_HighCost", "--policy", str(_GOLDEN / "sessions_n5" / "policy.yaml"),
+     "--periods", "6", "--reps", "2", "--seed", "3", "--out", "out"],
+    ["analyze", "--in", "out", "--treatment", "N5_HighCost", "--window", "2:5", "--csv", "summary.csv"],
+    ["analyze", "--in", "out", "--treatment", "N5_HighCost", "--window", "5:2"],
+    ["solve", "--treatment", "N7_X", "--network", "star"],
+]
+
+
+def _in_process(capsys, argv):
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code, *capsys.readouterr()
+
+
+def test_process_entry_matches_main(capsys, tmp_path, monkeypatch):
+    # `-X dev` reports a file left open at exit, and `-W error` makes any warning
+    # fail the run: the entry's freeze must leave output and written files as `main` does
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    monkeypatch.chdir(warm)
+    codes = []
+    for argv in PROCESS_CALLS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "lqnet.cli", *argv],
+            cwd=cold, env=SRC_ENV, capture_output=True, text=True,
+        )
+        code, out, err = _in_process(capsys, argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+        assert (code == 0) == (err == ""), argv
+        codes.append(code)
+    assert codes == [0] * 7 + [2, 1]
+    assert (cold / "summary.csv").read_bytes() == (warm / "summary.csv").read_bytes()
+    assert file_hashes(cold / "out") == file_hashes(warm / "out")
+    assert len(file_hashes(cold / "out")) == 4
+
+
+def test_process_entry_freezes_the_imports():
+    # the objects alive at the entry are frozen, so the collections at exit skip them
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), len(gc.get_objects())))\n"
+        "sys.argv = ['lqnet', 'classify', '--network', 'star', '--n', '3']\n"
+        "runpy.run_module('lqnet.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    frozen, tracked = map(int, proc.stdout.splitlines()[-1].split())
+    assert frozen > tracked  # most objects alive at exit were built by the imports
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, _, _ = run_cli(capsys, "classify", "--network", "star", "--n", "3")
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_script_entry_is_the_main_guard_entry():
+    # an installed `lqnet` and `python -m lqnet.cli` run the same callable
+    tomllib = pytest.importorskip("tomllib")
+    cli_path = Path(lqnet.__file__).parent / "cli.py"
+    guard, = (top for top in ast.parse(cli_path.read_text(encoding="utf-8")).body
+              if isinstance(top, ast.If) and ast.unparse(top.test) == "__name__ == '__main__'")
+    called, = (ast.unparse(node.func) for node in ast.walk(guard)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) != "sys.exit")
+    with (Path(lqnet.__file__).parents[2] / "pyproject.toml").open("rb") as f:
+        assert tomllib.load(f)["project"]["scripts"]["lqnet"] == f"lqnet.cli:{called}"
