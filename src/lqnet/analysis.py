@@ -3,7 +3,9 @@
 Includes realized-efficiency reporting against the complete-network
 equilibrium benchmark, equilibrium-architecture frequency with a two-link
 slack, per-period link-profitability diagnostics, pooled least-squares
-estimation of the effort-adjustment rule, and a per-group summary table.
+estimation of the effort-adjustment rule, and a per-group summary table whose
+Nash benchmark is one `kernels.br_iteration` call on the batch's distinct
+networks.  The reducers given a treatment's params refuse records of others.
 """
 
 from functools import lru_cache
@@ -12,9 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import SessionRecord, effort_regressors
-from .equilibria import interior_nash_efforts, nash_efforts
+from .equilibria import nash_efforts
 from .errors import LqnetError, RankDeficientDataError
-from .model import GameParams, Network, br_payoff, link_benefit, neighbor_sums
+from .kernels import br_iteration
+from .model import GameParams, Network, br_payoff, check_params, link_benefit, neighbor_sums
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -93,10 +96,12 @@ def resolve_window(window, T: int) -> Window:
     return (start, end)
 
 
-def _windows(records: list[SessionRecord], window) -> list[Window]:
-    """Each record's resolved window, in record order."""
+def _windows(records: list[SessionRecord], window, params: GameParams | None = None) -> list[Window]:
+    """Each record's resolved window, in record order; a record not of ``params`` is refused."""
     if not records:
         raise LqnetError("no records supplied")
+    for rec in records:
+        check_params(rec.params, params, f"session {rec.session_id}")
     return [resolve_window(window, rec.T) for rec in records]
 
 
@@ -113,16 +118,14 @@ def complete_equilibrium_average(params: GameParams) -> float:
     return float(gross.mean()) - params.kappa * (params.n - 1) / 2
 
 
-def _welfare_series(
-    record: SessionRecord, window: Window, denominator: float
-) -> dict[str, np.ndarray]:
+def _welfare_series(record: SessionRecord, window: Window) -> dict[str, np.ndarray]:
     """Per-period average effort, average payoff and relative efficiency in a window."""
     start, end = window
     payoff = np.ascontiguousarray(record.payoffs[start - 1 : end, :, 4]).mean(axis=1)
     return {
         "avg_effort": record.efforts[start - 1 : end].mean(axis=1),
         "avg_payoff": payoff,
-        "relative_efficiency": payoff / denominator,
+        "relative_efficiency": payoff / complete_equilibrium_average(record.params),
     }
 
 
@@ -138,9 +141,8 @@ def efficiency_report(
     then over records: the reduction behind `treatment_summary`'s overall
     means, so both report the same bits.
     """
-    windows = _windows(records, window)
-    denominator = complete_equilibrium_average(params)
-    series = [_welfare_series(rec, w, denominator) for rec, w in zip(records, windows)]
+    windows = _windows(records, window, params)
+    series = [_welfare_series(rec, w) for rec, w in zip(records, windows)]
     means = {f: float(np.mean([s[f].mean() for s in series])) for f in series[0]}
     return EfficiencyReport(**means, window=windows[-1])
 
@@ -243,15 +245,6 @@ def fit_effort_model(records: list[SessionRecord]) -> FitResult:
     )
 
 
-def _nash_stack(params: GameParams, networks: np.ndarray) -> np.ndarray:
-    """Nash efforts on each network of a (k, n, n) stack, as `nash_efforts` gives
-    them: the interior ones from one stacked solve, the rest one at a time."""
-    efforts, interior = interior_nash_efforts(params, networks)
-    for r in np.flatnonzero(~interior):
-        efforts[r] = nash_efforts(params, Network(networks[r])).efforts.efforts
-    return efforts
-
-
 def treatment_summary(
     records: list[SessionRecord],
     params: GameParams,
@@ -264,20 +257,18 @@ def treatment_summary(
     Standard deviations are population-style across periods within a
     group, and across group means in the overall row.
     """
-    windows = _windows(records, window)
-    denominator = complete_equilibrium_average(params)
+    windows = _windows(records, window, params)
     networks = [rec.networks[start - 1 : end] for rec, (start, end) in zip(records, windows)]
-    # realized networks repeat across periods and groups: each distinct one of the
-    # batch is solved once, all in one stacked call
+    # realized networks repeat across periods and groups: each distinct one is solved once
     stacked = np.concatenate(networks)
     keys = np.packbits(stacked.reshape(len(stacked), -1), axis=1)
     _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
                                   return_index=True, return_inverse=True)
-    nash_means = _nash_stack(params, stacked[first]).mean(axis=1)[inverse]
+    nash_means = br_iteration(stacked[first], params)[0].mean(axis=1)[inverse]
     bounds = np.cumsum([len(nets) for nets in networks])[:-1]
     groups = []
     for rec, window, nets, nash in zip(records, windows, networks, np.split(nash_means, bounds)):
-        series = period_stats(nets) | _welfare_series(rec, window, denominator)
+        series = period_stats(nets) | _welfare_series(rec, window)
         series["nash_effort_on_network"] = nash
         table = np.array([series[f] for f in SUMMARY_FIELDS], dtype=float)
         groups.append(

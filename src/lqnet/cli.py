@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, equilibria, files, session_io, structure, verifier
-from .errors import LqnetError
+from .errors import DimensionMismatchError, LqnetError
 from .model import get_treatment
 
 _WINDOW_HELP = "analysis window: 'full', 'last10', or 'start:end' (1-based, inclusive)"
@@ -129,6 +129,8 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     network = files.load_network(args.network, n=args.n)
+    if args.n is not None and network.n != args.n:
+        raise DimensionMismatchError(f"network has n={network.n}, --n expects n={args.n}")
     label = structure.classify(network)
     return {
         "label": label.label,

@@ -1,10 +1,11 @@
 """Equilibrium and efficient effort solvers, payoff reports, and cost cutoffs.
 
 Nash efforts on a fixed network are the least fixed point of the clipped best
-reply (`kernels.br_iteration`): ``[I - (lam/beta) G] x = (theta/beta) 1`` (the
-walk-counting centrality scaled by theta/beta) where no effort binds, else that
-solve over the agents left free by those held at the box's ends.  Efficient
-efforts are the same solve with the spillover doubled (see `efficient_efforts`).
+reply: ``[I - (lam/beta) G] x = (theta/beta) 1`` (the walk-counting centrality
+scaled by theta/beta) where no effort binds, else that solve over the agents left
+free by those held at the box's ends.  `nash_efforts` is `kernels.br_iteration`
+on one network, with a fixed-point check; `spectral_radius` is the kernels' own.
+Efficient efforts are the same solve with the spillover doubled (`efficient_efforts`).
 """
 
 import math
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import br_iteration
+from .kernels import br_iteration, spectral_radius  # noqa: F401  (re-exported)
 from .model import (
     EffortProfile,
     GameParams,
@@ -51,36 +52,6 @@ class CostThresholds(NamedTuple):
     method_notes: dict
 
 
-def spectral_radius(adjacency: np.ndarray) -> float | np.ndarray:
-    """Largest eigenvalue of a symmetric adjacency matrix, floored at 0; for a
-    (k, n, n) stack, an array of k."""
-    return np.maximum(np.linalg.eigvalsh(adjacency.astype(float))[..., -1], 0.0)
-
-
-def interior_nash_efforts(
-    params: GameParams, adjacency: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior Nash efforts on each network of a (k, n, n) adjacency stack.
-
-    Network r passes when ``lam/beta rho(G_r) < 1 - 1e-12`` and the solution of
-    ``[I - (lam/beta) G_r] x = (theta/beta) 1`` lies in the effort box (within
-    1e-12); its row is that solution clipped to the box.  Returns the (k, n)
-    efforts and the (k,) mask of networks that pass; the other rows are 0.
-    Each passing row has the bits of `nash_efforts` on its network.
-    """
-    k, n = adjacency.shape[:2]
-    check_size(params, n, "network")
-    ratio = params.lam / params.beta * spectral_radius(adjacency)
-    passed = ratio < 1.0 - 1e-12
-    x = np.zeros((k, n))
-    if passed.any():
-        # only the passing rows: one singular matrix would make the whole stacked solve raise
-        a = np.eye(n) - (params.lam / params.beta) * adjacency[passed].astype(float)
-        x[passed] = np.linalg.solve(a, np.full((n, 1), params.theta / params.beta))[..., 0]
-        passed &= ((x >= params.effort_min - 1e-12) & (x <= params.effort_max + 1e-12)).all(axis=1)
-    return np.clip(x, params.effort_min, params.effort_max), passed
-
-
 def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     """Nash efforts on a fixed network, `kernels.br_iteration`'s least fixed point;
     ``iterations`` counts its held-set changes and ``residual`` checks the fixed point."""
@@ -89,8 +60,8 @@ def nash_efforts(params: GameParams, network: Network) -> EffortSolution:
     x, stretches = br_iteration(adj, params)
     residual = float(np.max(np.abs(x - best_response(params, neighbor_sums(adj, x)))))
     capped = bool(np.any(x <= params.effort_min + 1e-12) or np.any(x >= params.effort_max - 1e-12))
-    return EffortSolution(EffortProfile(x), converged=residual <= SOLVER_TOL, iterations=stretches,
-                          residual=residual, capped=capped)
+    return EffortSolution(EffortProfile(x), converged=residual <= SOLVER_TOL,
+                          iterations=int(stretches), residual=residual, capped=capped)
 
 
 def efficient_efforts(params: GameParams, network: Network) -> EffortSolution:

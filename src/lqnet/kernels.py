@@ -12,8 +12,10 @@
   re-optimized per intent set), from `deviation_sums`.  This is the
   inner loop of Nash verification (`verifier.verify_nash`); the
   sponsorship-orientation search uses `deviation_sums` directly.
-* `br_iteration` - the exact least fixed point of the clipped best reply,
-  which is every Nash effort solve (`equilibria.nash_efforts`).
+* `br_iteration` - the exact least fixed point of the clipped best reply on
+  one network or a stack, which is every Nash effort solve: one network in
+  `equilibria.nash_efforts`, a batch's distinct networks in
+  `analysis.treatment_summary`.  Its contraction test is `spectral_radius`.
 
 All are pure functions of their arguments.  The deviation kernels state the
 game only through `model`: `best_response` for the best reply, `br_value` for
@@ -28,7 +30,7 @@ import numpy as np
 
 from .model import GameParams, best_response, br_value, effort_order, payoff_components
 
-__all__ = ["deviation_sums", "deviation_scan", "br_iteration", "backend_name"]
+__all__ = ["deviation_sums", "deviation_scan", "spectral_radius", "br_iteration", "backend_name"]
 
 
 def backend_name() -> str:
@@ -88,8 +90,18 @@ def deviation_scan(efforts: np.ndarray, intents: np.ndarray, params: GameParams)
     return best, best_targets, best_response(params, sums[rows, pick])
 
 
+def spectral_radius(adjacency: np.ndarray):
+    """Largest eigenvalue of a symmetric matrix, floored at 0; one per matrix of a stack."""
+    return np.linalg.eigvalsh(np.asarray(adjacency, dtype=np.float64)).max(axis=-1, initial=0.0)
+
+
+def _contracts(params: GameParams, adjacency: np.ndarray):
+    """Whether the sweep map among these free agents contracts, per matrix of a stack."""
+    return params.lam / params.beta * spectral_radius(adjacency) < 1.0 - 1e-12
+
+
 def br_iteration(adjacency: np.ndarray, params: GameParams):
-    """The least fixed point of the clipped best reply on a network, exactly.
+    """The least fixed point of the clipped best reply on each network, exactly.
 
     Sweeps from the all-``effort_min`` profile rise, and each agent's reply
     ``y_i = theta/beta + (lam/beta) (G x)_i`` moves from held low (``y_i <= effort_min``)
@@ -103,9 +115,28 @@ def br_iteration(adjacency: np.ndarray, params: GameParams):
     limit, and where rounding stalls the sweeps short of a change, the nearest
     power past it, clipped, starts the next stretch.
 
-    Returns ``(x, stretches)``: the efforts and the number of held-set changes.
+    ``adjacency`` is one network or a ``(..., n, n)`` stack: the first stretch of the
+    networks whose agents all start free is one stacked test, solve and stay check,
+    and the rest run the held-set loop one at a time.  Returns ``(x, stretches)``,
+    shaped ``(..., n)`` and ``(...)``: the efforts and the number of held-set changes.
     """
     adj = np.asarray(adjacency, dtype=np.float64)
+    nets = adj.reshape(-1, *adj.shape[-2:])
+    n, lo, hi, c = nets.shape[-1], params.effort_min, params.effort_max, params.theta / params.beta
+    w = (params.lam / params.beta) * nets
+    x, stretches = np.full(nets.shape[:-1], lo), np.zeros(len(nets), dtype=np.int64)
+    y = c + w @ x[..., None]
+    settled = ((y > lo) & (y < hi)).all(axis=(1, 2))
+    settled[settled] = _contracts(params, nets[settled])
+    x[settled] = np.linalg.solve(np.eye(n) - w[settled], np.full((n, 1), c))[..., 0]
+    settled[settled] = (c + w[settled] @ x[settled, :, None] < hi).all(axis=(1, 2))
+    for r in np.flatnonzero(~settled):
+        x[r], stretches[r] = _held_sets(nets[r], params)
+    return x.reshape(adj.shape[:-1]), stretches.reshape(adj.shape[:-2])
+
+
+def _held_sets(adj: np.ndarray, params: GameParams):
+    """`br_iteration` on one network, stretch by stretch from the all-``effort_min`` profile."""
     lo, hi, c = params.effort_min, params.effort_max, params.theta / params.beta
     w = (params.lam / params.beta) * adj
     x, high = np.full(len(adj), lo), np.zeros(len(adj), dtype=bool)
@@ -122,7 +153,7 @@ def br_iteration(adjacency: np.ndarray, params: GameParams):
                 return (c + w @ z <= ceiling).all()
 
             sub = np.ix_(free, free)
-            if params.lam / params.beta * np.linalg.eigvalsh(adj[sub]).max(initial=0.0) < 1.0 - 1e-12:
+            if _contracts(params, adj[sub]):
                 z = held.copy()
                 z[free] = np.linalg.solve(np.eye(free.sum()) - w[sub],
                                           c + w[np.ix_(free, ~free)] @ held[~free])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, UnknownTreatmentError
+from .errors import ConfigError, DimensionMismatchError, LqnetError, UnknownTreatmentError
 
 #: `GameParams` field behind each key of its mapping form; files spell lam "lambda"
 PARAM_FIELDS = {
@@ -375,6 +375,15 @@ def check_size(params: GameParams, n: int, what: str) -> None:
     """`DimensionMismatchError` unless ``what``, of ``n`` agents, fits the group size."""
     if n != params.n:
         raise DimensionMismatchError(f"{what} has n={n}, params expect n={params.n}")
+
+
+def check_params(have: GameParams, want: GameParams | None, where: str) -> None:
+    """`LqnetError` naming the first key where ``where``'s params ``have`` differ from
+    ``want``; with no ``want``, nothing to check."""
+    if want is not None and have != want:
+        a, b = have.to_mapping(), want.to_mapping()
+        key = next(k for k in PARAM_KEYS if a[k] != b[k])
+        raise LqnetError(f"{where}: params.{key} is {a[key]!r}, but the treatment has {b[key]!r}")
 
 
 def payoff_components(

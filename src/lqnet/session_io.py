@@ -36,7 +36,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, LqnetError, SchemaVersionError
 from .files import _as_mapping, _fields, _read_text, read_json, write_text
-from .model import PARAM_KEYS, GameParams, is_int
+from .model import PARAM_KEYS, GameParams, check_params, is_int
 
 FORMAT_VERSION = 1
 #: the analysis summary ``lqnet analyze`` writes into a record directory
@@ -403,10 +403,5 @@ def read_records(directory: str | Path, params: GameParams | None = None) -> lis
     records = []
     for path in paths:
         records.append(read_record(path))
-        if params is not None and records[-1].params != params:
-            have, want = records[-1].params.to_mapping(), params.to_mapping()
-            key = next(k for k in PARAM_KEYS if have[k] != want[k])
-            raise LqnetError(
-                f"{path}: params.{key} is {have[key]!r}, but the treatment has {want[key]!r}"
-            )
+        check_params(records[-1].params, params, str(path))
     return records

@@ -110,6 +110,20 @@ class TestEfficiencyReport:
             assert getattr(rep, field) == means[field]
 
 
+@pytest.mark.parametrize("reducer", [efficiency_report, treatment_summary])
+@pytest.mark.parametrize(
+    "treatment, message",
+    [("N9_LowCost1", "params.kappa is 2.5, but the treatment has 1.0"),
+     ("N5_LowCost", "params.lambda is 0.25, but the treatment has 0.4")],
+)
+def test_reducers_refuse_records_of_other_params(reducer, treatment, message):
+    # the golden n = 9 records are N9_HighCost's; the message names the first record
+    # and the first differing key, as `read_records` words it with the file's path
+    records = read_records(GOLDEN / "sessions_n9" / "records")
+    with pytest.raises(LqnetError, match=f"^session {records[0].session_id}: {message}$"):
+        reducer(records, get_treatment(treatment).params, "full")
+
+
 class TestFrequencyReport:
     def test_half_complete(self):
         net = Network.complete(5)
@@ -300,7 +314,7 @@ class TestTreatmentSummary:
 
     def test_stacked_benchmark_has_the_bits_of_one_network_calls(self):
         # lam/beta = 0.15 on 9 agents: K9 fails the spectral test and K7's interior
-        # solution lies above the box, so both take `nash_efforts`' fallback
+        # solution lies above the box, so both leave the stacked first stretch
         params = GameParams(theta=10.0, beta=4.0, lam=0.6, kappa=1.0, n=9)
         blocks = {sizes: block_adjacency(9, sizes) for sizes in ((9,), (7, 2), (5, 4), (2,) * 4)}
         plays = [[(9,), (5, 4), (7, 2), (5, 4)], [(2,) * 4, (9,), (7, 2)]]
@@ -314,6 +328,21 @@ class TestTreatmentSummary:
                           for t in range(1, rec.T + 1)]
             assert group.means["nash_effort_on_network"] == np.mean(per_period)
             assert group.stds["nash_effort_on_network"] == np.std(per_period)
+
+    def test_benchmark_holds_an_interior_solution_just_above_the_cap(self):
+        # the star's interior center effort lies 5e-13 above effort_max: the solver
+        # holds the center at the cap and re-solves the leaves, and so does the benchmark
+        theta, beta, lam = 10.0, 4.0, 0.6
+        r = lam / beta
+        center = theta / beta * (1 + 8 * r) / (1 - 8 * r * r)
+        params = GameParams(theta=theta, beta=beta, lam=lam, kappa=1.0, n=9,
+                            effort_max=center - 5e-13)
+        star = Network.star(9)
+        rec = record_from_play(params, [[3.0] * 9] * 2, [np.triu(star.adjacency)] * 2)
+        one = nash_efforts(params, star)
+        assert one.iterations == 1 and one.efforts.efforts[0] == params.effort_max
+        means = treatment_summary([rec], params, "full").per_group[0].means
+        assert means["nash_effort_on_network"] == one.efforts.efforts.mean()
 
     def test_nash_benchmark_consistent_with_solver(self):
         pol = AgentPolicy(

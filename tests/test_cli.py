@@ -187,6 +187,16 @@ class TestClassify:
         assert out == ""
         assert err == "error: edges: bad pair [1, 1] for n=5\n"
 
+    def test_n_against_a_file_must_match(self, capsys, tmp_path):
+        # as `solve` words a network of another group size
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3]]}))
+        code, out, err = run_cli(capsys, "classify", "--network", str(path), "--n", "7")
+        assert (code, out) == (1, "")
+        assert err == "error: network has n=4, --n expects n=7\n"
+        code, out, _ = run_cli(capsys, "classify", "--network", str(path), "--n", "4")
+        assert code == 0 and json.loads(out)["stats"]["link_count"] == 2
+
 
 class TestSimulateAnalyze:
     POLICY = (

@@ -11,12 +11,12 @@ from lqnet.equilibria import (
     cost_thresholds,
     efficient_efforts,
     equilibrium_payoffs,
-    interior_nash_efforts,
     nash_efforts,
     preferred_sponsors,
     single_link_deviation_threshold,
     spectral_radius,
 )
+from lqnet.kernels import _held_sets, br_iteration
 from lqnet.model import (
     GameParams,
     Network,
@@ -144,36 +144,64 @@ class TestNashEfforts:
         assert min(elapsed) < 0.05
 
 
-class TestInteriorNashEfforts:
-    """The stacked interior solve gives each network the bits of its own `nash_efforts`."""
+class TestStackedBrIteration:
+    """`br_iteration` on a stack gives each network the bits of its own call, in both
+    the efforts and the held-set changes, and its stacked first stretch the bits of
+    the held-set loop run alone."""
+
+    @staticmethod
+    def assert_rows_match_one_network_calls(params, stack):
+        x, stretches = br_iteration(stack, params)
+        n = stack.shape[-1]
+        assert x.shape == stack.shape[:-1] and stretches.shape == stack.shape[:-2]
+        for adj, row, count in zip(stack.reshape(-1, n, n), x.reshape(-1, n), stretches.ravel()):
+            one, one_count = br_iteration(adj, params)
+            assert np.array_equal(row, one) and count == one_count
+            alone, alone_count = _held_sets(adj.astype(float), params)
+            assert np.array_equal(row, alone) and count == alone_count
+        return stretches
 
     @pytest.mark.parametrize("name", ["sessions_n5", "sessions_n9"])
-    def test_matches_one_network_calls_on_golden_records(self, name):
-        golden = Path(__file__).parent / "golden" / name / "records"
-        for rec in read_records(golden):
-            efforts, interior = interior_nash_efforts(rec.params, rec.networks)
-            assert interior.shape == (rec.T,)
-            for adj, x, passed in zip(rec.networks, efforts, interior):
-                one = nash_efforts(rec.params, Network(adj))
-                assert passed == (one.iterations == 0)
-                if passed:
-                    assert np.array_equal(x, one.efforts.efforts)
+    def test_golden_records(self, name):
+        records = read_records(Path(__file__).parent / "golden" / name / "records")
+        for rec in records:
+            self.assert_rows_match_one_network_calls(rec.params, rec.networks)
+        # records of equal length stack once more, as (records, periods, n, n)
+        stack = np.array([rec.networks for rec in records if rec.T == records[0].T])
+        self.assert_rows_match_one_network_calls(records[0].params, stack)
 
-    def test_rows_failing_either_test_are_flagged(self):
+    def test_stack_that_fails_the_spectral_and_the_box_tests(self):
         # lam/beta = 0.15: K9 fails the spectral test (8 * 0.15 > 1); K7 passes it
         # (0.9) but its interior solution, 25, lies above the box
         params = GameParams(theta=10.0, beta=4.0, lam=0.6, kappa=1.0, n=9)
         blocks = [block_adjacency(9, sizes) for sizes in ([5, 4], [9], [7, 2], [3, 3, 3])]
         stack = np.array([Network.star(9).adjacency, *blocks])
-        efforts, interior = interior_nash_efforts(params, stack)
-        assert interior.tolist() == [True, True, False, False, True]
-        for adj, x, passed in zip(stack, efforts, interior):
-            one = nash_efforts(params, Network(adj))
-            assert passed == (one.iterations == 0)
-            if passed:
-                assert np.array_equal(x, one.efforts.efforts)
-            else:
-                assert one.efforts.efforts.max() == params.effort_max
+        stretches = self.assert_rows_match_one_network_calls(params, stack)
+        assert stretches.tolist() == [0, 0, 1, 1, 0]
+        assert br_iteration(stack, params)[0][[2, 3]].max() == params.effort_max
+
+    @pytest.mark.parametrize(
+        "box, held",
+        [(dict(effort_min=3.0), [True, True, False, True, True, True]),
+         (dict(effort_max=2.0), [True] * 6)],
+        ids=["effort_min-above-theta-over-beta", "theta-over-beta-above-effort_max"],
+    )
+    def test_first_stretch_that_holds_agents(self, box, held):
+        # theta/beta = 2.5: the first stretch holds low the star's leaves and every
+        # agent outside a block of 5 or more, or holds every agent high
+        params = GameParams(theta=10.0, beta=4.0, lam=0.2, kappa=1.0, n=9, **box)
+        blocks = [block_adjacency(9, sizes) for sizes in ([5, 4], [9], [7, 2], [3, 3, 3], [1] * 9)]
+        stack = np.array([Network.star(9).adjacency, *blocks])
+        self.assert_rows_match_one_network_calls(params, stack)
+        (bound,) = box.values()
+        x = br_iteration(stack, params)[0]
+        assert (x == bound).any(axis=1).tolist() == held
+
+    def test_one_network_gives_unstacked_shapes(self):
+        params = get_treatment("N9_LowCost1").params
+        x, stretches = br_iteration(Network.star(9).adjacency, params)
+        assert x.shape == (9,) and stretches.shape == ()
+        assert np.array_equal(x, nash_efforts(params, Network.star(9)).efforts.efforts)
 
 
 class TestEfficientEfforts:

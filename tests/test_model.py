@@ -328,6 +328,21 @@ def test_no_other_module_restates_the_effort_order_or_the_logistic():
     assert found == []
 
 
+def test_no_other_module_restates_the_nash_solve():
+    # the spectral test and the linear solve of a Nash stretch are stated once, in
+    # `kernels.spectral_radius` and `kernels.br_iteration`
+    paths = sorted(Path(lqnet.__file__).parent.glob("*.py"))
+    assert "kernels.py" in [path.name for path in paths]
+    found = [
+        f"{path.name}: {pattern}"
+        for path in paths
+        if path.name != "kernels.py"
+        for pattern in ("eigvalsh(", "np.eye(")
+        if pattern in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def test_only_cli_main_prints_or_exits():
     # one output path: each `cli._cmd_*` returns its report, and `cli.main` prints
     # it through `_emit` or prints the one error line, and picks the exit code
