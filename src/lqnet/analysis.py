@@ -5,7 +5,9 @@ equilibrium benchmark, equilibrium-architecture frequency with a two-link
 slack, per-period link-profitability diagnostics, pooled least-squares
 estimation of the effort-adjustment rule, and a per-group summary table whose
 Nash benchmark is one `kernels.br_iteration` call on the batch's distinct
-networks.  The reducers given a treatment's params refuse records of others.
+networks.  Records come from `session_io`; only the effort fit runs `dynamics`.
+The reducers given a treatment's params refuse records of others, and a batch's
+records must share their window's periods, as one window labels the batch.
 """
 
 from functools import lru_cache
@@ -13,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import SessionRecord, effort_regressors
-from .equilibria import nash_efforts
 from .errors import LqnetError, RankDeficientDataError
 from .kernels import br_iteration
 from .model import GameParams, Network, br_payoff, check_params, link_benefit, neighbor_sums
+from .session_io import SessionRecord
 from .structure import ARCHITECTURES, architecture_distances, period_stats
 
 Window = tuple[int, int]
@@ -96,13 +97,19 @@ def resolve_window(window, T: int) -> Window:
     return (start, end)
 
 
-def _windows(records: list[SessionRecord], window, params: GameParams | None = None) -> list[Window]:
-    """Each record's resolved window, in record order; a record not of ``params`` is refused."""
+def _window(records: list[SessionRecord], window, params: GameParams | None = None) -> Window:
+    """The window of every record, which labels the batch; a record not of ``params``,
+    or whose window covers other periods than the first record's, is refused."""
     if not records:
         raise LqnetError("no records supplied")
     for rec in records:
         check_params(rec.params, params, f"session {rec.session_id}")
-    return [resolve_window(window, rec.T) for rec in records]
+    batch = resolve_window(window, records[0].T)
+    for rec in records[1:]:
+        if (own := resolve_window(window, rec.T)) != batch:
+            raise LqnetError(f"session {rec.session_id}: window {window} covers periods {own[0]}-{own[1]}, "
+                             f"not {batch[0]}-{batch[1]} as in session {records[0].session_id}")
+    return batch
 
 
 @lru_cache(maxsize=32)
@@ -113,7 +120,7 @@ def complete_equilibrium_average(params: GameParams) -> float:
     Its n(n-1)/2 links cost each agent kappa (n-1)/2 on average, whoever
     sponsors them, so the average needs no sponsorship."""
     complete = Network.complete(params.n)
-    x = nash_efforts(params, complete).efforts.efforts
+    x = br_iteration(complete.adjacency, params)[0]
     gross = br_payoff(params, x, neighbor_sums(complete.adjacency, x))
     return float(gross.mean()) - params.kappa * (params.n - 1) / 2
 
@@ -141,18 +148,18 @@ def efficiency_report(
     then over records: the reduction behind `treatment_summary`'s overall
     means, so both report the same bits.
     """
-    windows = _windows(records, window, params)
-    series = [_welfare_series(rec, w) for rec, w in zip(records, windows)]
+    window = _window(records, window, params)
+    series = [_welfare_series(rec, window) for rec in records]
     means = {f: float(np.mean([s[f].mean() for s in series])) for f in series[0]}
-    return EfficiencyReport(**means, window=windows[-1])
+    return EfficiencyReport(**means, window=window)
 
 
 def frequency_report(records: list[SessionRecord], window="full") -> FrequencyReport:
     """Share of record-periods matching each architecture exactly and
     within two links."""
-    windows = _windows(records, window)
+    start, end = _window(records, window)
     distances: dict[str, list[np.ndarray]] = {a: [] for a in ARCHITECTURES}
-    for rec, (start, end) in zip(records, windows):
+    for rec in records:
         degrees = rec.networks[start - 1 : end].sum(axis=2)
         for a in ARCHITECTURES:
             distances[a].append(architecture_distances(degrees, a))
@@ -163,7 +170,7 @@ def frequency_report(records: list[SessionRecord], window="full") -> FrequencyRe
             exact=np.count_nonzero(d == 0) / d.size,
             within_two=np.count_nonzero(d <= 2) / d.size,
         )
-    return FrequencyReport(per_architecture=per_architecture, window=windows[-1])
+    return FrequencyReport(per_architecture=per_architecture, window=(start, end))
 
 
 def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
@@ -206,7 +213,8 @@ def link_diagnostics(record: SessionRecord, window="full") -> LinkDiagnostics:
 
 def _fit_rows(record: SessionRecord) -> tuple[np.ndarray, np.ndarray]:
     """The effort rule's regressors and target for every agent-period after the first."""
-    rows = effort_regressors(record.params, record.efforts[:-1], record.intents[:-1])
+    from . import dynamics  # registered lazily: only a fit runs the simulator module
+    rows = dynamics.effort_regressors(record.params, record.efforts[:-1], record.intents[:-1])
     return rows.reshape(-1, 3), record.efforts[1:].ravel()
 
 
@@ -257,17 +265,17 @@ def treatment_summary(
     Standard deviations are population-style across periods within a
     group, and across group means in the overall row.
     """
-    windows = _windows(records, window, params)
-    networks = [rec.networks[start - 1 : end] for rec, (start, end) in zip(records, windows)]
+    window = _window(records, window, params)
+    # (record, period, n, n): the records share their window
+    networks = np.stack([rec.networks[window[0] - 1 : window[1]] for rec in records])
     # realized networks repeat across periods and groups: each distinct one is solved once
-    stacked = np.concatenate(networks)
+    stacked = networks.reshape(-1, *networks.shape[2:])
     keys = np.packbits(stacked.reshape(len(stacked), -1), axis=1)
     _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
                                   return_index=True, return_inverse=True)
     nash_means = br_iteration(stacked[first], params)[0].mean(axis=1)[inverse]
-    bounds = np.cumsum([len(nets) for nets in networks])[:-1]
     groups = []
-    for rec, window, nets, nash in zip(records, windows, networks, np.split(nash_means, bounds)):
+    for rec, nets, nash in zip(records, networks, nash_means.reshape(len(records), -1)):
         series = period_stats(nets) | _welfare_series(rec, window)
         series["nash_effort_on_network"] = nash
         table = np.array([series[f] for f in SUMMARY_FIELDS], dtype=float)
@@ -279,7 +287,7 @@ def treatment_summary(
             )
         )
     return TreatmentSummary(
-        window=windows[-1],
+        window=window,
         per_group=groups,
         overall_means={
             f: float(np.mean([g.means[f] for g in groups])) for f in SUMMARY_FIELDS
@@ -288,3 +296,11 @@ def treatment_summary(
             f: float(np.std([g.means[f] for g in groups])) for f in SUMMARY_FIELDS
         },
     )
+
+
+def __getattr__(name: str):
+    # lqbench's tracer test reads `nash_efforts` here; `analyze` does not run `equilibria`
+    if name == "nash_efforts":
+        from .equilibria import nash_efforts
+        return nash_efforts
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

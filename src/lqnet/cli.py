@@ -149,7 +149,7 @@ def _cmd_simulate(args) -> dict:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     treatment = get_treatment(args.treatment)
     params = treatment.params
-    policies = session_io.load_policies(args.policy, params.n)
+    policies = dynamics.load_policies(args.policy, params.n)
     records = dynamics.batch_run(params, policies, args.periods, args.reps, args.seed)
     paths = [Path(args.out) / f"{rec.session_id}{ext}" for rec in records for ext in (".csv", ".json")]
     if taken := next((path for path in paths if path.exists()), None):

@@ -1,4 +1,4 @@
-"""Agent-based simulator of the repeated effort-and-linking game.
+"""Agent-based simulator of the repeated effort-and-linking game, and its policy file.
 
 Each period every agent simultaneously picks an intent row (whom to
 initiate links to) and an effort level, both as functions of the previous
@@ -17,20 +17,24 @@ Replications step together: `step_effort` and `step_links` read the previous
 period's (R, n) efforts and (R, n, n) intents of R replications, with one
 generator per replication, so a session's record does not depend on how many
 run beside it.  `analysis.fit_effort_model` fits the effort rule on
-`effort_regressors`, the regressors `step_effort` reads.
+`effort_regressors`, the regressors `step_effort` reads.  `load_policies` reads a
+policy file into these rules; a session is a `session_io.SessionRecord`.
 """
 
+import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, LqnetError
+from .errors import ConfigError, DimensionMismatchError
+from .files import _as_mapping, _checked, _fields, _read_text
 from .model import (GameParams, best_response, effort_order, finite_float, is_int,
-                    link_benefit, neighbor_sums, payoff_components, realized_adjacency)
+                    link_benefit, neighbor_sums, realized_adjacency)
+from .session_io import SessionRecord
 
 #: effort-adjustment coefficients (own lag, best-response weight, conformity)
 #: estimated per treatment from the experimental sessions
@@ -187,70 +191,111 @@ class AgentPolicy(NamedTuple):
     link_rule: LinkRule
 
 
-@dataclass(frozen=True, eq=False)
-class SessionRecord:
-    """One group's decisions over T periods, and the outcomes they determine.
-
-    Only the decisions are stored; ``T``, the realized ``networks`` and the
-    ``payoffs`` derive from them, so a record cannot disagree with itself.
-    Arrays are indexed [period, agent(, agent)] and read-only; payoff
-    columns are (own_benefit, effort_cost, spillover, link_cost, total).
-    A ``session_id`` that cannot name files and start one CSV line (it is not
-    text, or holds a line break, ``/`` or NUL) raises `ConfigError`.  Efforts
-    that are not finite numbers in the effort box, then intents with a
-    self-link, are refused, naming the first such period and agent (in period,
-    then agent order) 1-based, as the record files number them.
-    """
-
-    session_id: str
-    params: GameParams
-    seed: int
-    intents: np.ndarray
-    efforts: np.ndarray
-
-    def __post_init__(self) -> None:
-        sid = self.session_id
-        if not isinstance(sid, str) or not set(sid).isdisjoint("\r\n/\0"):
-            raise ConfigError(f"session_id: expected text without line breaks, '/' or NUL, got {sid!r}")
-        n = self.params.n
-        periods = self.efforts.shape[:1]  # (T,); () for a 0-d efforts array
-        for name, shape in (("efforts", (*periods, n)), ("intents", (*periods, n, n))):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
-            arr.setflags(write=False)
-        lo, hi = self.params.effort_min, self.params.effort_max
-        x = self.efforts  # the box ends are finite, so NaN and +-inf fall outside it
-        for bad, what in (
-            (~((lo <= x) & (x <= hi)), f"effort is not a finite number in [{lo!r}, {hi!r}]"),
-            (self.intents.diagonal(axis1=1, axis2=2), "initiates a link to itself"),
-        ):
-            where = np.argwhere(bad)
-            if where.size:
-                t, i = where[0] + 1
-                raise LqnetError(f"period {t} agent {i}: {what}")
-
-    @property
-    def T(self) -> int:
-        return self.efforts.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @cached_property
-    def networks(self) -> np.ndarray:
-        """Each period's realized network: a link forms when either end initiates it."""
-        return _read_only(realized_adjacency(self.intents))
-
-    @cached_property
-    def payoffs(self) -> np.ndarray:
-        return _read_only(payoff_components(self.params, self.efforts, self.intents))
+#: the fields of an effort rule, and the file keys of a link-rule kind besides its
+#: `LINK_RULE_FIELDS`; a link rule gives one of its fields, so logistic has one source
+EFFORT_FIELDS = ("preset", "b0", "b1", "b2", "noise_sd", "initial")
+LINK_FIELDS = {"logistic": ("preset", "odds_ratios")}
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _parse_effort_rule(obj, path: str) -> EffortRule:
+    obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
+    given = {"noise_sd": obj.get("noise_sd", 0.0), "initial_effort": obj.get("initial")}
+    if "preset" in obj:
+        return _checked(path, lambda: EffortRule.from_preset(str(obj["preset"]), **given))
+    return _checked(path, lambda: EffortRule(obj["b0"], obj["b1"], obj["b2"], **given))
+
+
+def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
+    if "preset" in obj:
+        name = str(obj["preset"])
+        if name not in LOGIT_PRESETS:
+            known = sorted(LOGIT_PRESETS)
+            raise ConfigError(f"{path}.preset: unknown preset {name!r} (known: {known})")
+        return LOGIT_PRESETS[name]
+    source = "coefficients" if "coefficients" in obj else "odds_ratios"
+    raw = _fields(obj.get(source, {}), f"{path}.{source}", LOGIT_FIELDS)
+    if not raw:
+        raise ConfigError(f"{path}: logistic rule needs preset, coefficients or odds_ratios")
+    default = 1.0 if source == "odds_ratios" else 0.0
+    values = _checked(f"{path}.{source}", lambda: LogisticCoefficients(
+        raw["intercept"], *(raw.get(key, default) for key in LOGIT_FIELDS[1:])))
+    if source == "coefficients":
+        return values
+    for key in LOGIT_FIELDS:  # odds ratios are positive, and their logs are the coefficients
+        if not getattr(values, key) > 0:
+            raise ConfigError(f"{path}.{source}.{key}: must be positive, got {raw[key]!r}")
+    return LogisticCoefficients(*(float(np.log(getattr(values, key))) for key in LOGIT_FIELDS))
+
+
+def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
+    obj = _as_mapping(obj, path)
+    kind = obj.get("kind")
+    keys = (*LINK_RULE_FIELDS.get(kind, ()), *LINK_FIELDS.get(kind, ())) if isinstance(kind, str) else ()
+    if not keys:  # a kind without fields, or an unknown kind, which the type names first
+        rule = _checked(path, lambda: LinkRule(kind))
+        _fields(obj, path, ("kind",))
+        return rule
+    _fields(obj, path, ("kind", *keys), *((key,) for key in keys))
+    if kind == "rank_top":
+        return _checked(path, lambda: LinkRule.rank_top(obj.get("k")))
+    if kind == "logistic":
+        return LinkRule.logistic(_parse_logistic(obj, path))
+    raw = obj.get("targets")  # fixed_targets, with 1-based IDs
+    if not (isinstance(raw, list) and len(raw) == n):
+        raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
+    for k, row in enumerate(raw):
+        if not (isinstance(row, list) and all(is_int(j) and 1 <= j <= n for j in row)):
+            raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
+    return _checked(path, lambda: LinkRule(kind, targets=[[j - 1 for j in row] for row in raw]))
+
+
+def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
+    obj = _fields(obj, path, ("effort", "links"))
+    if "effort" not in obj or "links" not in obj:
+        raise ConfigError(f"{path}: needs 'effort' and 'links' sections")
+    return AgentPolicy(_parse_effort_rule(obj["effort"], f"{path}.effort"),
+                       _parse_link_rule(obj["links"], f"{path}.links", n))
+
+
+def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
+    """Agent policies for a group of ``n`` from a policy file (JSON if its name ends
+    in ``.json``, else YAML): a shared `policy` section or a per-agent `policies` list."""
+    p = Path(path)
+    data = _policy_data(p, _read_text(p, "file", ConfigError))
+    _fields(_as_mapping(data, str(p)), "", ("policy", "policies", "effort", "links"),
+            ("policy",), ("policies",), ("effort", "links"))
+    if "policies" in data:
+        raw = data["policies"]
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ConfigError(f"policies: expected a list of {n} entries")
+        return [_parse_policy(entry, f"policies[{k}]", n) for k, entry in enumerate(raw)]
+    # a shared policy, in a `policy` section or at the top level
+    return [_parse_policy(data.get("policy", data), "policy", n)] * n
+
+
+def _policy_data(p: Path, text: str):
+    """A policy file's text as JSON if ``p`` ends in ``.json``, else as YAML (not a JSON superset)."""
+    if p.suffix.lower() == ".json":
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            where = f"line {exc.lineno}, column {exc.colno}"
+            raise ConfigError(f"{p}: malformed file: {where}: {exc.msg}") from None
+    import yaml  # only a YAML policy pays for its import
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # PyYAML's message quotes the offending lines; keep the position and the problem
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        detail = problem or str(exc).partition("\n")[0]
+        raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
+
+
+# --------------------------------------------------------------------------
+# record persistence
+# --------------------------------------------------------------------------
 
 
 class GroupRules:

@@ -1,6 +1,6 @@
 """Network and strategy-profile JSON files (1-based agent IDs, as in `session_io`),
-the text, JSON and field readers that the policy and record files share, and the
-one text writer of records and summaries."""
+the text, JSON and field readers that the policy files (`dynamics`) and the record
+files (`session_io`) share, and the one text writer of records and summaries."""
 
 import json
 from pathlib import Path
@@ -66,6 +66,20 @@ def _fields(obj, path: str, known, *sources) -> dict:
     if len(given) > 1:
         raise ConfigError(f"{prefix}{given[1]}: cannot be given with {prefix}{given[0]}")
     return obj
+
+
+def _checked(path: str, build):
+    """``build()``, a type built from the file keys under ``path``; a key it reads that
+    the file lacks, or the type's `ConfigError` (which starts with the field's name),
+    is raised again as a `ConfigError` naming the key's path."""
+    try:
+        return build()
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}: required") from None
+    except ConfigError as exc:
+        field, colon, detail = str(exc).partition(":")
+        key = "initial" if field == "initial_effort" else field
+        raise ConfigError(f"{path}.{key}{colon}{detail}") from None
 
 
 def _group_size(n, what: str) -> int:

@@ -1,4 +1,6 @@
-"""Policy files and session-record persistence (network and profile files: `files`).
+"""Session records and their files (policy files: `dynamics`; network and profile
+files: `files`).  A `SessionRecord` holds one group's decisions; the reducers in
+`analysis` need this module alone, not the simulator that writes the records.
 
 All on-disk formats use 1-based agent IDs (matching the feedback screens
 of the original interface); everything in memory is 0-based.  Session
@@ -15,28 +17,17 @@ of a record's rows in one call, so the work is shared across the records of
 one command.  The caches keep no state a record depends on.
 """
 
-import csv
-import io
 import json
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    LINK_RULE_FIELDS,
-    LOGIT_FIELDS,
-    LOGIT_PRESETS,
-    AgentPolicy,
-    EffortRule,
-    LinkRule,
-    LogisticCoefficients,
-    SessionRecord,
-)
-from .errors import ConfigError, LqnetError, SchemaVersionError
-from .files import _as_mapping, _fields, _read_text, read_json, write_text
-from .model import PARAM_KEYS, GameParams, check_params, is_int
+from .errors import ConfigError, DimensionMismatchError, LqnetError, SchemaVersionError
+from .files import _as_mapping, _checked, _read_text, read_json, write_text
+from .model import PARAM_KEYS, GameParams, check_params, is_int, payoff_components, realized_adjacency
 
 FORMAT_VERSION = 1
 #: the analysis summary ``lqnet analyze`` writes into a record directory
@@ -100,129 +91,71 @@ def _ids_split(text: str, n: int) -> list[int]:
     return out
 
 
-# --------------------------------------------------------------------------
-# policy files
-# --------------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class SessionRecord:
+    """One group's decisions over T periods, and the outcomes they determine.
 
-#: the fields of an effort rule, and the file keys of a link-rule kind besides its
-#: `LINK_RULE_FIELDS`; a link rule gives one of its fields, so logistic has one source
-EFFORT_FIELDS = ("preset", "b0", "b1", "b2", "noise_sd", "initial")
-LINK_FIELDS = {"logistic": ("preset", "odds_ratios")}
+    Only the decisions are stored; ``T``, the realized ``networks`` and the
+    ``payoffs`` derive from them, so a record cannot disagree with itself.
+    Arrays are indexed [period, agent(, agent)] and read-only; payoff
+    columns are (own_benefit, effort_cost, spillover, link_cost, total).
+    A ``session_id`` that cannot name files and start one CSV line (it is not
+    text, or holds a line break, ``/`` or NUL) raises `ConfigError`.  Efforts
+    that are not finite numbers in the effort box, then intents with a
+    self-link, are refused, naming the first such period and agent (in period,
+    then agent order) 1-based, as the record files number them.
+    """
 
+    session_id: str
+    params: GameParams
+    seed: int
+    intents: np.ndarray
+    efforts: np.ndarray
 
-def _checked(path: str, build):
-    """``build()``, a type built from the file keys under ``path``; a key it reads that
-    the file lacks, or the type's `ConfigError` (which starts with the field's name),
-    is raised again as a `ConfigError` naming the key's path."""
-    try:
-        return build()
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: required") from None
-    except ConfigError as exc:
-        field, colon, detail = str(exc).partition(":")
-        key = "initial" if field == "initial_effort" else field
-        raise ConfigError(f"{path}.{key}{colon}{detail}") from None
+    def __post_init__(self) -> None:
+        sid = self.session_id
+        if not isinstance(sid, str) or not set(sid).isdisjoint("\r\n/\0"):
+            raise ConfigError(f"session_id: expected text without line breaks, '/' or NUL, got {sid!r}")
+        n = self.params.n
+        periods = self.efforts.shape[:1]  # (T,); () for a 0-d efforts array
+        for name, shape in (("efforts", (*periods, n)), ("intents", (*periods, n, n))):
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
+            arr.setflags(write=False)
+        lo, hi = self.params.effort_min, self.params.effort_max
+        x = self.efforts  # the box ends are finite, so NaN and +-inf fall outside it
+        for bad, what in (
+            (~((lo <= x) & (x <= hi)), f"effort is not a finite number in [{lo!r}, {hi!r}]"),
+            (self.intents.diagonal(axis1=1, axis2=2), "initiates a link to itself"),
+        ):
+            where = np.argwhere(bad)
+            if where.size:
+                t, i = where[0] + 1
+                raise LqnetError(f"period {t} agent {i}: {what}")
 
+    @property
+    def T(self) -> int:
+        return self.efforts.shape[0]
 
-def _parse_effort_rule(obj, path: str) -> EffortRule:
-    obj = _fields(obj, path, EFFORT_FIELDS, ("preset",), ("b0", "b1", "b2"))
-    given = {"noise_sd": obj.get("noise_sd", 0.0), "initial_effort": obj.get("initial")}
-    if "preset" in obj:
-        return _checked(path, lambda: EffortRule.from_preset(str(obj["preset"]), **given))
-    return _checked(path, lambda: EffortRule(obj["b0"], obj["b1"], obj["b2"], **given))
+    @property
+    def n(self) -> int:
+        return self.params.n
 
+    @cached_property
+    def networks(self) -> np.ndarray:
+        """Each period's realized network: a link forms when either end initiates it."""
+        return _read_only(realized_adjacency(self.intents))
 
-def _parse_logistic(obj: dict, path: str) -> LogisticCoefficients:
-    if "preset" in obj:
-        name = str(obj["preset"])
-        if name not in LOGIT_PRESETS:
-            known = sorted(LOGIT_PRESETS)
-            raise ConfigError(f"{path}.preset: unknown preset {name!r} (known: {known})")
-        return LOGIT_PRESETS[name]
-    source = "coefficients" if "coefficients" in obj else "odds_ratios"
-    raw = _fields(obj.get(source, {}), f"{path}.{source}", LOGIT_FIELDS)
-    if not raw:
-        raise ConfigError(f"{path}: logistic rule needs preset, coefficients or odds_ratios")
-    default = 1.0 if source == "odds_ratios" else 0.0
-    values = _checked(f"{path}.{source}", lambda: LogisticCoefficients(
-        raw["intercept"], *(raw.get(key, default) for key in LOGIT_FIELDS[1:])))
-    if source == "coefficients":
-        return values
-    for key in LOGIT_FIELDS:  # odds ratios are positive, and their logs are the coefficients
-        if not getattr(values, key) > 0:
-            raise ConfigError(f"{path}.{source}.{key}: must be positive, got {raw[key]!r}")
-    return LogisticCoefficients(*(float(np.log(getattr(values, key))) for key in LOGIT_FIELDS))
-
-
-def _parse_link_rule(obj, path: str, n: int) -> LinkRule:
-    obj = _as_mapping(obj, path)
-    kind = obj.get("kind")
-    fields = (*LINK_RULE_FIELDS.get(kind, ()), *LINK_FIELDS.get(kind, ())) if isinstance(kind, str) else ()
-    if not fields:  # a kind without fields, or an unknown kind, which the type names first
-        rule = _checked(path, lambda: LinkRule(kind))
-        _fields(obj, path, ("kind",))
-        return rule
-    _fields(obj, path, ("kind", *fields), *((key,) for key in fields))
-    if kind == "rank_top":
-        return _checked(path, lambda: LinkRule.rank_top(obj.get("k")))
-    if kind == "logistic":
-        return LinkRule.logistic(_parse_logistic(obj, path))
-    raw = obj.get("targets")  # fixed_targets, with 1-based IDs
-    if not (isinstance(raw, list) and len(raw) == n):
-        raise ConfigError(f"{path}.targets: fixed_targets needs a list of {n} rows, got {raw!r}")
-    for k, row in enumerate(raw):
-        if not (isinstance(row, list) and all(is_int(j) and 1 <= j <= n for j in row)):
-            raise ConfigError(f"{path}.targets[{k}]: expected IDs in 1..{n}, got {row!r}")
-    return _checked(path, lambda: LinkRule(kind, targets=[[j - 1 for j in row] for row in raw]))
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        return _read_only(payoff_components(self.params, self.efforts, self.intents))
 
 
-def _parse_policy(obj, path: str, n: int) -> AgentPolicy:
-    obj = _fields(obj, path, ("effort", "links"))
-    if "effort" not in obj or "links" not in obj:
-        raise ConfigError(f"{path}: needs 'effort' and 'links' sections")
-    return AgentPolicy(_parse_effort_rule(obj["effort"], f"{path}.effort"),
-                       _parse_link_rule(obj["links"], f"{path}.links", n))
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-
-def load_policies(path: str | Path, n: int) -> list[AgentPolicy]:
-    """Agent policies for a group of ``n`` from a policy file (JSON if its name ends
-    in ``.json``, else YAML): a shared `policy` section or a per-agent `policies` list."""
-    p = Path(path)
-    data = _policy_data(p, _read_text(p, "file", ConfigError))
-    _fields(_as_mapping(data, str(p)), "", ("policy", "policies", "effort", "links"),
-            ("policy",), ("policies",), ("effort", "links"))
-    if "policies" in data:
-        raw = data["policies"]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ConfigError(f"policies: expected a list of {n} entries")
-        return [_parse_policy(entry, f"policies[{k}]", n) for k, entry in enumerate(raw)]
-    # a shared policy, in a `policy` section or at the top level
-    return [_parse_policy(data.get("policy", data), "policy", n)] * n
-
-
-def _policy_data(p: Path, text: str):
-    """A policy file's text as JSON if ``p`` ends in ``.json``, else as YAML (not a JSON superset)."""
-    if p.suffix.lower() == ".json":
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            where = f"line {exc.lineno}, column {exc.colno}"
-            raise ConfigError(f"{p}: malformed file: {where}: {exc.msg}") from None
-    import yaml  # only a YAML policy pays for its import
-
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        # PyYAML's message quotes the offending lines; keep the position and the problem
-        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-        detail = problem or str(exc).partition("\n")[0]
-        raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
-
-
-# --------------------------------------------------------------------------
-# record persistence
-# --------------------------------------------------------------------------
 
 def write_record(record: SessionRecord, directory: str | Path) -> Path:
     """Write one session as <id>.csv plus a <id>.json sidecar; returns the CSV path."""
@@ -261,12 +194,10 @@ def _row_keys(T: int, n: int) -> tuple[str, ...]:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as one field of a multi-field row, quoted as `csv.writer` quotes it."""
-    if not text:
-        return text  # the writer quotes only a lone empty field, as ""
-    out = io.StringIO()
-    csv.writer(out).writerow([text])
-    return out.getvalue()[: -len("\r\n")]
+    """``text`` as one field of a multi-field row, quoted as `csv.writer` quotes it:
+    in quotes, its own doubled, when it holds a comma or a quote (a `SessionRecord`'s
+    ID holds no line break, the writer's one other reason to quote)."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
 def _read_sidecar(sidecar: Path) -> tuple[dict, GameParams]:

@@ -12,18 +12,11 @@ from lqnet.analysis import (
     resolve_window,
     treatment_summary,
 )
-from lqnet.dynamics import (
-    AgentPolicy,
-    EffortRule,
-    LinkRule,
-    SessionRecord,
-    batch_run,
-    run_session,
-)
+from lqnet.dynamics import AgentPolicy, EffortRule, LinkRule, batch_run, run_session
 from lqnet.equilibria import balanced_sponsorship, nash_efforts
 from lqnet.errors import LqnetError, RankDeficientDataError
 from lqnet.model import GameParams, Network, get_treatment
-from lqnet.session_io import read_records
+from lqnet.session_io import SessionRecord, read_records
 
 from helpers import block_adjacency
 
@@ -122,6 +115,25 @@ def test_reducers_refuse_records_of_other_params(reducer, treatment, message):
     records = read_records(GOLDEN / "sessions_n9" / "records")
     with pytest.raises(LqnetError, match=f"^session {records[0].session_id}: {message}$"):
         reducer(records, get_treatment(treatment).params, "full")
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [lambda records, window: efficiency_report(records, P5, window),
+     frequency_report,
+     lambda records, window: treatment_summary(records, P5, window)],
+    ids=["efficiency", "frequency", "summary"],
+)
+def test_batch_reducers_refuse_records_of_other_windows(reduce):
+    # "last10" is periods 3-12 of a 12-period record and 1-5 of a 5-period one, and
+    # one window labels the batch; a window that names its periods covers both alike
+    pol = AgentPolicy(EffortRule.from_preset("N5_LowCost", noise_sd=0.5), LinkRule.rank_top(2))
+    records = [*batch_run(P5, pol, 12, 2, 1), run_session(P5, pol, 5, seed=7)]
+    message = "^session s7: window last10 covers periods 1-5, not 3-12 as in session s1$"
+    with pytest.raises(LqnetError, match=message):
+        reduce(records, "last10")
+    assert reduce(records, (2, 5)).window == (2, 5)
+    assert reduce(records[:2], "last10").window == (3, 12)
 
 
 class TestFrequencyReport:
@@ -317,7 +329,7 @@ class TestTreatmentSummary:
         # solution lies above the box, so both leave the stacked first stretch
         params = GameParams(theta=10.0, beta=4.0, lam=0.6, kappa=1.0, n=9)
         blocks = {sizes: block_adjacency(9, sizes) for sizes in ((9,), (7, 2), (5, 4), (2,) * 4)}
-        plays = [[(9,), (5, 4), (7, 2), (5, 4)], [(2,) * 4, (9,), (7, 2)]]
+        plays = [[(9,), (5, 4), (7, 2), (5, 4)], [(2,) * 4, (9,), (7, 2), (2,) * 4]]
         records = [
             record_from_play(params, [[3.0] * 9] * len(play), [np.triu(blocks[s]) for s in play], f"g{k}")
             for k, play in enumerate(plays)

@@ -9,6 +9,7 @@ bare ``import lqnet.cli`` registers in ``sys.modules``, and which modules each
 command then runs, is part of the contract too.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import lqnet
 import lqnet.cli  # noqa: F401  (registers every module the tracer wraps)
 
 TRACER = Path(__file__).resolve().parent.parent / "lqbench" / "tracer.py"
@@ -189,7 +191,7 @@ _ALWAYS = {"lqnet", "lqnet.cli", "lqnet.errors", "lqnet.model"}
           "--periods", "3", "--out", "{tmp}"], {"files", "session_io", "dynamics"}),
         (["analyze", "--in", str(GOLDEN / "sessions_n9" / "records"), "--treatment", "N9_HighCost",
           "--csv", "{tmp}/summary.csv"],
-         {"files", "session_io", "dynamics", "analysis", "equilibria", "kernels", "structure"}),
+         {"files", "session_io", "analysis", "kernels", "structure"}),
         (["thresholds", "--treatment", "N5_HighCost"], {"verifier", "equilibria", "kernels", "structure"}),
     ],
     ids=["import", "solve", "verify", "enumerate", "classify", "simulate", "analyze", "thresholds"],
@@ -200,6 +202,29 @@ def test_each_command_runs_only_its_modules(tmp_path, argv, ran):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code += f"\nassert lqnet.cli.main({argv!r}) == 0"
     assert _fresh_modules(code, _RAN) == _ALWAYS | {f"lqnet.{name}" for name in ran}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The modules a source file imports, package-relative ones by their own name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_records_do_not_import_the_simulator_and_only_it_reads_yaml():
+    # a record reducer needs `session_io` alone; the policy reader lives with its rules
+    paths = sorted(Path(lqnet.__file__).parent.glob("*.py"))
+    imports = {path.name: _imported_modules(path) for path in paths}
+    assert {"dynamics", "lqnet.dynamics"}.isdisjoint(imports["session_io.py"])
+    assert [name for name, found in imports.items() if "yaml" in found] == ["dynamics.py"]
+
+
+def test_simulator_record_type_is_the_record_modules():
+    assert lqnet.dynamics.SessionRecord is lqnet.session_io.SessionRecord
 
 
 def test_tracer_installs_on_a_bare_cli_import():
@@ -252,7 +277,7 @@ VALIDATED_DATACLASSES = {
     "dynamics.EffortRule",
     "dynamics.LogisticCoefficients",
     "dynamics.LinkRule",
-    "dynamics.SessionRecord",
+    "session_io.SessionRecord",
 }
 
 

@@ -335,6 +335,20 @@ class TestSimulateAnalyze:
         assert err == f"error: {records / taken}: already exists; simulate does not replace a record\n"
         assert file_hashes(records) == before
 
+    def test_analyze_refuses_records_whose_windows_differ(self, capsys, tmp_path):
+        # last10 is periods 3-12 of the 12-period records and 1-5 of the 5-period one
+        policy_path = tmp_path / "policy.yaml"
+        policy_path.write_text(self.POLICY)
+        out_dir = tmp_path / "runs"
+        for periods, reps, seed in (("12", "2", "1"), ("5", "1", "7")):
+            assert run_cli(capsys, "simulate", "--treatment", "N9_LowCost1", "--policy", str(policy_path),
+                           "--periods", periods, "--reps", reps, "--seed", seed, "--out", str(out_dir))[0] == 0
+        code, out, err = run_cli(capsys, "analyze", "--in", str(out_dir), "--treatment", "N9_LowCost1",
+                                 "--window", "last10")
+        assert (code, out) == (1, "")
+        assert err == "error: session s7: window last10 covers periods 1-5, not 3-12 as in session s1\n"
+        assert not (out_dir / "summary.csv").exists()
+
     def test_analyze_twice_on_one_directory(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.yaml"
         policy_path.write_text(self.POLICY)

@@ -13,7 +13,6 @@ from lqnet.dynamics import (
     GroupRules,
     LinkRule,
     LogisticCoefficients,
-    SessionRecord,
     batch_run,
     effort_regressors,
     run_session,
@@ -25,6 +24,7 @@ from lqnet.dynamics import (
 from lqnet.equilibria import nash_efforts, spectral_radius
 from lqnet.errors import ConfigError, DimensionMismatchError, LqnetError
 from lqnet.model import GameParams, Network, best_response, get_treatment
+from lqnet.session_io import SessionRecord
 
 from helpers import (
     MYOPIC,

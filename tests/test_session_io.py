@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import re
 import sys
@@ -11,12 +12,12 @@ import pytest
 
 from lqnet import session_io
 from lqnet.dynamics import (
-    LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, SessionRecord, batch_run, run_session,
+    LOGIT_PRESETS, AgentPolicy, EffortRule, LinkRule, batch_run, load_policies, run_session,
 )
 from lqnet.errors import ConfigError, LqnetError, SchemaVersionError
 from lqnet.files import load_network, network_from_obj, network_to_obj, profile_from_obj
 from lqnet.model import GameParams, Network, get_treatment
-from lqnet.session_io import load_policies, read_record, read_records, write_record
+from lqnet.session_io import SessionRecord, read_record, read_records, write_record
 
 from helpers import oracle_id_cells, oracle_write_csv
 
@@ -96,6 +97,16 @@ class TestRecordRoundTrip:
         back = read_record(path)
         assert back.session_id == session_id
         assert np.array_equal(back.payoffs, rec.payoffs)
+
+    @pytest.mark.parametrize(
+        "session_id",
+        ["", "s1", ",", '"', '""', "a,b", 'q"x', 'a,"b"', " a ", "\t;'\\", "\u00e9\u0085\u001e", "a\u2028b"],
+    )
+    def test_id_field_quoted_as_csv_writer_quotes_it(self, session_id):
+        # the writer's own rule, in a row of more than one field
+        out = io.StringIO()
+        csv.writer(out).writerow([session_id, "1"])
+        assert session_io._csv_field(session_id) + ",1\r\n" == out.getvalue()
 
     @pytest.mark.parametrize(
         "path", sorted(GOLDEN.glob("sessions_*/records/*.csv")),
