@@ -293,11 +293,6 @@ def _policy_data(p: Path, text: str):
         raise ConfigError(f"{p}: malformed file: {where}{detail}") from None
 
 
-# --------------------------------------------------------------------------
-# record persistence
-# --------------------------------------------------------------------------
-
-
 class GroupRules:
     """The group's effort and linking rules as per-agent arrays, built once per session.
 

@@ -28,7 +28,7 @@ from .model import (
     payoff_components,
 )
 
-#: residual below which a solver output counts as converged
+#: residual at or below which a solver output counts as converged
 SOLVER_TOL = 1e-9
 
 

@@ -112,13 +112,13 @@ def br_iteration(adjacency: np.ndarray, params: GameParams):
     Else binary lifting finds the first sweep that changes one: square the map,
     ``(P, S) -> (P P, P S + S)``, then step back down through those powers.  An
     overflowed power counts as a change, one that reaches 0 ends at the stretch's
-    limit, and where rounding stalls the sweeps short of a change, the nearest
-    power past it, clipped, starts the next stretch.
+    limit, and the nearest power past the change starts the next stretch, so sweeps
+    that rounding stalls short of it cannot stall the loop.
 
-    ``adjacency`` is one network or a ``(..., n, n)`` stack: the first stretch of the
-    networks whose agents all start free is one stacked test, solve and stay check,
-    and the rest run the held-set loop one at a time.  Returns ``(x, stretches)``,
-    shaped ``(..., n)`` and ``(...)``: the efforts and the number of held-set changes.
+    ``adjacency`` is one network or a ``(..., n, n)`` stack: the first stretch of networks
+    with no agent held low at the start is one stacked test, solve and stay check (an
+    agent held high fails it), and the rest run the held-set loop one at a time.  Returns
+    ``(x, stretches)``, shaped ``(..., n)`` and ``(...)``: efforts and held-set changes.
     """
     adj = np.asarray(adjacency, dtype=np.float64)
     nets = adj.reshape(-1, *adj.shape[-2:])
@@ -126,7 +126,7 @@ def br_iteration(adjacency: np.ndarray, params: GameParams):
     w = (params.lam / params.beta) * nets
     x, stretches = np.full(nets.shape[:-1], lo), np.zeros(len(nets), dtype=np.int64)
     y = c + w @ x[..., None]
-    settled = ((y > lo) & (y < hi)).all(axis=(1, 2))
+    settled = (y > lo).all(axis=(1, 2))
     settled[settled] = _contracts(params, nets[settled])
     x[settled] = np.linalg.solve(np.eye(n) - w[settled], np.full((n, 1), c))[..., 0]
     settled[settled] = (c + w[settled] @ x[settled, :, None] < hi).all(axis=(1, 2))
@@ -140,10 +140,10 @@ def _held_sets(adj: np.ndarray, params: GameParams):
     lo, hi, c = params.effort_min, params.effort_max, params.theta / params.beta
     w = (params.lam / params.beta) * adj
     x, high = np.full(len(adj), lo), np.zeros(len(adj), dtype=bool)
-    y, low, stretches = c + w @ x, ~high, 0
+    y, stretches = c + w @ x, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            high, low = high | (y >= hi), low & (y <= lo)
+            high, low = high | (y >= hi), y <= lo  # rounding near a huge cap can dip a high reply
             free = ~(high | low)
             held = np.where(low, lo, hi)
             # each set's largest reply; a NaN reply exceeds every one
@@ -167,5 +167,4 @@ def _held_sets(adj: np.ndarray, params: GameParams):
                 powers.append((p @ p, p @ s + s))
             for p, s in reversed(powers[:-1]):  # the last staying sweep, and the nearest leaving one
                 x, leave = (z, leave) if stays(z := p @ x + s) else (x, z)
-            z = leave if stays(z := powers[0][0] @ x + powers[0][1]) else z
-            y, x, stretches = c + w @ z, np.minimum(z, hi), stretches + 1
+            y, x, stretches = c + w @ leave, leave, stretches + 1

@@ -107,9 +107,9 @@ def verify_nash(params: GameParams, profile: StrategyProfile) -> DeviationReport
 
 @lru_cache(maxsize=32)
 def _subset_table(m: int) -> np.ndarray:
-    """Boolean membership matrix of all 2**m subsets of m slots."""
+    """0/1 membership matrix of all 2**m subsets of m slots; row r is the subset r."""
     masks = np.arange(1 << m, dtype=np.int64)
-    return (masks[:, None] >> np.arange(m)) & 1 == 1
+    return (masks[:, None] >> np.arange(m)) & 1
 
 
 class _SponsorTable(NamedTuple):
@@ -158,7 +158,7 @@ def _sponsor_tables(params: GameParams, x: np.ndarray, network: Network) -> list
         lo = np.where(a < 0, ratio, 0.0).max(axis=1)
         hi = np.where(a > 0, ratio, np.inf).min(axis=1)
         ok = (lo <= hi) & np.all((a != 0) | (b >= 0), axis=1)
-        masks = table.astype(np.int64) @ (np.int64(1) << nb)
+        masks = table @ (np.int64(1) << nb)
         tables.append(_SponsorTable(lo[ok], hi[ok], masks[ok]))
     return tables
 
@@ -204,8 +204,9 @@ class SupportSearch:
         Every agent's stable family is constant between consecutive ends of
         the sponsor tables' ranges, so one `report` at the midpoint of each
         stretch decides the whole stretch; the stretch past the last end is
-        probed at that end + 1.  A set stable on a stretch is stable on its
-        closure, so `report` at any reported end agrees with the interval.
+        probed at κ = inf, where exactly the sets stable on all of it, those
+        with no upper end, are stable.  A set stable on a stretch is stable on
+        its closure, so `report` at any reported end agrees with the interval.
         Ends closer than ``DEVIATION_TOL`` count as one, so no probe lands
         on or between float-close ends: a window narrower than the
         tolerance is an artefact, not an equilibrium.  Adjacent supportable
@@ -221,8 +222,7 @@ class SupportSearch:
         out: list[tuple[float, float]] = []
         joined = False
         for lo, hi in stretches:
-            mid = lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
-            supportable = self.report(mid).supportable
+            supportable = self.report(0.5 * (lo + hi)).supportable
             if supportable and joined:
                 out[-1] = (out[-1][0], hi)
             elif supportable:

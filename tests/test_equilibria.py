@@ -1,11 +1,13 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lqnet import equilibria
 from lqnet.equilibria import (
     balanced_sponsorship,
     cost_thresholds,
@@ -108,6 +110,26 @@ class TestNashEfforts:
         assert sol.capped
         assert np.allclose(sol.efforts.efforts, 20.0)
         assert sol.converged  # 20 is an exact fixed point of the clipped map
+
+    def test_capped_is_within_1e_12_of_a_bound(self):
+        # K2 at lam/beta = 1/2 and theta/beta = 3/4 solves to 3/2 with both agents free
+        base = GameParams(theta=3.0, beta=4.0, lam=2.0, kappa=1.0, n=2)
+        for box, capped in [(dict(effort_max=1.5 + 5e-13), True), (dict(effort_max=1.5 + 1e-11), False),
+                            (dict(effort_min=1.5 - 5e-13), True), (dict(effort_min=1.5 - 1e-11), False)]:
+            sol = nash_efforts(replace(base, **box), Network.complete(2))
+            assert sol.efforts.efforts.tolist() == [1.5, 1.5] and sol.capped is capped
+        # at a floor of 1e6 the 1e-12 rounds away: agents held there are still capped
+        sol = nash_efforts(replace(base, effort_min=1e6, effort_max=2e6), Network.empty(2))
+        assert sol.efforts.efforts.tolist() == [1e6, 1e6] and sol.capped
+
+    def test_converged_at_or_below_the_solver_tolerance(self, monkeypatch):
+        # every reply is the cap, 2e-9; efforts of 1e-9 and 0 leave residuals of
+        # exactly SOLVER_TOL and twice it
+        p = GameParams(theta=10.0, beta=4.0, lam=0.4, kappa=1.0, n=2, effort_max=2e-9)
+        for effort, converged in [(1e-9, True), (0.0, False)]:
+            monkeypatch.setattr(equilibria, "br_iteration", lambda adj, params: (np.full(2, effort), 0))
+            sol = nash_efforts(p, Network.empty(2))
+            assert sol.residual == (2e-9 - effort) and sol.converged is converged
 
     def test_vertex_transitive_constant(self):
         p = get_treatment("N5_HighCost").params

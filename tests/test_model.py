@@ -166,6 +166,11 @@ class TestPayoff:
         profile = make_profile([0.0] * 5, [], 5)
         assert payoff(P5, profile, 0).total == 0.0
 
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_agent_index_out_of_range(self, i):
+        with pytest.raises(IndexError, match=rf"^agent index {i} out of range for n=5$"):
+            payoff(P5, make_profile([2.5] * 5, [], 5), i)
+
     def test_empty_table_value(self):
         profile = make_profile([2.5] * 5, [], 5)
         got = payoff(P5, profile, 2)
@@ -395,6 +400,14 @@ class TestTypes:
         m[0, 1] = True
         with pytest.raises(ValueError):
             Network(m)
+
+    @pytest.mark.parametrize("pair", [(-1, 2), (3, 1), (2, -1), (1, 3), (1, 1)])
+    def test_pairs_and_edges_name_a_bad_pair(self, pair):
+        # a negative index would wrap and an index of n would raise IndexError
+        with pytest.raises(ValueError, match=rf"^bad intent pair \({pair[0]}, {pair[1]}\) for n=3$"):
+            IntentProfile.from_pairs(3, [(0, 1), pair])
+        with pytest.raises(ValueError, match=rf"^bad edge \({pair[0]}, {pair[1]}\) for n=3$"):
+            Network.from_edges(3, [(0, 1), pair])
 
     def test_profile_dimension_check(self):
         with pytest.raises(DimensionMismatchError):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lqnet import kernels
 from lqnet.equilibria import balanced_sponsorship, nash_efforts
 from lqnet.errors import DimensionMismatchError, LqnetError, OrientationBudgetError
 from lqnet.model import (
@@ -21,6 +22,8 @@ from lqnet.verifier import (
     DEVIATION_TOL,
     MAX_SPONSOR_DEGREE,
     SupportSearch,
+    _SponsorTable,
+    _sponsor_tables,
     _stable_sponsor_sets,
     canonical_form,
     enumerate_candidates,
@@ -108,6 +111,16 @@ class TestVerifyNash:
                 assert not report.is_nash
                 assert report.worst_deviation.gain >= 0.5 * p.beta * 0.25 - 1e-9
 
+    def test_gain_at_or_below_the_tolerance_is_not_a_deviation(self, monkeypatch):
+        p = get_treatment("N5_HighCost").params
+        profile = nash_profile(p, Network.star(5, center=0))
+        for gain, is_nash in [(DEVIATION_TOL, True), (2 * DEVIATION_TOL, False)]:
+            scan = (np.array([0.0, gain, 0.0, 0.0, 0.0]), np.zeros((5, 5), dtype=bool), np.zeros(5))
+            monkeypatch.setattr(kernels, "deviation_scan", lambda x, intents, params: scan)
+            report = verify_nash(p, profile)
+            assert report.is_nash is is_nash
+            assert is_nash or report.worst_deviation == (1, (), 0.0, gain)
+
     def test_checks_groups_past_the_support_limit(self):
         # the deviation scan keeps no agent bitmask, so no group-size cap applies
         n = 70
@@ -146,6 +159,7 @@ class TestNeSupportable:
         p = GameParams(theta=10.0, beta=4.0, lam=0.01, kappa=1.0, n=63)
         with pytest.raises(LqnetError, match="up to 62 agents, got 63"):
             ne_supportable(p, Network.empty(63))
+        assert ne_supportable(replace(p, n=62), Network.empty(62)).supportable  # 62 fit
 
     def test_rejects_oversized_tables_before_building_anything(self, monkeypatch):
         import lqnet.verifier as verifier_mod
@@ -210,6 +224,17 @@ class TestNeSupportable:
         with pytest.raises(OrientationBudgetError):
             ne_supportable(p, net)
 
+    def test_budget_is_the_last_node_allowed(self, monkeypatch):
+        import lqnet.verifier as verifier_mod
+
+        p = get_treatment("N5_HighCost").params
+        nodes = ne_supportable(p, Network.star(5)).orientations_tried
+        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", nodes)
+        assert ne_supportable(p, Network.star(5)).supportable
+        monkeypatch.setattr(verifier_mod, "ORIENTATION_BUDGET", nodes - 1)
+        with pytest.raises(OrientationBudgetError):
+            ne_supportable(p, Network.star(5))
+
     @pytest.mark.parametrize("treatment", ["N5_HighCost", "N9_HighCost"])
     def test_search_needs_no_balanced_sponsorship(self, monkeypatch, treatment):
         # the backtracking search is the only route to a witness
@@ -259,6 +284,56 @@ class TestNeSupportable:
                     brute = True
                     break
             assert ne_supportable(p5, net).supportable == brute
+
+    def test_sponsor_table_drops_a_set_that_a_same_count_swap_beats(self):
+        # V(s) = (1 + s)^2 / 2 (theta = beta = lam = 1, effort box [-20, 20]).  Agent 0
+        # sponsors its link to 1 (effort -3), gets one from 2 (effort 0) and may link
+        # to 3.  Adding 3 or dropping 1 lowers V, so the counts alone keep {1} stable up
+        # to kappa 1.5; swapping 1 for 3 (effort 3) gains V(3) - V(-3) = 6 at no cost
+        p = GameParams(theta=1.0, beta=1.0, lam=1.0, kappa=1.0, n=4, effort_min=-20.0)
+        net = Network.from_edges(4, [(0, 1), (0, 2)])
+        table = _sponsor_tables(p, np.array([0.0, -3.0, 0.0, 3.0]), net)[0]
+        assert table.masks.tolist() == [0b000, 0b100]
+        # with 3 at 1.0000000005 the swap gains exactly DEVIATION_TOL, which is no gain:
+        # {1} is stable up to 1.5 + DEVIATION_TOL, and {1, 2} at 0 only
+        table = _sponsor_tables(p, np.array([0.0, -3.0, 0.0, 1.0000000005]), net)[0]
+        assert table.masks.tolist() == [0b000, 0b010, 0b100, 0b110]
+        assert table.lo.tolist() == [0.0] * 4
+        assert table.hi.tolist() == [np.inf, 1.500000001, 1.000000082740371e-09, 0.0]
+        # one neighbor, at -0.5, and no one else to link to: V(-0.5) < V(0), so dropping
+        # the link pays at every kappa >= 0 and {1}'s range is empty
+        pair = Network.from_edges(2, [(0, 1)])
+        assert _sponsor_tables(replace(p, n=2), np.array([0.0, -0.5]), pair)[0].masks.tolist() == [0]
+
+    def test_search_on_random_families_matches_every_orientation(self):
+        # the search alone, on made-up stable families: a network is supportable
+        # exactly when some orientation gives every agent a set from its family
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(3, 6))
+            m = np.triu(rng.random((n, n)) < 0.6, 1)
+            net = Network(m | m.T)
+            search = SupportSearch(replace(get_treatment("N5_HighCost").params, n=n), net)
+            families = []
+            for i in range(n):
+                nb = np.flatnonzero(net.adjacency[i]).tolist()
+                sets = [sum(1 << j for k, j in enumerate(nb) if r >> k & 1) for r in range(1 << len(nb))]
+                families.append({mask for mask in sets if rng.random() < 0.4})
+            search.tables = [_SponsorTable(np.zeros(len(f)), np.full(len(f), np.inf),
+                                           np.array(sorted(f), dtype=np.int64)) for f in families]
+            edges = net.edges()
+            brute = False
+            for code in range(1 << len(edges)):
+                sponsored = [0] * n
+                for k, (i, j) in enumerate(edges):
+                    s, o = (i, j) if code >> k & 1 else (j, i)
+                    sponsored[s] |= 1 << o
+                brute |= all(mask in f for mask, f in zip(sponsored, families))
+            report = search.report(1.0)
+            assert report.supportable == brute
+            if brute:
+                rows = report.witness.intents.matrix
+                assert all(int(rows[i] @ (1 << np.arange(n))) in families[i] for i in range(n))
 
 
 def parity_kappas(treatment):
@@ -319,6 +394,15 @@ class TestSupportSearch:
         intervals = SupportSearch(p, Network.complete(9)).intervals()
         assert time.perf_counter() - start < 1.0
         assert len(intervals) == 1 and intervals[0][0] == 0.0
+
+    def test_ends_exactly_the_tolerance_apart_stay_apart(self):
+        # agent 0 may sponsor its one link on [0, DEVIATION_TOL] only, agent 1 never:
+        # the link is supportable on that window, which merging its ends would lose
+        search = SupportSearch(get_treatment("N5_HighCost").params, Network.from_edges(5, [(0, 1)]))
+        rows = {0: ([0.0], [DEVIATION_TOL], [0b10]), 1: ([0.0], [np.inf], [0])}
+        search.tables = [_SponsorTable(*map(np.array, rows.get(i, ([0.0], [np.inf], [0]))))
+                         for i in range(5)]
+        assert search.intervals() == [(0.0, DEVIATION_TOL)]
 
     def test_probe_on_an_end_leaves_intervals_unchanged(self):
         # the empty network's interval starts where the all-links deviation
