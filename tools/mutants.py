@@ -1,6 +1,6 @@
 """Mutation analysis of lqnet's modules: which of their lines can change unnoticed.
 
-    python tools/mutants.py [--jobs N] [--at LINE,...] [--list] MODULE [MODULE ...]
+    python tools/mutants.py [--at LINE,...] MODULE [MODULE ...]
 
 MODULE names ``src/lqnet/MODULE.py``.  Each mutation site there gives one
 mutant, written into a temporary copy of the tree; the checkout is only read.
@@ -16,10 +16,10 @@ unmutated run plus 10 s, and *survived* otherwise.  The operators:
 * ``unclip`` a ``minimum``, ``maximum``, ``clip`` or ``nextafter`` call to its first argument;
 * ``branch``: a conditional expression becomes one of its branches.
 
-Annotations and f-strings are left alone.  A pass over ``model``, ``kernels``,
-``verifier`` and ``equilibria`` takes about 10 minutes on 2 vCPUs with
-``--jobs 2``, and every surviving mutant adds a full suite run; that is why the
-tool is not part of Tier-1, and ``tests/test_mutants_tool.py`` checks only the tool.
+Annotations and f-strings are left alone.  Mutants are tested one per usable
+CPU at a time.  Every mutant costs at least one test-file run and every
+surviving one a full suite run; that is why the tool is not part of Tier-1,
+and ``tests/test_mutants_tool.py`` checks only the tool.
 """
 
 import argparse
@@ -175,19 +175,14 @@ def survey(module: str, commands, jobs=1, lines=None):
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="module names under src/lqnet")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants tested at once (default 1)")
     parser.add_argument("--at", help="only the mutants on these comma-separated lines")
-    parser.add_argument("--list", action="store_true", help="print the mutants and run nothing")
     args = parser.parse_args(argv)
     lines = None if args.at is None else {int(k) for k in args.at.split(",")}
+    jobs = len(os.sched_getaffinity(0))
     for module in args.modules:
-        if args.list:
-            for m in mutants((ROOT / "src" / "lqnet" / f"{module}.py").read_text()):
-                print(f"{module}.py:{m.line} {m.op} -> {m.replacement}")
-            continue
         commands = [PYTEST + [f"tests/test_{module}.py"], PYTEST + ["--continue-on-collection-errors"]]
         counts = Counter()
-        for m, verdict in survey(module, commands, args.jobs, lines):
+        for m, verdict in survey(module, commands, jobs, lines):
             counts[verdict.split()[0]] += 1
             print(f"{module}.py:{m.line} {m.op} -> {m.replacement[:60]}  {verdict}", flush=True)
         print(f"{module}: {counts.total()} mutants, {counts['killed']} killed, "
